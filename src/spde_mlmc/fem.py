@@ -2,10 +2,15 @@
 
 Assembly uses the hat-function basis on the uniform interior grid with
 homogeneous Dirichlet conditions, which makes mass and stiffness symmetric
-tridiagonal with constant diagonals. The implicit part of the Euler-Maruyama
-step solves ``(M + dt*K) x = rhs``; that matrix is symmetric positive
-definite, so the batched path engine factorises it once per level with a
-banded Cholesky decomposition.
+tridiagonal with constant diagonals. One semi-implicit Euler-Maruyama
+step solves ``(M + dt*K) x_new = M x + dt*M F(x) + load``; ``euler_step`` does
+so in nodal values with the Thomas algorithm.
+
+The path engine, ``StepOperator``, takes the same step in sine-mode
+coordinates. On the uniform Dirichlet grid the sine vectors diagonalise M and
+K and are the nodal rows of the Karhunen-Loeve loads, so every mode evolves on
+its own, and without drift a block of steps is one weighted sum over its
+increments.
 """
 
 import math
@@ -14,10 +19,10 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import NumericalError, UsageError
 from .grid import LevelGeometry, NodalField, make_level
+from .noise import kl_modes, load_amplitudes
 
 
 @dataclass(frozen=True)
@@ -174,56 +179,106 @@ def euler_step(
     return NodalField(level, thomas_solve(system, rhs))
 
 
-class StepOperator:
-    """Precomputed implicit-step solver for a level, batched over paths.
+#: Time steps per increment block of one ``StepOperator.step`` call. Fixed,
+#: like the chunk size: it sets how the weighted sums are grouped, hence their
+#: rounding, and the size of a block; results stay bitwise independent of the
+#: worker count.
+SLAB_STEPS = 1024
 
-    Holds the banded Cholesky factor of ``M + dt*K``; a step maps a state
-    matrix (dofs, b) and a load matrix of the same shape to the next state.
+
+class StepOperator:
+    """Semi-implicit Euler-Maruyama steps of a level in sine-mode coordinates.
+
+    A state is the coefficient vector c of the nodal values x = S c, with
+    S_ij = sin(j*pi*x_i). The sine vectors diagonalise M and K (eigenvalues
+    lm_j = h(2/3 + cos(j*pi*h)/3) and lk_j = (2/h)(1 - cos(j*pi*h))) and are the
+    nodal rows of the KL loads, so without drift mode j follows
+    c_j <- rho_j c_j + beta_j dW_j with rho_j = lm_j/(lm_j + dt lk_j) and
+    beta_j = a_j/(lm_j + dt lk_j), a_j the load amplitude of KL mode j. KL modes
+    beyond dofs alias onto sine vector |r| (or vanish), r = j mod 2(dofs+1)
+    folded into -dofs..dofs, with the sign of r.
     """
 
-    def __init__(self, level: LevelGeometry):
-        mass, stiffness = assemble(level)
-        self.level = level
-        self.mass = mass
-        dt = level.time_step
+    def __init__(self, level: LevelGeometry, modes: Optional[int] = None):
         n = level.dofs
-        ab = np.zeros((2, n))
-        ab[0, 1:] = mass.sup + dt * stiffness.sup
-        ab[1, :] = mass.diag + dt * stiffness.diag
-        self._factor = cholesky_banded(ab)
+        if n < 1:
+            raise UsageError(f"level {level.level} has an empty interior-node space")
+        modes = n if modes is None else modes
+        h, dt = level.mesh_width, level.time_step
+        cos = np.cos(np.arange(1, n + 1) * np.pi * h)
+        lam_m = h * (2.0 / 3.0 + cos / 3.0)
+        denom = lam_m + dt * (2.0 / h) * (1.0 - cos)
+        self.level = level
+        self.modes = modes
+        self.rho = lam_m / denom
+        r = np.arange(1, modes + 1) % (2 * (n + 1))
+        sign = np.where(r <= n, 1.0, -1.0)
+        sign[(r == 0) | (r == n + 1)] = 0.0
+        target = np.where(r <= n, r, 2 * (n + 1) - r) - 1
+        target[sign == 0.0] = 0
+        #: Sine-vector index of each KL mode; None when it is the identity.
+        self.fold = target if modes > n else None
+        self.beta = sign * load_amplitudes(level, modes) / denom[target]
+        nmax = min(SLAB_STEPS, level.steps)
+        weights = self.rho[target] ** np.arange(nmax - 1, -1, -1)[:, None] * self.beta
+        weights[np.abs(weights) < 1e-300] = 0.0  # keep denormals out of the sums
+        #: weights[-n + k] = rho**(n-1-k) * beta, the weight of step k of n.
+        self.weights = weights
+        self.sines = np.sin(np.outer(level.nodes, np.arange(1, n + 1) * np.pi))
 
-    def step(self, states: np.ndarray, loads: np.ndarray, drift: DriftSpec) -> np.ndarray:
-        rhs = self.mass.matvec(states) + loads
-        fx = drift.apply(states)
-        if fx is not None:
-            rhs += self.level.time_step * self.mass.matvec(fx)
-        out = cho_solve_banded((self._factor, False), rhs)
-        if not np.all(np.isfinite(out)):
-            raise NumericalError(f"non-finite state at level {self.level.level}")
-        return out
+    def _add_modes(self, coeffs: np.ndarray, per_mode: np.ndarray) -> np.ndarray:
+        if self.fold is None:
+            coeffs[:self.modes] += per_mode
+        else:
+            np.add.at(coeffs, self.fold, per_mode)
+        return coeffs
+
+    def step(self, rows: np.ndarray, coeffs: np.ndarray,
+             drift: DriftSpec = ZERO_DRIFT) -> np.ndarray:
+        """Advance modal coefficients over ``n`` steps of KL increments.
+
+        ``rows`` has shape (n, modes) for one path with ``coeffs`` (dofs,), or
+        (n, modes, b) for b paths with ``coeffs`` (dofs, b). Without drift the
+        block is one weighted sum, rho**n c + sum_k rho**(n-1-k) beta dW_k, for
+        n <= SLAB_STEPS. A drift enters step by step as
+        c <- rho (c + dt f) + beta dW with f = (2/(dofs+1)) S F(S c), one
+        transform pair per step.
+        """
+        tail = (1,) * (coeffs.ndim - 1)
+        rho = self.rho.reshape(-1, *tail)
+        if drift.func is None:
+            n = len(rows)
+            if n > len(self.weights):
+                raise UsageError(f"block of {n} steps exceeds the operator's {len(self.weights)}")
+            weighted = self.weights[len(self.weights) - n:].reshape(n, -1, *tail) * rows
+            return self._add_modes(rho**n * coeffs, weighted.sum(axis=0))
+        beta = self.beta.reshape(-1, *tail)
+        scale = 2.0 * self.level.time_step / (self.level.dofs + 1)
+        for increments in rows:
+            forcing = self.sines @ drift.apply(self.sines @ coeffs)
+            coeffs = self._add_modes(rho * (coeffs + scale * forcing), beta * increments)
+        return coeffs
 
 
 @lru_cache(maxsize=None)
-def _step_operator(level_index: int) -> StepOperator:
-    return StepOperator(make_level(level_index))
+def _step_operator(level_index: int, modes: int) -> StepOperator:
+    return StepOperator(make_level(level_index), modes)
 
 
-def step_operator(level: LevelGeometry) -> StepOperator:
-    return _step_operator(level.level)
+def step_operator(level: LevelGeometry, modes: Optional[int] = None) -> StepOperator:
+    """Cached operator of ``level`` for ``modes`` KL modes (default dofs)."""
+    return _step_operator(level.level, kl_modes(level, modes))
 
 
 def run_deterministic(level: LevelGeometry) -> NodalField:
     """Propagate the initial condition to T = 1 with zero noise and drift.
 
-    The result approximates the exact mean exp(-pi^2) sin(pi*x); the L2
-    error decays at second order in the mesh width since dt = h^2.
+    The initial data sin(pi*x) is the first sine vector, so the result is
+    rho_1**steps times it. It approximates the exact mean exp(-pi^2) sin(pi*x);
+    the L2 error decays at second order in the mesh width since dt = h^2.
     """
     op = step_operator(level)
-    x = initial_field(level).values[:, None]
-    loads = np.zeros_like(x)
-    for _ in range(level.steps):
-        x = op.step(x, loads, ZERO_DRIFT)
-    return NodalField(level, x[:, 0])
+    return NodalField(level, op.rho[0] ** level.steps * initial_field(level).values)
 
 
 def mass_norm_sq(field: NodalField) -> float:

@@ -12,38 +12,42 @@ for a user-supplied decay sequence, or its two dyadic specialisations
 ("strong": a_l = h_l**gamma with eta = 1, "weak": a_l = h_l**(2*gamma) with
 eta = 1/2), plus a singlelevel baseline ``N = ceil(h_L**(-4*gamma))``.
 
+Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
+``fem.StepOperator``: per path, the increments of each slab of ``SLAB_STEPS``
+fine steps are drawn once and enter the fine path, and summed in fours the
+coarse one, as one weighted sum per sine mode; the terminal coefficients are
+transformed to nodal values once, at T = 1.
+
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
+Stream coordinates beyond the Philox key fields and callables that cannot be
+sent to worker processes are rejected before any path is simulated.
 """
 
 import math
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import zeta
 
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .fem import (
+    SLAB_STEPS,
     DriftSpec,
     ZERO_DRIFT,
     assemble,
-    initial_field,
     mass_norm_sq,
     step_operator,
 )
 from .grid import NodalField, make_level, prolong_to, prolong_values
-from .noise import coarsen_rows, draw_increment_rows, kl_modes, path_stream, projection_matrix
+from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_stream, stream_key
 
 #: Paths simulated per batch. Fixed so that reductions are identical no
 #: matter how chunks are distributed over workers.
 CHUNK_SIZE = 64
-
-#: Time steps generated per RNG slab. Has no effect on the values drawn
-#: (blocks are drawn in step-major order); it only bounds memory.
-SLAB_STEPS = 1024
 
 SCHEDULE_MODES = ("singlelevel", "strong", "weak", "general")
 
@@ -170,57 +174,85 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
                     kl_rule, drift, zero_noise):
     """Simulate ``count`` coupled paths with sample indices start..start+count-1.
 
-    Returns (fine, coarse) state matrices at T = 1 with one column per path;
-    coarse is None at the base level.
+    Returns (fine, coarse) nodal state matrices at T = 1 with one column per
+    path; coarse is None at the base level. Paths run in sine-mode
+    coordinates (see ``StepOperator``) from the initial data sin(pi*x), the
+    first sine vector. Without drift each path takes one weighted sum per slab
+    of its increments; a drift is stepped batched over the chunk.
     """
     fine = make_level(pair_level)
     has_coarse = pair_level > lmin
-    op_f = step_operator(fine)
-    xf = np.repeat(initial_field(fine).values[:, None], count, axis=1)
+    jf = kl_modes(fine, kl_rule)
+    op_f = step_operator(fine, jf)
+    cf = np.zeros((fine.dofs, count))
+    cf[0] = 1.0
     if has_coarse:
         coarse = make_level(pair_level - 1)
-        op_c = step_operator(coarse)
-        xc = np.repeat(initial_field(coarse).values[:, None], count, axis=1)
-
-    if zero_noise:
-        zf = np.zeros((fine.dofs, count))
-        for _ in range(fine.steps):
-            xf = op_f.step(xf, zf, drift)
-        if not has_coarse:
-            return xf, None
-        zc = np.zeros((coarse.dofs, count))
-        for _ in range(coarse.steps):
-            xc = op_c.step(xc, zc, drift)
-        return xf, xc
-
-    jf = kl_modes(fine, kl_rule)
-    proj_f = projection_matrix(fine, jf).matrix
-    if has_coarse:
         jc = kl_modes(coarse, kl_rule)
-        proj_c = projection_matrix(coarse, jc).matrix
-    streams = [
-        path_stream(master_seed, pair_level, replicate, start + i)
-        for i in range(count)
-    ]
+        op_c = step_operator(coarse, jc)
+        cc = np.zeros((coarse.dofs, count))
+        cc[0] = 1.0
+
     dt = fine.time_step
-    done = 0
-    while done < fine.steps:
-        nsteps = min(SLAB_STEPS, fine.steps - done)
-        loads_f = np.empty((nsteps, fine.dofs, count))
+    slabs = [min(SLAB_STEPS, fine.steps - done) for done in range(0, fine.steps, SLAB_STEPS)]
+    if drift.func is None and zero_noise:
+        cf = op_f.rho[:, None] ** fine.steps * cf
         if has_coarse:
-            loads_c = np.empty((nsteps // 4, coarse.dofs, count))
-        for b, stream in enumerate(streams):
-            rows = draw_increment_rows(stream, nsteps, jf, dt)
-            loads_f[:, :, b] = rows @ proj_f
+            cc = op_c.rho[:, None] ** coarse.steps * cc
+    elif drift.func is None:
+        for b in range(count):
+            stream = path_stream(master_seed, pair_level, replicate, start + b)
+            for nsteps in slabs:
+                rows = draw_increment_rows(stream, nsteps, jf, dt)
+                cf[:, b] = op_f.step(rows, cf[:, b])
+                if has_coarse:
+                    cc[:, b] = op_c.step(coarsen_rows(rows, jc), cc[:, b])
+    else:
+        streams = [] if zero_noise else [
+            path_stream(master_seed, pair_level, replicate, start + b) for b in range(count)]
+        for nsteps in slabs:
+            if zero_noise:
+                rows = np.zeros((nsteps, jf, count))
+            else:
+                rows = np.stack([draw_increment_rows(s, nsteps, jf, dt) for s in streams],
+                                axis=2)
+            cf = op_f.step(rows, cf, drift)
             if has_coarse:
-                loads_c[:, :, b] = coarsen_rows(rows, jc) @ proj_c
-        for k in range(nsteps):
-            xf = op_f.step(xf, loads_f[k], drift)
-        if has_coarse:
-            for k in range(nsteps // 4):
-                xc = op_c.step(xc, loads_c[k], drift)
-        done += nsteps
-    return xf, (xc if has_coarse else None)
+                cc = op_c.step(coarsen_rows(rows, jc), cc, drift)
+            _check_finite(cf, cc if has_coarse else None, pair_level, replicate, start, count)
+    xf = op_f.sines @ cf
+    xc = op_c.sines @ cc if has_coarse else None
+    _check_finite(xf, xc, pair_level, replicate, start, count)
+    return xf, xc
+
+
+def _check_finite(fine, coarse, pair_level, replicate, start, count):
+    if not np.isfinite(fine).all() or (coarse is not None and not np.isfinite(coarse).all()):
+        raise NumericalError(
+            f"non-finite state at level {pair_level}, replicate {replicate}, "
+            f"samples {start}..{start + count - 1}")
+
+
+def _check_stream_capacity(master_seed, replicate, counts):
+    """Fail before any simulation if a (level, samples) pair in ``counts``
+    needs stream coordinates beyond the Philox key fields."""
+    for level, n in counts:
+        try:
+            stream_key(master_seed, KIND_PATH, level, replicate, n - 1)
+        except UsageError as exc:
+            raise UsageError(f"level {level} with {n} samples, replicate {replicate}: "
+                             f"{exc}") from exc
+
+
+def _check_picklable(**callables):
+    """Worker processes receive callables by pickling; reject those that
+    cannot be sent before the first chunk runs."""
+    for name, spec in callables.items():
+        try:
+            pickle.dumps(spec)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise UsageError(f"{name} cannot be sent to worker processes ({exc}); "
+                             "use a module-level function or workers=1") from exc
 
 
 def sample_pair(
@@ -274,6 +306,7 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     """
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
+    _check_stream_capacity(master_seed, 0, [(pair_level, n)])
     tasks = [(pair_level, lmin, s, min(CHUNK_SIZE, n - s), master_seed,
               kl_rule, zero_noise) for s in range(0, n, CHUNK_SIZE)]
     if workers > 1:
@@ -424,6 +457,10 @@ def mlmc_estimate(
 
     levels = [top_level] if schedule.mode == "singlelevel" else list(range(lmin, top_level + 1))
     base = levels[0]
+    _check_stream_capacity(master_seed, replicate,
+                           [(level, schedule.count_for(level, base)) for level in levels])
+    if workers > 1:
+        _check_picklable(functional=functional, drift=drift)
     t_total = time.perf_counter()
     stats = []
     estimate_field = np.zeros(make_level(top_level).dofs)
@@ -579,6 +616,8 @@ def predict_work(
     else:
         bound_exponent = -(2.0 + kappa - 2.0 * eta)
         bound_poly_power = 2.0 + schedule.eps
+
+    from scipy.special import zeta  # deferred: importing the package loads numpy only
 
     error_constant = (math.inf if schedule.eps == 0.0
                       else 1.0 + math.sqrt(1.0 + float(zeta(1.0 + schedule.eps, 1))))

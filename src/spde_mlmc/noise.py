@@ -68,6 +68,14 @@ class ProjectionMatrix:
         return self.matrix.shape[0]
 
 
+def load_amplitudes(level: LevelGeometry, modes: int) -> np.ndarray:
+    """Amplitudes a_j, j = 1..modes, of the load rows: (e_j, phi_i) = a_j sin(j*pi*x_i),
+    with a_j = sqrt(2) * 4 sin(j*pi*h/2)^2 / (j^2 pi^2 h)."""
+    h = level.mesh_width
+    j = np.arange(1, modes + 1, dtype=np.float64)
+    return np.sqrt(2.0) * 4.0 * np.sin(j * np.pi * h / 2.0) ** 2 / (j**2 * np.pi**2 * h)
+
+
 def projection_matrix(level: LevelGeometry, modes: int) -> ProjectionMatrix:
     """Closed-form load projections.
 
@@ -78,11 +86,9 @@ def projection_matrix(level: LevelGeometry, modes: int) -> ProjectionMatrix:
         raise UsageError("need at least one mode")
     if level.dofs < 1:
         raise UsageError("projection needs at least one interior node")
-    h = level.mesh_width
     j = np.arange(1, modes + 1, dtype=np.float64)
-    amp = np.sqrt(2.0) * 4.0 * np.sin(j * np.pi * h / 2.0) ** 2 / (j**2 * np.pi**2 * h)
     phases = np.sin(np.outer(j * np.pi, level.nodes))
-    return ProjectionMatrix(level, amp[:, None] * phases)
+    return ProjectionMatrix(level, load_amplitudes(level, modes)[:, None] * phases)
 
 
 @dataclass(frozen=True)

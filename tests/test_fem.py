@@ -19,6 +19,7 @@ from spde_mlmc import (
 )
 from spde_mlmc.fem import DriftSpec, mass_norm, step_operator
 from spde_mlmc.metrics import exact_mean, fit_slope
+from spde_mlmc.noise import projection_matrix
 
 
 def hat(level, i):
@@ -203,12 +204,13 @@ def test_deterministic_convergence_order():
 def test_norm_non_increasing_over_steps():
     level = make_level(3)
     op = step_operator(level)
-    x = initial_field(level).values[:, None]
-    loads = np.zeros_like(x)
-    norms = [mass_norm(NodalField(level, x[:, 0]))]
+    coeffs = np.zeros(level.dofs)
+    coeffs[0] = 1.0  # the initial data sin(pi*x)
+    rows = np.zeros((1, level.dofs))
+    norms = [mass_norm(NodalField(level, op.sines @ coeffs))]
     for _ in range(level.steps):
-        x = op.step(x, loads, ZERO_DRIFT)
-        norms.append(mass_norm(NodalField(level, x[:, 0])))
+        coeffs = op.step(rows, coeffs)
+        norms.append(mass_norm(NodalField(level, op.sines @ coeffs)))
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
 
@@ -225,14 +227,18 @@ def test_symmetric_loads_preserve_symmetry():
 
 
 def test_step_operator_matches_euler_step():
+    # one weighted sum over a block of increment rows, batched over paths,
+    # against nodal Euler steps driven by the projected loads
     level = make_level(4)
     mass, stiffness = assemble(level)
     op = step_operator(level)
+    proj = projection_matrix(level, level.dofs).matrix
     rng = np.random.default_rng(11)
-    states = rng.standard_normal((level.dofs, 6))
-    loads = rng.standard_normal((level.dofs, 6))
-    batched = op.step(states, loads, ZERO_DRIFT)
+    coeffs = rng.standard_normal((level.dofs, 6))
+    rows = rng.standard_normal((5, level.dofs, 6))
+    batched = op.sines @ op.step(rows, coeffs)
     for b in range(6):
-        single = euler_step(level, mass, stiffness,
-                            NodalField(level, states[:, b]), ZERO_DRIFT, loads[:, b])
+        single = NodalField(level, op.sines @ coeffs[:, b])
+        for row in rows[:, :, b]:
+            single = euler_step(level, mass, stiffness, single, ZERO_DRIFT, row @ proj)
         np.testing.assert_allclose(batched[:, b], single.values, atol=1e-13)

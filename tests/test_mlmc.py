@@ -1,25 +1,41 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spde_mlmc
 from spde_mlmc import (
     IDENTITY,
     SQUARED_NORM,
     FunctionalSpec,
     NodalField,
+    NumericalError,
     UsageError,
+    ZERO_DRIFT,
     apply_functional,
+    assemble,
     build_schedule,
+    coarsen_block,
+    euler_step,
+    initial_field,
+    kl_modes,
     make_level,
     mc_estimate,
     mlmc_estimate,
+    noise_load,
     pair_op_work,
     predict_work,
+    projection_matrix,
     prolong_to,
     run_deterministic,
+    sample_kl_block,
     sample_pair,
 )
+from spde_mlmc.fem import DriftSpec
 from spde_mlmc.metrics import fit_slope
 from spde_mlmc.noise import path_stream
 
@@ -177,40 +193,56 @@ def test_sample_pair_below_base_rejected():
         sample_pair(1, 2, master_seed=0, sample=0)
 
 
+def _stepwise_path(level, block, drift):
+    """Nodal Euler steps driven by the loads of ``block``: the reference engine."""
+    proj = projection_matrix(level, block.modes)
+    mass, stiffness = assemble(level)
+    state = initial_field(level)
+    for k in range(level.steps):
+        state = euler_step(level, mass, stiffness, state, drift, noise_load(block, k, proj))
+    return state.values
+
+
+def _stepwise_pair(pair_level, master_seed, sample, kl_rule=None, drift=ZERO_DRIFT):
+    fine_level, coarse_level = make_level(pair_level), make_level(pair_level - 1)
+    block = sample_kl_block(path_stream(master_seed, pair_level, 0, sample), fine_level,
+                            kl_modes(fine_level, kl_rule))
+    coarse = coarsen_block(block, kl_modes(coarse_level, kl_rule))
+    return _stepwise_path(fine_level, block, drift), _stepwise_path(coarse_level, coarse, drift)
+
+
 def test_sample_pair_matches_stepwise_reconstruction():
     # rebuild both members of a pair from the public block/load/step ops
-    from spde_mlmc import (
-        assemble,
-        coarsen_block,
-        euler_step,
-        initial_field,
-        noise_load,
-        projection_matrix,
-        sample_kl_block,
-    )
-    from spde_mlmc.fem import ZERO_DRIFT
-    from spde_mlmc.noise import path_stream
-
     fine, coarse = sample_pair(2, 1, master_seed=64, sample=9)
+    ref_fine, ref_coarse = _stepwise_pair(2, 64, 9)
+    np.testing.assert_allclose(ref_fine, fine.values, atol=1e-13)
+    np.testing.assert_allclose(ref_coarse, coarse.values, atol=1e-13)
 
-    fine_level, coarse_level = make_level(2), make_level(1)
-    block = sample_kl_block(path_stream(64, 2, 0, 9), fine_level, 3)
-    proj = projection_matrix(fine_level, 3)
-    mass, stiffness = assemble(fine_level)
-    state = initial_field(fine_level)
-    for k in range(fine_level.steps):
-        state = euler_step(fine_level, mass, stiffness, state, ZERO_DRIFT,
-                           noise_load(block, k, proj))
-    np.testing.assert_allclose(state.values, fine.values, atol=1e-13)
 
-    coarse_block = coarsen_block(block, 1)
-    coarse_proj = projection_matrix(coarse_level, 1)
-    mass_c, stiffness_c = assemble(coarse_level)
-    state_c = initial_field(coarse_level)
-    for k in range(coarse_level.steps):
-        state_c = euler_step(coarse_level, mass_c, stiffness_c, state_c, ZERO_DRIFT,
-                             noise_load(coarse_block, k, coarse_proj))
-    np.testing.assert_allclose(state_c.values, coarse.values, atol=1e-13)
+@pytest.mark.parametrize("kl_rule", [None, 2 * 7 + 5])
+def test_sample_pair_with_drift_matches_stepwise_reconstruction(kl_rule):
+    drift = DriftSpec(lambda v: -v, name="linear")
+    fine, coarse = sample_pair(3, 1, master_seed=65, sample=4, kl_rule=kl_rule, drift=drift)
+    ref_fine, ref_coarse = _stepwise_pair(3, 65, 4, kl_rule=kl_rule, drift=drift)
+    np.testing.assert_allclose(ref_fine, fine.values, atol=1e-13)
+    np.testing.assert_allclose(ref_coarse, coarse.values, atol=1e-13)
+
+
+@pytest.mark.parametrize("kl_rule", [1, 7, 2 * 7 + 5])  # level 3 has 7 dofs
+def test_sample_pair_kl_truncation_matches_stepwise_reconstruction(kl_rule):
+    # fewer modes than dofs, as many, and enough to alias onto the sine
+    # vectors of both levels with both signs and through vanishing modes
+    fine, coarse = sample_pair(3, 1, master_seed=66, sample=2, kl_rule=kl_rule)
+    ref_fine, ref_coarse = _stepwise_pair(3, 66, 2, kl_rule=kl_rule)
+    np.testing.assert_allclose(ref_fine, fine.values, atol=1e-13)
+    np.testing.assert_allclose(ref_coarse, coarse.values, atol=1e-13)
+
+
+def test_non_finite_state_names_its_stream_coordinates():
+    blowup = DriftSpec(lambda v: np.full_like(v, np.inf), name="inf")
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericalError, match=r"level 2, replicate 3, samples 5\.\.5"):
+        sample_pair(2, 1, master_seed=1, sample=5, replicate=3, drift=blowup)
 
 
 # ------------------------------------------------------------ mlmc_estimate
@@ -258,6 +290,33 @@ def test_workers_do_not_change_results():
     assert np.array_equal(serial.estimate.values, parallel.estimate.values)
     for a, b in zip(serial.level_stats, parallel.level_stats):
         assert a.variance == b.variance
+
+
+def test_unpicklable_callables_rejected_with_workers():
+    schedule = build_schedule("weak", 2, gamma=0.5, eps=1.0)
+    custom = FunctionalSpec("custom", func=lambda f: float(f.values[0]))
+    with pytest.raises(UsageError, match="functional"):
+        mlmc_estimate(2, 1, schedule, functional=custom, master_seed=1, workers=2)
+    drift = DriftSpec(lambda v: -v, name="linear")
+    with pytest.raises(UsageError, match="drift"):
+        mlmc_estimate(2, 1, schedule, master_seed=1, drift=drift, workers=2)
+
+
+def test_stream_capacity_checked_before_simulation(monkeypatch):
+    from spde_mlmc import mlmc
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the capacity check")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    schedule = build_schedule("strong", 2, gamma=0.5, eps=1.0)
+    with pytest.raises(UsageError, match="16 bits"):
+        mlmc_estimate(2, 1, schedule, master_seed=0, replicate=2**16)
+    too_many = dataclasses.replace(schedule, counts=(4, 4, 2**32 + 1))
+    with pytest.raises(UsageError, match="32 bits"):
+        mlmc_estimate(2, 1, too_many, master_seed=0)
+    with pytest.raises(UsageError, match="32 bits"):
+        mlmc.pair_variances(3, 1, 2**32 + 1, 0)
 
 
 def test_singlelevel_estimate():
@@ -421,3 +480,10 @@ def test_predict_work_zeta_constant():
                                                 rel=1e-12)
     border = build_schedule("weak", 3, gamma=0.5, eps=0.0)
     assert math.isinf(predict_work(border, d=1).error_constant)
+
+
+def test_package_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spde_mlmc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, spde_mlmc; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
