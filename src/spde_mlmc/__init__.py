@@ -12,16 +12,13 @@ from .fem import (
     TridiagonalMatrix,
     ZERO_DRIFT,
     assemble,
-    euler_step,
     initial_field,
     mass_norm,
     mass_norm_sq,
     run_deterministic,
-    thomas_solve,
 )
-from .grid import LevelGeometry, NodalField, make_level, prolong, prolong_to, zero_field
+from .grid import LevelGeometry, NodalField, make_level, prolong, prolong_to
 from .metrics import (
-    ErrorReport,
     exact_mean,
     exact_mean_values,
     fit_slope,
@@ -45,15 +42,6 @@ from .mlmc import (
     predict_work,
     sample_pair,
 )
-from .noise import (
-    KLBlock,
-    ProjectionMatrix,
-    coarsen_block,
-    kl_modes,
-    noise_load,
-    path_stream,
-    projection_matrix,
-    sample_kl_block,
-)
+from .noise import kl_modes, path_stream
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .errors import NumericalError, UsageError
 from .fem import assemble, run_deterministic
 from .grid import make_level
 from .metrics import (
-    ErrorReport,
     exact_mean,
     fit_slope,
     reference_points,
@@ -146,8 +145,12 @@ def write_timings(path: Path, rows, cfg: RunConfig):
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     values = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -237,7 +240,10 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, dest, None)
         if value is None and dest in file_values:
             raw = file_values[dest]
-            value = (raw.lower() in ("1", "true", "yes")) if conv == "flag" else conv(raw)
+            try:
+                value = (raw.lower() in ("1", "true", "yes")) if conv == "flag" else conv(raw)
+            except ValueError as exc:
+                raise UsageError(f"bad value {raw!r} for config key {dest!r}") from exc
         if value is None:
             value = default
         merged[dest] = value
@@ -254,10 +260,12 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=command, seed=v["seed"], out=Path(v["out"]))
     if not 0 <= cfg.seed < 2**64:
         raise UsageError("seed must fit in 64 bits")
-    cfg.workers = v.get("workers", 1) or 1
+    cfg.workers = v.get("workers", 1)
     if cfg.workers < 1:
-        raise UsageError("workers must be at least 1")
-    cfg.lmin = v.get("lmin", 1) or 1
+        raise UsageError("--workers must be at least 1")
+    cfg.lmin = v.get("lmin", 1)
+    if cfg.lmin < 1:
+        raise UsageError("--lmin must be at least 1 (level 0 has no interior nodes)")
     cfg.kl_modes = v.get("kl_modes")
     if command == "det-conv":
         if v["levels"] is None:
@@ -300,7 +308,11 @@ def make_config(args: argparse.Namespace) -> RunConfig:
                 raise UsageError("--functional must be identity or squared-norm")
             cfg.zero_noise = bool(v["zero_noise"])
             if v["a_seq"] is not None:
-                cfg.a_seq = tuple(float(x) for x in v["a_seq"].split(","))
+                try:
+                    cfg.a_seq = tuple(float(x) for x in v["a_seq"].split(","))
+                except ValueError as exc:
+                    raise UsageError(f"bad --a-seq {v['a_seq']!r}, expected numbers "
+                                     "separated by commas") from exc
             cfg.eta = v["eta"]
             if "general" in cfg.modes and (cfg.a_seq is None or cfg.eta is None):
                 raise UsageError("general mode needs --a-seq and --eta")
@@ -377,7 +389,6 @@ def _run_one_mode(cfg: RunConfig, mode: str, l_lo: int, l_hi: int):
                                   a=a_seq, eta=cfg.eta)
         errors = []
         total_work = None
-        level_work = []
         for rep in range(cfg.reps):
             result = mlmc_estimate(
                 top, cfg.lmin, schedule, functional=functional,
@@ -396,13 +407,7 @@ def _run_one_mode(cfg: RunConfig, mode: str, l_lo: int, l_hi: int):
                 for stat in result.level_stats:
                     level_rows.append((mode, top, stat.level, stat.samples,
                                        stat.op_work, stat.variance))
-                    level_work.append((stat.level, stat.samples, stat.op_work))
-        if errors:
-            report = ErrorReport(top, tuple(errors), rms_aggregate(errors),
-                                 _eval_grid_size(cfg, top), tuple(level_work))
-            agg = report.aggregate
-        else:
-            agg = None
+        agg = rms_aggregate(errors) if errors else None
         outside = int(cfg.eps == 0.0 and mode != "singlelevel")
         summary_rows.append((mode, top, agg, total_work, cfg.reps, outside))
     return rep_rows, level_rows, summary_rows, timing_rows

@@ -3,14 +3,12 @@
 Assembly uses the hat-function basis on the uniform interior grid with
 homogeneous Dirichlet conditions, which makes mass and stiffness symmetric
 tridiagonal with constant diagonals. One semi-implicit Euler-Maruyama
-step solves ``(M + dt*K) x_new = M x + dt*M F(x) + load``; ``euler_step`` does
-so in nodal values with the Thomas algorithm.
+step solves ``(M + dt*K) x_new = M x + dt*M F(x) + load``.
 
-The path engine, ``StepOperator``, takes the same step in sine-mode
-coordinates. On the uniform Dirichlet grid the sine vectors diagonalise M and
-K and are the nodal rows of the Karhunen-Loeve loads, so every mode evolves on
-its own, and without drift a block of steps is one weighted sum over its
-increments.
+The path engine, ``StepOperator``, takes that step in sine-mode coordinates.
+On the uniform Dirichlet grid the sine vectors diagonalise M and K and are the
+nodal rows of the Karhunen-Loeve loads, so every mode evolves on its own, and
+without drift a block of steps is one weighted sum over its increments.
 """
 
 import math
@@ -20,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalError, UsageError
+from .errors import UsageError
 from .grid import LevelGeometry, NodalField, make_level
 from .noise import kl_modes, load_amplitudes
 
@@ -38,10 +36,6 @@ class TridiagonalMatrix:
         if len(self.sub) != n - 1 or len(self.sup) != n - 1:
             raise UsageError("inconsistent tridiagonal band lengths")
 
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Product with a vector (n,) or a batch of columns (n, b)."""
         if x.ndim == 1:
@@ -53,12 +47,6 @@ class TridiagonalMatrix:
             y[:-1] += self.sup[:, None] * x[1:]
             y[1:] += self.sub[:, None] * x[:-1]
         return y
-
-    def dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        a += np.diag(self.sub, -1)
-        a += np.diag(self.sup, 1)
-        return a
 
 
 @dataclass(frozen=True)
@@ -108,39 +96,6 @@ def assemble(level: LevelGeometry):
     return _assemble_cached(level.level)
 
 
-def thomas_solve(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct tridiagonal solve (Thomas algorithm) for a single right side.
-
-    Requires a numerically safe pivot sequence; the diagonally dominant
-    systems arising from ``M + dt*K`` always qualify. The residual satisfies
-    ``max|m@x - rhs| <= 1e-12 * max|rhs|`` for such systems.
-    """
-    n = m.size
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape != (n,):
-        raise UsageError(f"rhs length {rhs.shape} does not match matrix size {n}")
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    d = np.empty(n)
-    piv = m.diag[0]
-    if piv == 0.0:
-        raise NumericalError("zero pivot in tridiagonal solve at row 0")
-    d[0] = rhs[0] / piv
-    if n > 1:
-        c[0] = m.sup[0] / piv
-    for i in range(1, n):
-        piv = m.diag[i] - m.sub[i - 1] * c[i - 1]
-        if piv == 0.0:
-            raise NumericalError(f"zero pivot in tridiagonal solve at row {i}")
-        d[i] = (rhs[i] - m.sub[i - 1] * d[i - 1]) / piv
-        if i < n - 1:
-            c[i] = m.sup[i] / piv
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
-
-
 def initial_field(level: LevelGeometry) -> NodalField:
     """Nodal interpolation of the initial condition sin(pi*x)."""
     if level.dofs < 1:
@@ -148,42 +103,21 @@ def initial_field(level: LevelGeometry) -> NodalField:
     return NodalField(level, np.sin(np.pi * level.nodes))
 
 
-def euler_step(
-    level: LevelGeometry,
-    mass: TridiagonalMatrix,
-    stiffness: TridiagonalMatrix,
-    state: NodalField,
-    drift: DriftSpec,
-    noise_load: np.ndarray,
-) -> NodalField:
-    """One semi-implicit Euler-Maruyama step.
-
-    Solves ``(M + dt*K) x_new = M x + dt * M F(x) + noise_load`` where the
-    noise load already carries the inner products (dW, phi_i).
-    """
-    if state.level.level != level.level:
-        raise UsageError("state level does not match geometry")
-    noise_load = np.asarray(noise_load, dtype=np.float64)
-    if noise_load.shape != (level.dofs,):
-        raise UsageError("noise load length does not match dofs")
-    dt = level.time_step
-    system = TridiagonalMatrix(
-        sub=mass.sub + dt * stiffness.sub,
-        diag=mass.diag + dt * stiffness.diag,
-        sup=mass.sup + dt * stiffness.sup,
-    )
-    rhs = mass.matvec(state.values) + noise_load
-    fx = drift.apply(state.values)
-    if fx is not None:
-        rhs += dt * mass.matvec(fx)
-    return NodalField(level, thomas_solve(system, rhs))
-
-
 #: Time steps per increment block of one ``StepOperator.step`` call. Fixed,
 #: like the chunk size: it sets how the weighted sums are grouped, hence their
 #: rounding, and the size of a block; results stay bitwise independent of the
 #: worker count.
 SLAB_STEPS = 1024
+
+
+def _mode_factors(level: LevelGeometry):
+    """Per sine mode j = 1..dofs, the step factor rho_j = lm_j/(lm_j + dt lk_j)
+    and the denominator lm_j + dt lk_j (see ``StepOperator``)."""
+    h, dt = level.mesh_width, level.time_step
+    cos = np.cos(np.arange(1, level.dofs + 1) * np.pi * h)
+    lam_m = h * (2.0 / 3.0 + cos / 3.0)
+    denom = lam_m + dt * (2.0 / h) * (1.0 - cos)
+    return lam_m / denom, denom
 
 
 class StepOperator:
@@ -204,13 +138,9 @@ class StepOperator:
         if n < 1:
             raise UsageError(f"level {level.level} has an empty interior-node space")
         modes = n if modes is None else modes
-        h, dt = level.mesh_width, level.time_step
-        cos = np.cos(np.arange(1, n + 1) * np.pi * h)
-        lam_m = h * (2.0 / 3.0 + cos / 3.0)
-        denom = lam_m + dt * (2.0 / h) * (1.0 - cos)
         self.level = level
         self.modes = modes
-        self.rho = lam_m / denom
+        self.rho, denom = _mode_factors(level)
         r = np.arange(1, modes + 1) % (2 * (n + 1))
         sign = np.where(r <= n, 1.0, -1.0)
         sign[(r == 0) | (r == n + 1)] = 0.0
@@ -276,9 +206,11 @@ def run_deterministic(level: LevelGeometry) -> NodalField:
     The initial data sin(pi*x) is the first sine vector, so the result is
     rho_1**steps times it. It approximates the exact mean exp(-pi^2) sin(pi*x);
     the L2 error decays at second order in the mesh width since dt = h^2.
+    Memory is O(dofs): no operator is built.
     """
-    op = step_operator(level)
-    return NodalField(level, op.rho[0] ** level.steps * initial_field(level).values)
+    initial = initial_field(level)
+    rho, _ = _mode_factors(level)
+    return NodalField(level, rho[0] ** level.steps * initial.values)
 
 
 def mass_norm_sq(field: NodalField) -> float:

@@ -76,23 +76,13 @@ class NodalField:
         object.__setattr__(self, "values", vals)
 
 
-def zero_field(level: LevelGeometry) -> NodalField:
-    return NodalField(level, np.zeros(level.dofs))
-
-
 def prolong(coarse: NodalField) -> NodalField:
     """Exact injection of a P1 function into the next finer nested space.
 
     Values at shared nodes are copied; values at the new midpoints are the
     average of the two coarse neighbours (boundary values are zero).
     """
-    fine_level = make_level(coarse.level.level + 1)
-    v = coarse.values
-    padded = np.concatenate(([0.0], v, [0.0]))
-    out = np.empty(fine_level.dofs)
-    out[1::2] = v
-    out[0::2] = 0.5 * (padded[:-1] + padded[1:])
-    return NodalField(fine_level, out)
+    return NodalField(make_level(coarse.level.level + 1), prolong_values(coarse.values))
 
 
 def prolong_to(field: NodalField, target_level: int) -> NodalField:

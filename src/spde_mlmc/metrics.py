@@ -7,7 +7,6 @@ boundary points, where estimator and mean both vanish).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,19 +76,3 @@ def fit_slope(points) -> float:
     if denom == 0.0:
         raise UsageError("slope fit needs distinct x values")
     return float((xc @ y) / denom)
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """RMS errors of one estimator configuration across replicates."""
-
-    top_level: int
-    per_replicate: tuple      # RMS error of each replicate's estimator
-    aggregate: float          # root mean square of the per-replicate errors
-    eval_points: int
-    level_op_work: tuple      # (level, samples, op_work) triples
-
-    def __post_init__(self):
-        expected = rms_aggregate(self.per_replicate)
-        if not math.isclose(expected, self.aggregate, rel_tol=1e-12, abs_tol=1e-300):
-            raise UsageError("aggregate does not match the replicate errors")

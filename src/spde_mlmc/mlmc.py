@@ -28,6 +28,7 @@ import math
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -39,10 +40,9 @@ from .fem import (
     DriftSpec,
     ZERO_DRIFT,
     assemble,
-    mass_norm_sq,
     step_operator,
 )
-from .grid import NodalField, make_level, prolong_to, prolong_values
+from .grid import LevelGeometry, NodalField, make_level, prolong_to, prolong_values
 from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_stream, stream_key
 
 #: Paths simulated per batch. Fixed so that reductions are identical no
@@ -94,13 +94,11 @@ def build_schedule(
     eps: float = 1.0,
     a: Optional[Sequence[float]] = None,
     eta: Optional[float] = None,
-    scale: float = 1.0,
 ) -> SampleSchedule:
     """Sample counts for one estimator run.
 
     ``a`` and ``eta`` are only consumed in general mode; the dyadic modes
-    derive them from ``gamma``. ``scale`` multiplies every count before
-    rounding (unit proportionality constant by default; a sensitivity knob).
+    derive them from ``gamma``.
     """
     if mode not in SCHEDULE_MODES:
         raise UsageError(f"unknown schedule mode {mode!r}")
@@ -110,13 +108,11 @@ def build_schedule(
         raise UsageError(f"gamma must lie in (0, 1), got {gamma}")
     if eps < 0.0:
         raise UsageError(f"eps must be nonnegative, got {eps}")
-    if scale <= 0.0:
-        raise UsageError(f"count scale must be positive, got {scale}")
     make_level(top_level)  # capacity check
 
     h = [2.0 ** (-l) for l in range(top_level + 1)]
     if mode == "singlelevel":
-        n = _ceil_count(scale * h[top_level] ** (-4.0 * gamma))
+        n = _ceil_count(h[top_level] ** (-4.0 * gamma))
         return SampleSchedule(top_level, (n,), mode, gamma, eps, None,
                               (h[top_level] ** (2.0 * gamma),))
 
@@ -138,7 +134,7 @@ def build_schedule(
             raise UsageError(f"eta must lie in [0, 1], got {eta}")
         eta_eff = float(eta)
 
-    base = scale * seq[top_level] ** -2.0
+    base = seq[top_level] ** -2.0
     counts = [_ceil_count(base)]
     for l in range(1, top_level + 1):
         counts.append(_ceil_count(base * seq[l] ** (2.0 * eta_eff) * l ** (1.0 + eps)))
@@ -158,16 +154,26 @@ IDENTITY = FunctionalSpec("identity")
 SQUARED_NORM = FunctionalSpec("squared_norm")
 
 
-def apply_functional(spec: FunctionalSpec, field: NodalField):
+def _functional_values(spec: FunctionalSpec, level: LevelGeometry, states: np.ndarray):
+    """The functional of each column of ``states`` (dofs, b) on ``level``:
+    the states themselves for identity, else an array of b values."""
     if spec.kind == "identity":
-        return field
+        return states
     if spec.kind == "squared_norm":
-        return mass_norm_sq(field)
+        mass, _ = assemble(level)
+        return np.einsum("ib,ib->b", states, mass.matvec(states))
     if spec.kind == "custom":
         if spec.func is None:
             raise UsageError("custom functional without a callable")
-        return float(spec.func(field))
+        return np.array([float(spec.func(NodalField(level, x))) for x in states.T])
     raise UsageError(f"unknown functional kind {spec.kind!r}")
+
+
+def apply_functional(spec: FunctionalSpec, field: NodalField):
+    """The functional of one field: the field itself for identity, else a float."""
+    if spec.kind == "identity":
+        return field
+    return float(_functional_values(spec, field.level, field.values[:, None])[0])
 
 
 def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
@@ -280,19 +286,80 @@ def sample_pair(
     return fine, NodalField(make_level(pair_level - 1), xc[:, 0])
 
 
+def _level_values(functional: FunctionalSpec, pair_level: int, xf, xc):
+    """Functional of the fine paths less that of their coarse partners, states
+    prolonged to the fine grid first; the fine values alone at the base level."""
+    fine = _functional_values(functional, make_level(pair_level), xf)
+    if xc is None:
+        return fine
+    coarse = _functional_values(functional, make_level(pair_level - 1), xc)
+    return fine - (prolong_values(coarse) if coarse.ndim == 2 else coarse)
+
+
+def _moments(values: np.ndarray, level: LevelGeometry):
+    """Partial sums of one chunk: the sum of its samples and the sum of their
+    squared norms, L2 on ``level`` for states (dofs, b), squares for scalars (b,)."""
+    if values.ndim == 1:
+        return float(np.sum(values)), float(np.sum(values**2))
+    return values.sum(axis=1), float(np.sum(_functional_values(SQUARED_NORM, level, values)))
+
+
+def _level_task(args):
+    """Chunk partial sums of a functional's level differences (picklable).
+
+    ``args`` holds the arguments of ``_simulate_chunk`` followed by the
+    functional.
+    """
+    *chunk, functional = args
+    xf, xc = _simulate_chunk(*chunk)
+    return _moments(_level_values(functional, chunk[0], xf, xc), make_level(chunk[0]))
+
+
 def _pair_moment_task(args):
-    """Chunk partial sums for a coupled-pair variance study (picklable)."""
-    pair_level, lmin, start, count, master_seed, kl_rule, zero_noise = args
-    xf, xc = _simulate_chunk(pair_level, lmin, start, count, 0, master_seed,
-                             kl_rule, ZERO_DRIFT, zero_noise)
-    mass, _ = assemble(make_level(pair_level))
-    diff = xf if xc is None else xf - prolong_values(xc)
-    return (
-        diff.sum(axis=1),
-        float(np.sum(np.einsum("ib,ib->b", diff, mass.matvec(diff)))),
-        xf.sum(axis=1),
-        float(np.sum(np.einsum("ib,ib->b", xf, mass.matvec(xf)))),
-    )
+    """Chunk partial sums of the coupled differences and of the fine paths
+    (picklable); ``args`` holds the arguments of ``_simulate_chunk``."""
+    xf, xc = _simulate_chunk(*args)
+    fine = make_level(args[0])
+    return _moments(_level_values(IDENTITY, args[0], xf, xc), fine) + _moments(xf, fine)
+
+
+@contextmanager
+def _pool(workers: int):
+    """A process pool for more than one worker; None runs tasks inline."""
+    if workers < 2:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def _level_sums(task, pool, level: int, lmin: int, n: int, *args):
+    """Run ``task`` over the chunks of ``n`` samples at ``level``, on ``pool``
+    or inline, and add up the partial sums it returns in chunk order.
+
+    A chunk's task tuple is (level, lmin, start, count, *args). Returns the
+    list of sums and the wall time of the tasks.
+    """
+    tasks = [(level, lmin, s, min(CHUNK_SIZE, n - s), *args) for s in range(0, n, CHUNK_SIZE)]
+    started = time.perf_counter()
+    partials = list(pool.map(task, tasks)) if pool is not None else [task(t) for t in tasks]
+    wall = time.perf_counter() - started
+    sums = [0.0] * len(partials[0])
+    for partial in partials:
+        sums = [total + value for total, value in zip(sums, partial)]
+    return sums, wall
+
+
+def _mean_and_variance(total, sq, n: int, level: LevelGeometry):
+    """Sample mean and unbiased variance of ``n`` samples from their sum and
+    the sum of their squared norms (L2 on ``level`` for states)."""
+    mean = total / n
+    if np.ndim(mean):
+        mass, _ = assemble(level)
+        norm_sq = float(mean @ mass.matvec(mean))
+    else:
+        norm_sq = mean * mean
+    return mean, 0.0 if n < 2 else max(0.0, (sq - n * norm_sq) / (n - 1))
 
 
 def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
@@ -307,28 +374,13 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
     _check_stream_capacity(master_seed, 0, [(pair_level, n)])
-    tasks = [(pair_level, lmin, s, min(CHUNK_SIZE, n - s), master_seed,
-              kl_rule, zero_noise) for s in range(0, n, CHUNK_SIZE)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_pair_moment_task, tasks))
-    else:
-        partials = [_pair_moment_task(t) for t in tasks]
-    mass, _ = assemble(make_level(pair_level))
-    dofs = make_level(pair_level).dofs
-    diff_sum, fine_sum = np.zeros(dofs), np.zeros(dofs)
-    diff_sq = fine_sq = 0.0
-    for dvec, dsq, fvec, fsq in partials:
-        diff_sum += dvec
-        diff_sq += dsq
-        fine_sum += fvec
-        fine_sq += fsq
-
-    def unbiased(total, sq):
-        mean = total / n
-        return max(0.0, (sq - n * float(mean @ mass.matvec(mean))) / (n - 1))
-
-    return unbiased(diff_sum, diff_sq), unbiased(fine_sum, fine_sq)
+    with _pool(workers) as pool:
+        (diff_sum, diff_sq, fine_sum, fine_sq), _wall = _level_sums(
+            _pair_moment_task, pool, pair_level, lmin, n,
+            0, master_seed, kl_rule, ZERO_DRIFT, zero_noise)
+    fine = make_level(pair_level)
+    return (_mean_and_variance(diff_sum, diff_sq, n, fine)[1],
+            _mean_and_variance(fine_sum, fine_sq, n, fine)[1])
 
 
 def pair_op_work(pair_level: int, lmin: int) -> int:
@@ -394,33 +446,6 @@ class MlmcResult:
     replicate: int
 
 
-def _level_task(args):
-    (pair_level, lmin, start, count, replicate, master_seed, kl_rule,
-     functional, drift, zero_noise) = args
-    xf, xc = _simulate_chunk(pair_level, lmin, start, count, replicate,
-                             master_seed, kl_rule, drift, zero_noise)
-    if functional.kind == "identity":
-        diff = xf if xc is None else xf - prolong_values(xc)
-        mass, _ = assemble(make_level(pair_level))
-        norms = np.einsum("ib,ib->b", diff, mass.matvec(diff))
-        return diff.sum(axis=1), float(np.sum(norms))
-    if functional.kind == "squared_norm":
-        mass_f, _ = assemble(make_level(pair_level))
-        vals = np.einsum("ib,ib->b", xf, mass_f.matvec(xf))
-        if xc is not None:
-            mass_c, _ = assemble(make_level(pair_level - 1))
-            vals = vals - np.einsum("ib,ib->b", xc, mass_c.matvec(xc))
-    else:
-        fine_level = make_level(pair_level)
-        vals = np.array([functional.func(NodalField(fine_level, xf[:, b]))
-                         for b in range(count)])
-        if xc is not None:
-            coarse_level = make_level(pair_level - 1)
-            vals = vals - np.array([functional.func(NodalField(coarse_level, xc[:, b]))
-                                    for b in range(count)])
-    return float(np.sum(vals)), float(np.sum(vals**2))
-
-
 def mlmc_estimate(
     top_level: int,
     lmin: int,
@@ -461,69 +486,35 @@ def mlmc_estimate(
                            [(level, schedule.count_for(level, base)) for level in levels])
     if workers > 1:
         _check_picklable(functional=functional, drift=drift)
+    identity = functional.kind == "identity"
     t_total = time.perf_counter()
     stats = []
-    estimate_field = np.zeros(make_level(top_level).dofs)
-    estimate_scalar = 0.0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    estimate = 0.0
+    with _pool(workers) as pool:
         for level in levels:
             n = schedule.count_for(level, base)
-            tasks = [
-                (level, base, s, min(CHUNK_SIZE, n - s), replicate, master_seed,
-                 kl_rule, functional, drift, zero_noise)
-                for s in range(0, n, CHUNK_SIZE)
-            ]
-            t_level = time.perf_counter()
-            if pool is not None:
-                partials = list(pool.map(_level_task, tasks))
-            else:
-                partials = [_level_task(t) for t in tasks]
-            wall = time.perf_counter() - t_level
-
-            if functional.kind == "identity":
-                vec = np.zeros(make_level(level).dofs)
-                sq = 0.0
-                for pvec, psq in partials:
-                    vec += pvec
-                    sq += psq
-                mean = vec / n
-                mass, _ = assemble(make_level(level))
-                mean_norm_sq = float(mean @ mass.matvec(mean))
-                contribution = mean
-            else:
-                total = 0.0
-                sq = 0.0
-                for psum, psq in partials:
-                    total += psum
-                    sq += psq
-                mean = total / n
-                mean_norm_sq = mean * mean
-                contribution = mean
-            variance = 0.0 if n < 2 else max(0.0, (sq - n * mean_norm_sq) / (n - 1))
+            (total, sq), wall = _level_sums(_level_task, pool, level, base, n, replicate,
+                                            master_seed, kl_rule, drift, zero_noise,
+                                            functional)
+            geometry = make_level(level)
+            mean, variance = _mean_and_variance(total, sq, n, geometry)
             stats.append(LevelStat(
                 level=level,
                 samples=n,
-                mean_contribution=contribution,
+                mean_contribution=mean,
                 variance=variance,
                 op_work=n * pair_op_work(level, base),
                 wall_seconds=wall,
             ))
-            if functional.kind == "identity":
-                lifted = prolong_to(NodalField(make_level(level), mean), top_level)
-                estimate_field = estimate_field + lifted.values
-            else:
-                estimate_scalar += mean
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            if identity:
+                mean = prolong_to(NodalField(geometry, mean), top_level).values
+            estimate = estimate + mean
 
+    top = make_level(top_level)
     # Summing the per-level means on the top grid touches dofs(L) entries per level.
-    summation_work = len(levels) * make_level(top_level).dofs
-    estimate = (NodalField(make_level(top_level), estimate_field)
-                if functional.kind == "identity" else float(estimate_scalar))
+    summation_work = len(levels) * top.dofs
     return MlmcResult(
-        estimate=estimate,
+        estimate=NodalField(top, estimate) if identity else float(estimate),
         level_stats=tuple(stats),
         total_op_work=sum(s.op_work for s in stats) + summation_work,
         summation_op_work=summation_work,

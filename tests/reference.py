@@ -1,0 +1,169 @@
+"""Reference implementations that the tests use as oracles.
+
+The package steps paths in sine-mode coordinates (``fem.StepOperator``). The
+code here takes the same semi-implicit Euler-Maruyama step the direct way, in
+nodal values: a full block of Karhunen-Loeve increments per path, the load
+vector (dW_k, phi_i) of each step from the closed-form projections, and one
+tridiagonal (Thomas) solve per step. It is slow and exists only to check the
+engine against.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from spde_mlmc.errors import NumericalError, UsageError
+from spde_mlmc.fem import DriftSpec, TridiagonalMatrix
+from spde_mlmc.grid import LevelGeometry, NodalField, make_level
+from spde_mlmc.noise import coarsen_rows, draw_increment_rows, load_amplitudes
+
+
+def dense(m: TridiagonalMatrix) -> np.ndarray:
+    """The tridiagonal matrix as a dense array."""
+    a = np.diag(m.diag)
+    a += np.diag(m.sub, -1)
+    a += np.diag(m.sup, 1)
+    return a
+
+
+def thomas_solve(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
+    """Direct tridiagonal solve (Thomas algorithm) for a single right side.
+
+    Requires a numerically safe pivot sequence; the diagonally dominant
+    systems arising from ``M + dt*K`` always qualify. The residual satisfies
+    ``max|m@x - rhs| <= 1e-12 * max|rhs|`` for such systems.
+    """
+    n = len(m.diag)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.shape != (n,):
+        raise UsageError(f"rhs length {rhs.shape} does not match matrix size {n}")
+    c = np.empty(n - 1) if n > 1 else np.empty(0)
+    d = np.empty(n)
+    piv = m.diag[0]
+    if piv == 0.0:
+        raise NumericalError("zero pivot in tridiagonal solve at row 0")
+    d[0] = rhs[0] / piv
+    if n > 1:
+        c[0] = m.sup[0] / piv
+    for i in range(1, n):
+        piv = m.diag[i] - m.sub[i - 1] * c[i - 1]
+        if piv == 0.0:
+            raise NumericalError(f"zero pivot in tridiagonal solve at row {i}")
+        d[i] = (rhs[i] - m.sub[i - 1] * d[i - 1]) / piv
+        if i < n - 1:
+            c[i] = m.sup[i] / piv
+    x = np.empty(n)
+    x[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = d[i] - c[i] * x[i + 1]
+    return x
+
+
+def euler_step(
+    level: LevelGeometry,
+    mass: TridiagonalMatrix,
+    stiffness: TridiagonalMatrix,
+    state: NodalField,
+    drift: DriftSpec,
+    noise_load: np.ndarray,
+) -> NodalField:
+    """One semi-implicit Euler-Maruyama step.
+
+    Solves ``(M + dt*K) x_new = M x + dt * M F(x) + noise_load`` where the
+    noise load already carries the inner products (dW, phi_i).
+    """
+    if state.level.level != level.level:
+        raise UsageError("state level does not match geometry")
+    noise_load = np.asarray(noise_load, dtype=np.float64)
+    if noise_load.shape != (level.dofs,):
+        raise UsageError("noise load length does not match dofs")
+    dt = level.time_step
+    system = TridiagonalMatrix(
+        sub=mass.sub + dt * stiffness.sub,
+        diag=mass.diag + dt * stiffness.diag,
+        sup=mass.sup + dt * stiffness.sup,
+    )
+    rhs = mass.matvec(state.values) + noise_load
+    fx = drift.apply(state.values)
+    if fx is not None:
+        rhs += dt * mass.matvec(fx)
+    return NodalField(level, thomas_solve(system, rhs))
+
+
+@dataclass(frozen=True)
+class ProjectionMatrix:
+    """Inner products (e_j, phi_i) of eigenfunctions against hat functions."""
+
+    level: LevelGeometry
+    matrix: np.ndarray  # shape (modes, dofs)
+
+    @property
+    def modes(self) -> int:
+        return self.matrix.shape[0]
+
+
+def projection_matrix(level: LevelGeometry, modes: int) -> ProjectionMatrix:
+    """Closed-form load projections.
+
+    Entry (j, i) is the integral of phi_i against sqrt(2) sin(j*pi*x):
+    sqrt(2) * 4 sin(j*pi*h/2)^2 / (j^2 pi^2 h) * sin(j*pi*x_i).
+    """
+    if modes < 1:
+        raise UsageError("need at least one mode")
+    if level.dofs < 1:
+        raise UsageError("projection needs at least one interior node")
+    j = np.arange(1, modes + 1, dtype=np.float64)
+    phases = np.sin(np.outer(j * np.pi, level.nodes))
+    return ProjectionMatrix(level, load_amplitudes(level, modes)[:, None] * phases)
+
+
+@dataclass(frozen=True)
+class KLBlock:
+    """Gaussian increments dW_{j,k} ~ N(0, dt) for one sample path.
+
+    Rows index the J expansion modes, columns the time steps of the level.
+    """
+
+    level: LevelGeometry
+    increments: np.ndarray  # shape (modes, steps)
+
+    def __post_init__(self):
+        if self.increments.shape[1] != self.level.steps:
+            raise UsageError("increment columns do not match the level's steps")
+
+    @property
+    def modes(self) -> int:
+        return self.increments.shape[0]
+
+
+def sample_kl_block(stream: np.random.Generator, level: LevelGeometry, modes: int) -> KLBlock:
+    """Sample the full increment block of a path at ``level``."""
+    rows = draw_increment_rows(stream, level.steps, modes, level.time_step)
+    return KLBlock(level, np.ascontiguousarray(rows.T))
+
+
+def coarsen_block(fine: KLBlock, modes: int) -> KLBlock:
+    """Exactly coupled increments of the next coarser level.
+
+    Each coarse increment is the sum of the four fine increments it spans,
+    restricted to the coarse truncation, so its law is N(0, dt_coarse).
+    """
+    if modes > fine.modes:
+        raise UsageError(f"coarse truncation {modes} exceeds fine modes {fine.modes}")
+    if fine.level.steps % 4 != 0:
+        raise UsageError("fine step count must be divisible by 4")
+    coarse_level = make_level(fine.level.level - 1)
+    rows = np.ascontiguousarray(fine.increments.T)
+    coarse_rows = coarsen_rows(rows, modes)
+    return KLBlock(coarse_level, np.ascontiguousarray(coarse_rows.T))
+
+
+def noise_load(block: KLBlock, step: int, proj: ProjectionMatrix) -> np.ndarray:
+    """Load vector (dW_k, phi_i) for one time step."""
+    if proj.level.level != block.level.level:
+        raise UsageError("projection and block belong to different levels")
+    if proj.modes != block.modes:
+        raise UsageError("projection and block disagree on mode count")
+    if not 0 <= step < block.level.steps:
+        raise UsageError(f"step {step} out of range for {block.level.steps} steps")
+    return block.increments[:, step] @ proj.matrix

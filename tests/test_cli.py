@@ -1,8 +1,15 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spde_mlmc
 from spde_mlmc.cli import main, parse_range
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def read_rows(path):
@@ -172,3 +179,68 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg.write_text("bogus=1\n", encoding="utf-8")
     assert main(["det-conv", "--config", str(cfg), "--levels", "3..3",
                  "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--lmin"])
+def test_zero_workers_or_base_level_is_usage_error(tmp_path, flag):
+    assert main(["variance", "--levels", "2..3", "--pairs", "8", "--seed", "1",
+                 flag, "0", "--out", str(tmp_path / "v")]) == 2
+
+
+@pytest.mark.parametrize("case,named", [
+    ("missing-file", "missing.txt"),
+    ("bad-value", "pairs"),
+    ("bad-a-seq", "--a-seq"),
+])
+def test_bad_config_input_is_usage_error(tmp_path, capsys, case, named):
+    out = str(tmp_path / "o")
+    if case == "missing-file":
+        argv = ["variance", "--levels", "2..3", "--seed", "1", "--out", out,
+                "--config", str(tmp_path / "missing.txt")]
+    elif case == "bad-value":
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("pairs=abc\n", encoding="utf-8")
+        argv = ["variance", "--levels", "2..3", "--seed", "1", "--out", out,
+                "--config", str(cfg)]
+    else:
+        argv = ["run", "--mode", "general", "--L", "1..2", "--reps", "1", "--seed", "1",
+                "--a-seq", "1,x,0.5", "--eta", "0.5", "--out", out]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_variance_pool_is_byte_identical_to_inline(tmp_path):
+    # 130 pairs: two full chunks of 64 and a partial one of 2
+    outs = {w: tmp_path / f"w{w}" for w in ("1", "2")}
+    for workers, out in outs.items():
+        assert main(["variance", "--levels", "2..4", "--pairs", "130", "--seed", "6",
+                     "--workers", workers, "--out", str(out)]) == 0
+    assert (outs["2"] / "variance.csv").read_bytes() == (outs["1"] / "variance.csv").read_bytes()
+
+
+_TRACED_RUN = """
+import sys, tracing
+from spde_mlmc import cli
+tracer = tracing.install(tracing.Tracer())
+out = sys.argv[1]
+codes = [
+    cli.main(["variance", "--levels", "2..3", "--pairs", "70", "--seed", "1",
+              "--workers", "2", "--out", out + "/v"]),
+    cli.main(["run", "--L", "1..2", "--reps", "1", "--seed", "1", "--out", out + "/r"]),
+]
+print(codes, sorted({span.name for span in tracer.spans}))
+"""
+
+
+def test_benchmark_trace_hooks_record_spans(tmp_path):
+    # the benchmark's trace mode rebinds module attributes of the package;
+    # a refactor that stops calling them must fail here
+    src = Path(spde_mlmc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "perfbench"), str(src)]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.strip().splitlines()[-1]
+    assert last.startswith("[0, 0] ")
+    for name in ("mlmc.task", "mlmc.chunk", "grid.prolong"):
+        assert f"'{name}'" in last

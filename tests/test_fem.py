@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,15 +12,14 @@ from spde_mlmc import (
     UsageError,
     ZERO_DRIFT,
     assemble,
-    euler_step,
     initial_field,
     make_level,
     run_deterministic,
-    thomas_solve,
 )
 from spde_mlmc.fem import DriftSpec, mass_norm, step_operator
 from spde_mlmc.metrics import exact_mean, fit_slope
-from spde_mlmc.noise import projection_matrix
+
+from reference import dense, euler_step, projection_matrix, thomas_solve
 
 
 def hat(level, i):
@@ -78,8 +78,8 @@ def test_assembly_frozen_values():
 
 def test_stiffness_interior_row_sums_vanish():
     _, stiffness = assemble(make_level(5))
-    dense = stiffness.dense()
-    sums = dense.sum(axis=1)
+    dense_stiffness = dense(stiffness)
+    sums = dense_stiffness.sum(axis=1)
     np.testing.assert_allclose(sums[1:-1], 0.0, atol=1e-12)
 
 
@@ -187,6 +187,18 @@ def test_deterministic_run_symmetric_and_monotone():
         if previous_gap is not None:
             assert gap < previous_gap
         previous_gap = gap
+
+
+def test_deterministic_run_memory_is_linear_in_dofs():
+    # 4095 dofs: a dofs x dofs sine matrix alone would take 128 MiB
+    level = make_level(12)
+    tracemalloc.start()
+    try:
+        run_deterministic(level)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_deterministic_convergence_order():

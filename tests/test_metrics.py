@@ -14,7 +14,7 @@ from spde_mlmc import (
     rms_aggregate,
     rms_error,
 )
-from spde_mlmc.metrics import ErrorReport, exact_mean_values, reference_points
+from spde_mlmc.metrics import exact_mean_values, reference_points
 
 
 def test_exact_mean_at_time_zero_is_initial_condition():
@@ -136,11 +136,3 @@ def test_fit_slope_degenerate_inputs():
         fit_slope([(1.0, 2.0)])
     with pytest.raises(UsageError):
         fit_slope([(1.0, 2.0), (1.0, 3.0)])
-
-
-def test_error_report_consistency():
-    errs = (0.5, 0.25, 0.125)
-    report = ErrorReport(3, errs, rms_aggregate(errs), 33, ((1, 8, 32),))
-    assert report.aggregate == pytest.approx(rms_aggregate(errs))
-    with pytest.raises(UsageError):
-        ErrorReport(3, errs, 0.9, 33, ())

