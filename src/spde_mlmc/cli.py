@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError, UsageError
+from .errors import CapacityError, NumericalError, UsageError
 from .fem import assemble, run_deterministic
 from .grid import make_level
 from .metrics import (
@@ -42,6 +42,12 @@ from .mlmc import (
 )
 
 SCHEMA_VERSION = 1
+
+#: Largest memory one ``det-conv`` level may take. A level holds about 11
+#: doubles per dof (solution, exact mean, error, mass bands and product), so
+#: the cap admits levels up to 24 and rejects the rest before any level runs.
+DET_CONV_MAX_BYTES = 2 * 2**30
+DET_CONV_BYTES_PER_DOF = 11 * 8
 
 
 def parse_range(text: str) -> tuple:
@@ -166,7 +172,7 @@ _COMMON = {
     "seed": ("--seed", int, None, "master seed (required; no entropy default)"),
     "out": ("--out", str, None, "output directory (required)"),
     "config": ("--config", str, None, "key=value file; flags override it"),
-    "workers": ("--workers", int, 1, "worker processes (never changes results)"),
+    "workers": ("--workers", int, 1, "worker threads (never changes results)"),
     "lmin": ("--lmin", int, 1, "base level of the hierarchy"),
     "kl_modes": ("--kl-modes", int, None, "fixed KL truncation (default: dofs per level)"),
 }
@@ -333,6 +339,11 @@ def _eval_grid_size(cfg: RunConfig, top_level: int) -> int:
 
 def cmd_det_conv(cfg: RunConfig) -> int:
     lo, hi = cfg.levels
+    for l in range(lo, hi + 1):
+        need = DET_CONV_BYTES_PER_DOF * make_level(l).dofs
+        if need > DET_CONV_MAX_BYTES:
+            raise CapacityError(f"det-conv level {l} needs about {need} bytes, above the "
+                                f"{DET_CONV_MAX_BYTES}-byte cap; levels {l}..{hi} are rejected")
     rows = []
     points = []
     for l in range(lo, hi + 1):
@@ -396,6 +407,8 @@ def _run_one_mode(cfg: RunConfig, mode: str, l_lo: int, l_hi: int):
                 zero_noise=cfg.zero_noise, workers=cfg.workers,
             )
             timing_rows.append((f"{mode} L={top} rep={rep}", result.wall_seconds))
+            timing_rows += [(f"{mode} L={top} rep={rep} level={stat.level}", stat.wall_seconds)
+                            for stat in result.level_stats]
             if functional.kind == "identity":
                 err = rms_error(result.estimate, _eval_grid_size(cfg, top))
                 errors.append(err)

@@ -20,14 +20,13 @@ transformed to nodal values once, at T = 1.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
-Stream coordinates beyond the Philox key fields and callables that cannot be
-sent to worker processes are rejected before any path is simulated.
+Stream coordinates beyond the Philox key fields are rejected before any path
+is simulated.
 """
 
 import math
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -250,17 +249,6 @@ def _check_stream_capacity(master_seed, replicate, counts):
                              f"{exc}") from exc
 
 
-def _check_picklable(**callables):
-    """Worker processes receive callables by pickling; reject those that
-    cannot be sent before the first chunk runs."""
-    for name, spec in callables.items():
-        try:
-            pickle.dumps(spec)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise UsageError(f"{name} cannot be sent to worker processes ({exc}); "
-                             "use a module-level function or workers=1") from exc
-
-
 def sample_pair(
     pair_level: int,
     lmin: int,
@@ -305,7 +293,7 @@ def _moments(values: np.ndarray, level: LevelGeometry):
 
 
 def _level_task(args):
-    """Chunk partial sums of a functional's level differences (picklable).
+    """Chunk partial sums of a functional's level differences.
 
     ``args`` holds the arguments of ``_simulate_chunk`` followed by the
     functional.
@@ -316,8 +304,8 @@ def _level_task(args):
 
 
 def _pair_moment_task(args):
-    """Chunk partial sums of the coupled differences and of the fine paths
-    (picklable); ``args`` holds the arguments of ``_simulate_chunk``."""
+    """Chunk partial sums of the coupled differences and of the fine paths;
+    ``args`` holds the arguments of ``_simulate_chunk``."""
     xf, xc = _simulate_chunk(*args)
     fine = make_level(args[0])
     return _moments(_level_values(IDENTITY, args[0], xf, xc), fine) + _moments(xf, fine)
@@ -325,11 +313,16 @@ def _pair_moment_task(args):
 
 @contextmanager
 def _pool(workers: int):
-    """A process pool for more than one worker; None runs tasks inline."""
+    """A thread pool for more than one worker; None runs tasks inline.
+
+    Threads draw and step in parallel because Philox fills and numpy array
+    arithmetic release the GIL; Python callables (a custom functional, a
+    drift) run one at a time.
+    """
     if workers < 2:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         yield pool
 
 
@@ -470,7 +463,7 @@ def mlmc_estimate(
     master_seed, replicate : stream coordinates. Distinct replicates are
         independent; a fixed pair reproduces the result bitwise.
     kl_rule : fixed KL truncation for every level, or None for J = dofs.
-    workers : process count for chunk simulation. Results do not depend on
+    workers : thread count for chunk simulation. Results do not depend on
         it; chunk boundaries and the reduction order are fixed.
     """
     if schedule.top_level != top_level:
@@ -484,8 +477,6 @@ def mlmc_estimate(
     base = levels[0]
     _check_stream_capacity(master_seed, replicate,
                            [(level, schedule.count_for(level, base)) for level in levels])
-    if workers > 1:
-        _check_picklable(functional=functional, drift=drift)
     identity = functional.kind == "identity"
     t_total = time.perf_counter()
     stats = []

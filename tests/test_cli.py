@@ -60,6 +60,20 @@ def test_det_conv_rerun_is_byte_identical(tmp_path):
     assert (a / "det_conv.csv").read_bytes() == (b / "det_conv.csv").read_bytes()
 
 
+def test_det_conv_levels_over_memory_cap_rejected_up_front(tmp_path, monkeypatch, capsys):
+    from spde_mlmc import cli
+
+    def no_level(_level):
+        raise AssertionError("a level ran before the memory check")
+
+    monkeypatch.setattr(cli, "run_deterministic", no_level)
+    out = tmp_path / "d"
+    assert main(["det-conv", "--levels", "1..40", "--seed", "1", "--out", str(out)]) == 2
+    need = cli.DET_CONV_BYTES_PER_DOF * (2**25 - 1)
+    assert f"level 25 needs about {need} bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_variance_zero_noise(tmp_path):
     out = tmp_path / "v"
     assert main(["variance", "--levels", "2..3", "--pairs", "8", "--seed", "3",
@@ -97,7 +111,12 @@ def test_run_outputs(tmp_path):
     _, levels = read_rows(out / "run_levels.csv")
     assert [(r[1], r[2]) for r in levels] == [("1", "1"), ("2", "1"), ("2", "2")]
     assert (out / "plot_run.gp").exists()
-    assert (out / "timings.csv").exists()
+    _, timings = read_rows(out / "timings.csv")
+    labels = [r[0] for r in timings]
+    assert labels == [f"strong L={top} rep={rep}{suffix}"
+                      for top in (1, 2) for rep in (0, 1)
+                      for suffix in ("", *(f" level={l}" for l in range(1, top + 1)))]
+    assert all(float(r[1]) >= 0.0 for r in timings)
 
 
 def test_run_border_case_flagged(tmp_path):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -288,14 +289,41 @@ def test_workers_do_not_change_results():
         assert a.variance == b.variance
 
 
-def test_unpicklable_callables_rejected_with_workers():
-    schedule = build_schedule("weak", 2, gamma=0.5, eps=1.0)
+def test_callables_with_workers_match_inline():
+    # worker threads call Python callables in place; nothing is pickled
+    schedule = build_schedule("weak", 3, gamma=0.5, eps=1.0)
     custom = FunctionalSpec("custom", func=lambda f: float(f.values[0]))
-    with pytest.raises(UsageError, match="functional"):
-        mlmc_estimate(2, 1, schedule, functional=custom, master_seed=1, workers=2)
     drift = DriftSpec(lambda v: -v, name="linear")
-    with pytest.raises(UsageError, match="drift"):
-        mlmc_estimate(2, 1, schedule, master_seed=1, drift=drift, workers=2)
+    for kwargs in ({"functional": custom}, {"drift": drift}):
+        serial = mlmc_estimate(3, 1, schedule, master_seed=1, **kwargs)
+        threaded = mlmc_estimate(3, 1, schedule, master_seed=1, workers=2, **kwargs)
+        assert np.array_equal(getattr(serial.estimate, "values", serial.estimate),
+                              getattr(threaded.estimate, "values", threaded.estimate))
+        for a, b in zip(serial.level_stats, threaded.level_stats):
+            assert a.variance == b.variance
+
+
+def test_thread_workers_on_cold_caches_match_inline():
+    # more threads than cores race to build the cached step operators and mass
+    # matrices, interleaved finely by a short switch interval
+    from spde_mlmc import fem
+    from spde_mlmc.mlmc import pair_variances
+
+    serial = pair_variances(4, 1, 300, 5)
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fem._step_operator.cache_clear()
+        fem._assemble_cached.cache_clear()
+        runner = threading.Thread(
+            target=lambda: out.append(pair_variances(4, 1, 300, 5, workers=4)), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert out == [serial]
 
 
 def test_stream_capacity_checked_before_simulation(monkeypatch):
@@ -479,7 +507,9 @@ def test_predict_work_zeta_constant():
 
 
 def test_package_import_loads_no_scipy():
+    # nor the process-pool machinery: workers are threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(spde_mlmc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, spde_mlmc; sys.exit('scipy' in sys.modules)"
+    code = ("import sys, spde_mlmc; sys.exit(sorted({'scipy', 'multiprocessing', "
+            "'concurrent.futures.process'} & set(sys.modules)) or None)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
