@@ -9,11 +9,8 @@ compares sample schedules derived from weak versus strong convergence rates.
 from .errors import CapacityError, NumericalError, UsageError
 from .fem import (
     DriftSpec,
-    TridiagonalMatrix,
     ZERO_DRIFT,
-    assemble,
     initial_field,
-    mass_norm,
     mass_norm_sq,
     run_deterministic,
 )

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .errors import CapacityError, NumericalError, UsageError
-from .fem import assemble, run_deterministic
-from .grid import make_level
+from .fem import mass_norm_sq, run_deterministic
+from .grid import MAX_TASK_BYTES, make_level
 from .metrics import (
     exact_mean,
     fit_slope,
@@ -37,16 +37,17 @@ from .mlmc import (
     IDENTITY,
     SQUARED_NORM,
     build_schedule,
+    check_chunk_memory,
     mlmc_estimate,
     pair_variances,
 )
 
 SCHEMA_VERSION = 1
 
-#: Largest memory one ``det-conv`` level may take. A level holds about 11
-#: doubles per dof (solution, exact mean, error, mass bands and product), so
-#: the cap admits levels up to 24 and rejects the rest before any level runs.
-DET_CONV_MAX_BYTES = 2 * 2**30
+#: Memory of one ``det-conv`` level per dof, an upper bound: the solution,
+#: exact mean, error and mass product peak at 6.1 doubles per dof (tracemalloc,
+#: levels 1..18). Under ``MAX_TASK_BYTES`` it admits levels up to 24 and
+#: rejects the rest before any level runs.
 DET_CONV_BYTES_PER_DOF = 11 * 8
 
 
@@ -232,6 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_bool(raw: str) -> bool:
+    """A config-file flag: 1/true/yes or 0/false/no, in any case."""
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(raw)
+    return word in ("1", "true", "yes")
+
+
 def _merge(args: argparse.Namespace, command: str) -> dict:
     """Resolve option values: CLI flag, then config file, then default."""
     options = _OPTIONS[command]
@@ -247,7 +256,7 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
         if value is None and dest in file_values:
             raw = file_values[dest]
             try:
-                value = (raw.lower() in ("1", "true", "yes")) if conv == "flag" else conv(raw)
+                value = _parse_bool(raw) if conv == "flag" else conv(raw)
             except ValueError as exc:
                 raise UsageError(f"bad value {raw!r} for config key {dest!r}") from exc
         if value is None:
@@ -341,18 +350,16 @@ def cmd_det_conv(cfg: RunConfig) -> int:
     lo, hi = cfg.levels
     for l in range(lo, hi + 1):
         need = DET_CONV_BYTES_PER_DOF * make_level(l).dofs
-        if need > DET_CONV_MAX_BYTES:
+        if need > MAX_TASK_BYTES:
             raise CapacityError(f"det-conv level {l} needs about {need} bytes, above the "
-                                f"{DET_CONV_MAX_BYTES}-byte cap; levels {l}..{hi} are rejected")
+                                f"{MAX_TASK_BYTES}-byte cap; levels {l}..{hi} are rejected")
     rows = []
     points = []
     for l in range(lo, hi + 1):
         level = make_level(l)
         approx = run_deterministic(level)
         exact = exact_mean(1.0, level)
-        err_field = approx.values - exact.values
-        mass, _ = assemble(level)
-        err = float(np.sqrt(err_field @ mass.matvec(err_field)))
+        err = float(np.sqrt(mass_norm_sq(level, approx.values - exact.values)))
         rows.append((l, level.mesh_width, level.time_step, err))
         points.append((l, np.log2(err)))
     if len(points) >= 2:
@@ -364,6 +371,7 @@ def cmd_det_conv(cfg: RunConfig) -> int:
 
 def cmd_variance(cfg: RunConfig) -> int:
     lo, hi = cfg.levels
+    check_chunk_memory(range(lo, hi + 1), cfg.kl_modes, workers=cfg.workers)
     rows = []
     points = []
     for l in range(lo, hi + 1):
@@ -450,6 +458,7 @@ plot for [m in "strong weak singlelevel general"] \\
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    check_chunk_memory(range(cfg.lmin, cfg.l_range[1] + 1), cfg.kl_modes, workers=cfg.workers)
     rep_rows, level_rows, summary_rows, timing_rows = [], [], [], []
     for mode in cfg.modes:
         r, l, s, t = _run_one_mode(cfg, mode, *cfg.l_range)
@@ -475,6 +484,8 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    top = max(cfg.l_range[1], cfg.strong_l_range[1])
+    check_chunk_memory(range(cfg.lmin, top + 1), cfg.kl_modes, workers=cfg.workers)
     all_summary = {}
     summary_rows, timing_rows = [], []
     level_rows = []

@@ -6,7 +6,8 @@ class UsageError(ValueError):
 
 
 class CapacityError(UsageError):
-    """A refinement level whose step or node count exceeds 64-bit integer range."""
+    """A refinement level whose step count exceeds 64-bit integer range, or whose
+    work would take more than ``grid.MAX_TASK_BYTES`` of memory."""
 
 
 class NumericalError(RuntimeError):

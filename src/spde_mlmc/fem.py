@@ -1,17 +1,21 @@
 """P1 finite element operators on a level and the semi-implicit time step.
 
-Assembly uses the hat-function basis on the uniform interior grid with
-homogeneous Dirichlet conditions, which makes mass and stiffness symmetric
-tridiagonal with constant diagonals. One semi-implicit Euler-Maruyama
-step solves ``(M + dt*K) x_new = M x + dt*M F(x) + load``.
+The hat-function basis on the uniform interior grid with homogeneous
+Dirichlet conditions makes mass and stiffness symmetric tridiagonal with
+constant diagonals: M has 2h/3 and h/6, K has 2/h and -1/h. One
+semi-implicit Euler-Maruyama step solves
+``(M + dt*K) x_new = M x + dt*M F(x) + load``.
 
-The path engine, ``StepOperator``, takes that step in sine-mode coordinates.
-On the uniform Dirichlet grid the sine vectors diagonalise M and K and are the
-nodal rows of the Karhunen-Loeve loads, so every mode evolves on its own, and
-without drift a block of steps is one weighted sum over its increments.
+The package assembles neither matrix. The path engine, ``StepOperator``,
+takes that step in sine-mode coordinates: on the uniform Dirichlet grid the
+sine vectors diagonalise M and K and are the nodal rows of the
+Karhunen-Loeve loads, so every mode evolves on its own, and without drift a
+block of steps is one weighted sum over its increments. The L2(0,1) norms
+that the estimators report are x^T M x, formed by ``mass_norm_sq`` from the
+two diagonals. The nodal form of the scheme, with the assembled bands and a
+Thomas solve per step, lives in ``tests/reference.py`` as the oracle.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -21,32 +25,6 @@ import numpy as np
 from .errors import UsageError
 from .grid import LevelGeometry, NodalField, make_level
 from .noise import kl_modes, load_amplitudes
-
-
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Tridiagonal matrix stored by diagonals (sub and sup have length n-1)."""
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.diag)
-        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
-            raise UsageError("inconsistent tridiagonal band lengths")
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Product with a vector (n,) or a batch of columns (n, b)."""
-        if x.ndim == 1:
-            y = self.diag * x
-            y[:-1] += self.sup * x[1:]
-            y[1:] += self.sub * x[:-1]
-        else:
-            y = self.diag[:, None] * x
-            y[:-1] += self.sup[:, None] * x[1:]
-            y[1:] += self.sub[:, None] * x[:-1]
-        return y
 
 
 @dataclass(frozen=True)
@@ -65,35 +43,6 @@ class DriftSpec:
 
 
 ZERO_DRIFT = DriftSpec()
-
-
-@lru_cache(maxsize=None)
-def _assemble_cached(level_index: int):
-    level = make_level(level_index)
-    if level.dofs < 1:
-        raise UsageError(f"level {level_index} has an empty interior-node space")
-    n = level.dofs
-    h = level.mesh_width
-    mass = TridiagonalMatrix(
-        sub=np.full(n - 1, h / 6.0),
-        diag=np.full(n, 2.0 * h / 3.0),
-        sup=np.full(n - 1, h / 6.0),
-    )
-    stiffness = TridiagonalMatrix(
-        sub=np.full(n - 1, -1.0 / h),
-        diag=np.full(n, 2.0 / h),
-        sup=np.full(n - 1, -1.0 / h),
-    )
-    return mass, stiffness
-
-
-def assemble(level: LevelGeometry):
-    """Mass and stiffness matrices of the P1 space on ``level``.
-
-    Mass has diagonal 2h/3 and off-diagonal h/6; stiffness has diagonal 2/h
-    and off-diagonal -1/h.
-    """
-    return _assemble_cached(level.level)
 
 
 def initial_field(level: LevelGeometry) -> NodalField:
@@ -213,11 +162,14 @@ def run_deterministic(level: LevelGeometry) -> NodalField:
     return NodalField(level, rho[0] ** level.steps * initial.values)
 
 
-def mass_norm_sq(field: NodalField) -> float:
-    """Squared L2(0,1) norm of the P1 function, via the mass matrix."""
-    mass, _ = assemble(field.level)
-    return float(field.values @ mass.matvec(field.values))
-
-
-def mass_norm(field: NodalField) -> float:
-    return math.sqrt(max(mass_norm_sq(field), 0.0))
+def mass_norm_sq(level: LevelGeometry, values: np.ndarray):
+    """Squared L2(0,1) norm x^T M x of the P1 function with nodal values x on
+    ``level``: a float for ``values`` of shape (dofs,), the b column norms for
+    shape (dofs, b)."""
+    h = level.mesh_width
+    product = (2.0 * h / 3.0) * values
+    product[:-1] += (h / 6.0) * values[1:]
+    product[1:] += (h / 6.0) * values[:-1]
+    if values.ndim == 1:
+        return float(values @ product)
+    return np.einsum("ib,ib->b", values, product)

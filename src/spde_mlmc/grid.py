@@ -15,6 +15,10 @@ from .errors import CapacityError, UsageError
 #: Largest supported level: steps = 2**(2*l) must stay within int64.
 MAX_LEVEL = 31
 
+#: Largest memory one task may take: one ``det-conv`` level, or the chunks of
+#: one estimator level in flight at once. Checked before any work starts.
+MAX_TASK_BYTES = 2 * 2**30
+
 
 @dataclass(frozen=True)
 class LevelGeometry:

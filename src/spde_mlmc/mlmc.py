@@ -20,8 +20,9 @@ transformed to nodal values once, at T = 1.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
-Stream coordinates beyond the Philox key fields are rejected before any path
-is simulated.
+Stream coordinates beyond the Philox key fields, and levels whose chunks would
+need more than ``grid.MAX_TASK_BYTES``, are rejected before any path is
+simulated.
 """
 
 import math
@@ -33,15 +34,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, UsageError
-from .fem import (
-    SLAB_STEPS,
-    DriftSpec,
-    ZERO_DRIFT,
-    assemble,
-    step_operator,
-)
-from .grid import LevelGeometry, NodalField, make_level, prolong_to, prolong_values
+from .errors import CapacityError, NumericalError, UsageError
+from .fem import SLAB_STEPS, DriftSpec, ZERO_DRIFT, mass_norm_sq, step_operator
+from .grid import MAX_TASK_BYTES, LevelGeometry, NodalField, make_level, prolong_to, prolong_values
 from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_stream, stream_key
 
 #: Paths simulated per batch. Fixed so that reductions are identical no
@@ -159,8 +154,7 @@ def _functional_values(spec: FunctionalSpec, level: LevelGeometry, states: np.nd
     if spec.kind == "identity":
         return states
     if spec.kind == "squared_norm":
-        mass, _ = assemble(level)
-        return np.einsum("ib,ib->b", states, mass.matvec(states))
+        return mass_norm_sq(level, states)
     if spec.kind == "custom":
         if spec.func is None:
             raise UsageError("custom functional without a callable")
@@ -249,6 +243,25 @@ def _check_stream_capacity(master_seed, replicate, counts):
                              f"{exc}") from exc
 
 
+def check_chunk_memory(levels, kl_rule, drift: DriftSpec = ZERO_DRIFT, workers: int = 1):
+    """Fail before any simulation if the chunks of a level in ``levels``, on
+    ``workers`` threads, would need more than ``MAX_TASK_BYTES``: the fine and
+    coarse sine matrices (1.25 dofs**2 doubles, shared) and per thread 4 s*J
+    doubles of slab arrays, s = min(SLAB_STEPS, steps) and J the KL modes, or
+    2*CHUNK_SIZE + 4 under a drift, which stacks the rows of a chunk's paths.
+    Tracemalloc on one 64-pair chunk measured 3.6 s*J at levels 6..9, 3.3 at a
+    large --kl-modes and 130 under a drift.
+    """
+    per_slab = 4 if drift.func is None else 2 * CHUNK_SIZE + 4
+    for level in levels:
+        fine = make_level(level)
+        slab = min(SLAB_STEPS, fine.steps) * kl_modes(fine, kl_rule)
+        need = 8 * (fine.dofs**2 * 5 // 4 + workers * per_slab * slab)
+        if need > MAX_TASK_BYTES:
+            raise CapacityError(f"level {level} chunks need about {need} bytes on {workers} "
+                                f"worker(s), above the {MAX_TASK_BYTES}-byte cap")
+
+
 def sample_pair(
     pair_level: int,
     lmin: int,
@@ -289,7 +302,7 @@ def _moments(values: np.ndarray, level: LevelGeometry):
     squared norms, L2 on ``level`` for states (dofs, b), squares for scalars (b,)."""
     if values.ndim == 1:
         return float(np.sum(values)), float(np.sum(values**2))
-    return values.sum(axis=1), float(np.sum(_functional_values(SQUARED_NORM, level, values)))
+    return values.sum(axis=1), float(np.sum(mass_norm_sq(level, values)))
 
 
 def _level_task(args):
@@ -347,11 +360,7 @@ def _mean_and_variance(total, sq, n: int, level: LevelGeometry):
     """Sample mean and unbiased variance of ``n`` samples from their sum and
     the sum of their squared norms (L2 on ``level`` for states)."""
     mean = total / n
-    if np.ndim(mean):
-        mass, _ = assemble(level)
-        norm_sq = float(mean @ mass.matvec(mean))
-    else:
-        norm_sq = mean * mean
+    norm_sq = mass_norm_sq(level, mean) if np.ndim(mean) else mean * mean
     return mean, 0.0 if n < 2 else max(0.0, (sq - n * norm_sq) / (n - 1))
 
 
@@ -367,6 +376,7 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
     _check_stream_capacity(master_seed, 0, [(pair_level, n)])
+    check_chunk_memory([pair_level], kl_rule, workers=workers)
     with _pool(workers) as pool:
         (diff_sum, diff_sq, fine_sum, fine_sq), _wall = _level_sums(
             _pair_moment_task, pool, pair_level, lmin, n,
@@ -477,6 +487,7 @@ def mlmc_estimate(
     base = levels[0]
     _check_stream_capacity(master_seed, replicate,
                            [(level, schedule.count_for(level, base)) for level in levels])
+    check_chunk_memory(levels, kl_rule, drift, workers)
     identity = functional.kind == "identity"
     t_total = time.perf_counter()
     stats = []

@@ -1,11 +1,12 @@
 """Reference implementations that the tests use as oracles.
 
-The package steps paths in sine-mode coordinates (``fem.StepOperator``). The
-code here takes the same semi-implicit Euler-Maruyama step the direct way, in
-nodal values: a full block of Karhunen-Loeve increments per path, the load
-vector (dW_k, phi_i) of each step from the closed-form projections, and one
-tridiagonal (Thomas) solve per step. It is slow and exists only to check the
-engine against.
+The package steps paths in sine-mode coordinates (``fem.StepOperator``) and
+forms L2 norms from the mass diagonals (``fem.mass_norm_sq``). The code here
+takes the same semi-implicit Euler-Maruyama step the direct way, in nodal
+values: the assembled mass and stiffness bands, a full block of
+Karhunen-Loeve increments per path, the load vector (dW_k, phi_i) of each step
+from the closed-form projections, and one tridiagonal (Thomas) solve per step.
+It is slow and exists only to check the engine against.
 """
 
 from dataclasses import dataclass
@@ -13,9 +14,58 @@ from dataclasses import dataclass
 import numpy as np
 
 from spde_mlmc.errors import NumericalError, UsageError
-from spde_mlmc.fem import DriftSpec, TridiagonalMatrix
+from spde_mlmc.fem import DriftSpec
 from spde_mlmc.grid import LevelGeometry, NodalField, make_level
 from spde_mlmc.noise import coarsen_rows, draw_increment_rows, load_amplitudes
+
+
+@dataclass(frozen=True)
+class TridiagonalMatrix:
+    """Tridiagonal matrix stored by diagonals (sub and sup have length n-1)."""
+
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.diag)
+        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
+            raise UsageError("inconsistent tridiagonal band lengths")
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Product with a vector (n,) or a batch of columns (n, b)."""
+        if x.ndim == 1:
+            y = self.diag * x
+            y[:-1] += self.sup * x[1:]
+            y[1:] += self.sub * x[:-1]
+        else:
+            y = self.diag[:, None] * x
+            y[:-1] += self.sup[:, None] * x[1:]
+            y[1:] += self.sub[:, None] * x[:-1]
+        return y
+
+
+def assemble(level: LevelGeometry):
+    """Mass and stiffness matrices of the P1 space on ``level``.
+
+    Mass has diagonal 2h/3 and off-diagonal h/6; stiffness has diagonal 2/h
+    and off-diagonal -1/h.
+    """
+    if level.dofs < 1:
+        raise UsageError(f"level {level.level} has an empty interior-node space")
+    n = level.dofs
+    h = level.mesh_width
+    mass = TridiagonalMatrix(
+        sub=np.full(n - 1, h / 6.0),
+        diag=np.full(n, 2.0 * h / 3.0),
+        sup=np.full(n - 1, h / 6.0),
+    )
+    stiffness = TridiagonalMatrix(
+        sub=np.full(n - 1, -1.0 / h),
+        diag=np.full(n, 2.0 / h),
+        sup=np.full(n - 1, -1.0 / h),
+    )
+    return mass, stiffness
 
 
 def dense(m: TridiagonalMatrix) -> np.ndarray:

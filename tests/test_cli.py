@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,37 @@ def test_det_conv_levels_over_memory_cap_rejected_up_front(tmp_path, monkeypatch
     need = cli.DET_CONV_BYTES_PER_DOF * (2**25 - 1)
     assert f"level 25 needs about {need} bytes" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_det_conv_holds_no_memory_after_the_run(tmp_path):
+    # each level's arrays are freed once its error is written down
+    tracemalloc.start()
+    try:
+        assert main(["det-conv", "--levels", "1..18", "--seed", "1",
+                     "--out", str(tmp_path / "d")]) == 0
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+
+
+@pytest.mark.parametrize("argv,level", [
+    (["variance", "--levels", "16..16", "--pairs", "2"], 16),
+    (["variance", "--levels", "3..3", "--pairs", "2", "--kl-modes", "100000000"], 3),
+    (["variance", "--levels", "2..16", "--pairs", "2"], 14),
+    (["run", "--L", "1..14", "--reps", "1"], 14),
+    (["compare", "--L", "1..2", "--strong-L", "1..14", "--reps", "1"], 14),
+])
+def test_estimator_chunks_over_memory_cap_rejected_up_front(tmp_path, monkeypatch, capsys,
+                                                            argv, level):
+    from spde_mlmc import mlmc
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the memory check")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    assert f"level {level} chunks need about" in capsys.readouterr().err
 
 
 def test_variance_zero_noise(tmp_path):
@@ -209,6 +241,7 @@ def test_zero_workers_or_base_level_is_usage_error(tmp_path, flag):
 @pytest.mark.parametrize("case,named", [
     ("missing-file", "missing.txt"),
     ("bad-value", "pairs"),
+    ("bad-flag", "zero_noise"),
     ("bad-a-seq", "--a-seq"),
 ])
 def test_bad_config_input_is_usage_error(tmp_path, capsys, case, named):
@@ -220,6 +253,11 @@ def test_bad_config_input_is_usage_error(tmp_path, capsys, case, named):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("pairs=abc\n", encoding="utf-8")
         argv = ["variance", "--levels", "2..3", "--seed", "1", "--out", out,
+                "--config", str(cfg)]
+    elif case == "bad-flag":
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("zero_noise=ture\n", encoding="utf-8")
+        argv = ["variance", "--levels", "2..3", "--pairs", "8", "--seed", "1", "--out", out,
                 "--config", str(cfg)]
     else:
         argv = ["run", "--mode", "general", "--L", "1..2", "--reps", "1", "--seed", "1",

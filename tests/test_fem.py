@@ -8,18 +8,23 @@ from scipy.integrate import quad
 from spde_mlmc import (
     NodalField,
     NumericalError,
-    TridiagonalMatrix,
     UsageError,
     ZERO_DRIFT,
-    assemble,
     initial_field,
     make_level,
     run_deterministic,
 )
-from spde_mlmc.fem import DriftSpec, mass_norm, step_operator
+from spde_mlmc.fem import DriftSpec, mass_norm_sq, step_operator
 from spde_mlmc.metrics import exact_mean, fit_slope
 
-from reference import dense, euler_step, projection_matrix, thomas_solve
+from reference import (
+    TridiagonalMatrix,
+    assemble,
+    dense,
+    euler_step,
+    projection_matrix,
+    thomas_solve,
+)
 
 
 def hat(level, i):
@@ -81,6 +86,20 @@ def test_stiffness_interior_row_sums_vanish():
     dense_stiffness = dense(stiffness)
     sums = dense_stiffness.sum(axis=1)
     np.testing.assert_allclose(sums[1:-1], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("level_index", range(1, 7))
+def test_mass_norm_sq_matches_assembled_mass_bitwise(level_index):
+    # the same products in the same order as the assembled band's matvec,
+    # so every L2 norm the package reports keeps its last bit
+    level = make_level(level_index)
+    mass, _ = assemble(level)
+    rng = np.random.default_rng(level_index)
+    x = rng.standard_normal(level.dofs)
+    assert mass_norm_sq(level, x) == x @ mass.matvec(x)
+    batch = rng.standard_normal((level.dofs, 5))
+    expected = np.einsum("ib,ib->b", batch, mass.matvec(batch))
+    assert np.array_equal(mass_norm_sq(level, batch), expected)
 
 
 def test_assembly_empty_space():
@@ -219,10 +238,10 @@ def test_norm_non_increasing_over_steps():
     coeffs = np.zeros(level.dofs)
     coeffs[0] = 1.0  # the initial data sin(pi*x)
     rows = np.zeros((1, level.dofs))
-    norms = [mass_norm(NodalField(level, op.sines @ coeffs))]
+    norms = [math.sqrt(mass_norm_sq(level, op.sines @ coeffs))]
     for _ in range(level.steps):
         coeffs = op.step(rows, coeffs)
-        norms.append(mass_norm(NodalField(level, op.sines @ coeffs)))
+        norms.append(math.sqrt(mass_norm_sq(level, op.sines @ coeffs)))
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
 

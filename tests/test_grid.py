@@ -6,12 +6,13 @@ from spde_mlmc import (
     CapacityError,
     NodalField,
     UsageError,
-    assemble,
     make_level,
     prolong,
     prolong_to,
 )
 from spde_mlmc.grid import MAX_LEVEL, prolong_values
+
+from reference import assemble
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from spde_mlmc import (
     UsageError,
     ZERO_DRIFT,
     apply_functional,
-    assemble,
     build_schedule,
     initial_field,
     kl_modes,
@@ -36,6 +35,7 @@ from spde_mlmc.metrics import fit_slope
 from spde_mlmc.noise import path_stream
 
 from reference import (
+    assemble,
     coarsen_block,
     dense,
     euler_step,
@@ -304,8 +304,8 @@ def test_callables_with_workers_match_inline():
 
 
 def test_thread_workers_on_cold_caches_match_inline():
-    # more threads than cores race to build the cached step operators and mass
-    # matrices, interleaved finely by a short switch interval
+    # more threads than cores race to build the cached step operators,
+    # interleaved finely by a short switch interval
     from spde_mlmc import fem
     from spde_mlmc.mlmc import pair_variances
 
@@ -315,7 +315,6 @@ def test_thread_workers_on_cold_caches_match_inline():
     sys.setswitchinterval(1e-6)
     try:
         fem._step_operator.cache_clear()
-        fem._assemble_cached.cache_clear()
         runner = threading.Thread(
             target=lambda: out.append(pair_variances(4, 1, 300, 5, workers=4)), daemon=True)
         runner.start()
@@ -389,6 +388,26 @@ def test_pair_variances_validation():
         pair_variances(2, 1, 1, 0)
 
 
+def test_chunk_memory_checked_before_simulation(monkeypatch):
+    from spde_mlmc import mlmc
+    from spde_mlmc.errors import CapacityError
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the memory check")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    with pytest.raises(CapacityError, match="level 2 chunks"):
+        mlmc.pair_variances(2, 1, 2, 0, kl_rule=10**8)
+    with pytest.raises(CapacityError, match="level 1 chunks"):
+        mlmc_estimate(2, 1, build_schedule("weak", 2), kl_rule=10**8)
+    # a drift holds the increments of all the chunk's paths at once: level 11
+    # passes the check without one and fails it with one
+    schedule = build_schedule("weak", 11)
+    mlmc.check_chunk_memory(range(1, 12), None)
+    with pytest.raises(CapacityError, match="level 11 chunks"):
+        mlmc_estimate(11, 1, schedule, drift=DriftSpec(lambda v: -v, name="linear"))
+
+
 def test_level_law_invariant_across_roles():
     # the level-2 path has the same distribution whether sampled directly or
     # as the coarse member of a level-3 pair, because the truncation depends
@@ -397,11 +416,11 @@ def test_level_law_invariant_across_roles():
 
     n = 600
     direct = np.array([
-        mass_norm_sq(sample_pair(2, 2, master_seed=41, sample=s)[0])
+        mass_norm_sq(make_level(2), sample_pair(2, 2, master_seed=41, sample=s)[0].values)
         for s in range(n)
     ])
     as_coarse = np.array([
-        mass_norm_sq(sample_pair(3, 1, master_seed=42, sample=s)[1])
+        mass_norm_sq(make_level(2), sample_pair(3, 1, master_seed=42, sample=s)[1].values)
         for s in range(n)
     ])
     assert direct.mean() == pytest.approx(as_coarse.mean(), rel=0.2)
@@ -426,8 +445,6 @@ def test_unbiased_against_deterministic_mean():
 def test_mse_matches_variance_decomposition():
     # across replicates, E ||estimator - mean||^2 equals the sum of the
     # per-level variances divided by the sample counts
-    from spde_mlmc.fem import assemble
-
     top, reps = 2, 80
     schedule = build_schedule("weak", top, gamma=0.5, eps=1.0)
     results = [mlmc_estimate(top, 1, schedule, master_seed=31, replicate=r)
