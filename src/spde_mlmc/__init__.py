@@ -14,7 +14,7 @@ from .fem import (
     mass_norm_sq,
     run_deterministic,
 )
-from .grid import LevelGeometry, NodalField, make_level, prolong, prolong_to
+from .grid import LevelGeometry, NodalField, make_level, prolong_to
 from .metrics import (
     exact_mean,
     exact_mean_values,
@@ -30,9 +30,7 @@ from .mlmc import (
     SQUARED_NORM,
     SampleSchedule,
     WorkPrediction,
-    apply_functional,
     build_schedule,
-    mc_estimate,
     mlmc_estimate,
     pair_op_work,
     pair_variances,

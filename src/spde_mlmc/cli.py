@@ -41,6 +41,7 @@ from .mlmc import (
     mlmc_estimate,
     pair_variances,
 )
+from .noise import KIND_PATH, stream_key
 
 SCHEMA_VERSION = 1
 
@@ -206,7 +207,6 @@ _OPTIONS = {
     "compare": {
         "l_range": ("--L", str, None, "top-level range for the weak schedule"),
         "strong_l": ("--strong-L", str, None, "top-level range for the strong schedule (default: --L)"),
-        "modes": ("--modes", str, "strong,weak", "must request both modes"),
         "gamma": ("--gamma", float, 0.5, "rate parameter in (0,1)"),
         "eps": ("--eps", float, 1.0, "schedule exponent offset"),
         "reps": ("--reps", int, 10, "independent replicates"),
@@ -242,23 +242,26 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _merge(args: argparse.Namespace, command: str) -> dict:
-    """Resolve option values: CLI flag, then config file, then default."""
+    """Resolve option values: CLI flag, then config file, then default. A
+    config key is the flag's name without the dashes, '-' read as '_'."""
     options = _OPTIONS[command]
+    keys = {flag[2:].replace("-", "_"): dest for dest, (flag, *_rest) in options.items()}
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     for key in file_values:
-        if key not in options and key != "config":
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r} for {command}")
     merged = {}
-    for dest, (_flag, conv, default, _help) in options.items():
+    for key, dest in keys.items():
         if dest == "config":
             continue
+        _flag, conv, default, _help = options[dest]
         value = getattr(args, dest, None)
-        if value is None and dest in file_values:
-            raw = file_values[dest]
+        if value is None and key in file_values:
+            raw = file_values[key]
             try:
                 value = _parse_bool(raw) if conv == "flag" else conv(raw)
             except ValueError as exc:
-                raise UsageError(f"bad value {raw!r} for config key {dest!r}") from exc
+                raise UsageError(f"bad value {raw!r} for config key {key!r}") from exc
         if value is None:
             value = default
         merged[dest] = value
@@ -308,6 +311,10 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         reference_points(cfg.m)
         if cfg.reps < 1:
             raise UsageError("--reps must be at least 1")
+        try:
+            stream_key(cfg.seed, KIND_PATH, 0, cfg.reps - 1, 0)
+        except UsageError as exc:
+            raise UsageError(f"--reps {cfg.reps} needs replicate {cfg.reps - 1}: {exc}") from exc
         if not 0.0 < cfg.gamma < 1.0:
             raise UsageError("--gamma must lie in (0, 1)")
         if cfg.eps < 0.0:
@@ -332,9 +339,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
             if "general" in cfg.modes and (cfg.a_seq is None or cfg.eta is None):
                 raise UsageError("general mode needs --a-seq and --eta")
         else:
-            cfg.modes = tuple(m.strip() for m in v["modes"].split(",") if m.strip())
-            if set(cfg.modes) != {"strong", "weak"}:
-                raise UsageError("compare needs both modes: --modes strong,weak")
+            cfg.modes = ("strong", "weak")
             cfg.strong_l_range = (parse_range(v["strong_l"])
                                   if v["strong_l"] is not None else cfg.l_range)
     return cfg

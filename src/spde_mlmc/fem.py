@@ -10,10 +10,11 @@ The package assembles neither matrix. The path engine, ``StepOperator``,
 takes that step in sine-mode coordinates: on the uniform Dirichlet grid the
 sine vectors diagonalise M and K and are the nodal rows of the
 Karhunen-Loeve loads, so every mode evolves on its own, and without drift a
-block of steps is one weighted sum over its increments. The L2(0,1) norms
-that the estimators report are x^T M x, formed by ``mass_norm_sq`` from the
-two diagonals. The nodal form of the scheme, with the assembled bands and a
-Thomas solve per step, lives in ``tests/reference.py`` as the oracle.
+block of steps is one weighted sum over its increments; ``sine_transform``,
+an FFT, maps modes to nodal values. The L2(0,1) norms that the estimators
+report are x^T M x, formed by ``mass_norm_sq`` from the two diagonals. The
+nodal form of the scheme, with the assembled bands and a Thomas solve per
+step, lives in ``tests/reference.py`` as the oracle.
 """
 
 from dataclasses import dataclass
@@ -59,6 +60,17 @@ def initial_field(level: LevelGeometry) -> NodalField:
 SLAB_STEPS = 1024
 
 
+def sine_transform(coeffs: np.ndarray) -> np.ndarray:
+    """Nodal values S c, S_ij = sin(i*j*pi/(dofs+1)), of sine coefficients c of
+    shape (dofs,) or (dofs, b): a DST-I, taken as the real FFT of the odd
+    extension [0, c, 0, -c reversed], whose imaginary part is -2 S c. S is
+    symmetric and S S = (dofs+1)/2 I."""
+    n = coeffs.shape[0]
+    zero = np.zeros((1,) + coeffs.shape[1:])
+    odd = np.concatenate([zero, coeffs, zero, -coeffs[::-1]])
+    return -0.5 * np.fft.rfft(odd, axis=0).imag[1:n + 1]
+
+
 def _mode_factors(level: LevelGeometry):
     """Per sine mode j = 1..dofs, the step factor rho_j = lm_j/(lm_j + dt lk_j)
     and the denominator lm_j + dt lk_j (see ``StepOperator``)."""
@@ -72,8 +84,8 @@ def _mode_factors(level: LevelGeometry):
 class StepOperator:
     """Semi-implicit Euler-Maruyama steps of a level in sine-mode coordinates.
 
-    A state is the coefficient vector c of the nodal values x = S c, with
-    S_ij = sin(j*pi*x_i). The sine vectors diagonalise M and K (eigenvalues
+    A state is the coefficient vector c of the nodal values x = S c
+    (``sine_transform``). The sine vectors diagonalise M and K (eigenvalues
     lm_j = h(2/3 + cos(j*pi*h)/3) and lk_j = (2/h)(1 - cos(j*pi*h))) and are the
     nodal rows of the KL loads, so without drift mode j follows
     c_j <- rho_j c_j + beta_j dW_j with rho_j = lm_j/(lm_j + dt lk_j) and
@@ -103,7 +115,6 @@ class StepOperator:
         weights[np.abs(weights) < 1e-300] = 0.0  # keep denormals out of the sums
         #: weights[-n + k] = rho**(n-1-k) * beta, the weight of step k of n.
         self.weights = weights
-        self.sines = np.sin(np.outer(level.nodes, np.arange(1, n + 1) * np.pi))
 
     def _add_modes(self, coeffs: np.ndarray, per_mode: np.ndarray) -> np.ndarray:
         if self.fold is None:
@@ -120,8 +131,8 @@ class StepOperator:
         (n, modes, b) for b paths with ``coeffs`` (dofs, b). Without drift the
         block is one weighted sum, rho**n c + sum_k rho**(n-1-k) beta dW_k, for
         n <= SLAB_STEPS. A drift enters step by step as
-        c <- rho (c + dt f) + beta dW with f = (2/(dofs+1)) S F(S c), one
-        transform pair per step.
+        c <- rho (c + dt f) + beta dW with f = (2/(dofs+1)) S F(S c), two
+        ``sine_transform`` calls per step.
         """
         tail = (1,) * (coeffs.ndim - 1)
         rho = self.rho.reshape(-1, *tail)
@@ -134,7 +145,7 @@ class StepOperator:
         beta = self.beta.reshape(-1, *tail)
         scale = 2.0 * self.level.time_step / (self.level.dofs + 1)
         for increments in rows:
-            forcing = self.sines @ drift.apply(self.sines @ coeffs)
+            forcing = sine_transform(drift.apply(sine_transform(coeffs)))
             coeffs = self._add_modes(rho * (coeffs + scale * forcing), beta * increments)
         return coeffs
 

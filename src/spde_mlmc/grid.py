@@ -80,32 +80,25 @@ class NodalField:
         object.__setattr__(self, "values", vals)
 
 
-def prolong(coarse: NodalField) -> NodalField:
-    """Exact injection of a P1 function into the next finer nested space.
-
-    Values at shared nodes are copied; values at the new midpoints are the
-    average of the two coarse neighbours (boundary values are zero).
-    """
-    return NodalField(make_level(coarse.level.level + 1), prolong_values(coarse.values))
-
-
 def prolong_to(field: NodalField, target_level: int) -> NodalField:
-    """Repeated prolongation up to ``target_level``."""
+    """Exact injection of a P1 function into the nested space of
+    ``target_level``, one ``prolong_values`` per level."""
     if target_level < field.level.level:
         raise UsageError(
             f"cannot prolong level {field.level.level} down to {target_level}"
         )
-    out = field
-    while out.level.level < target_level:
-        out = prolong(out)
-    return out
+    values = field.values
+    for _ in range(target_level - field.level.level):
+        values = prolong_values(values)
+    return NodalField(make_level(target_level), values)
 
 
 def prolong_values(values: np.ndarray) -> np.ndarray:
-    """Prolongation on raw coefficient arrays, batched over trailing axes.
-
-    ``values`` has shape (dofs_coarse,) or (dofs_coarse, n); the result has
-    2*dofs_coarse + 1 rows.
+    """Prolongation of the P1 function with coarse nodal values ``values`` to
+    the next finer level: shared nodes are copied, and each new midpoint is
+    the average of its two coarse neighbours (boundary values are zero).
+    Batched over trailing axes: ``values`` has shape (dofs_coarse,) or
+    (dofs_coarse, n); the result has 2*dofs_coarse + 1 rows.
     """
     pad_shape = (1,) + values.shape[1:]
     zeros = np.zeros(pad_shape)

@@ -16,7 +16,7 @@ Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
 ``fem.StepOperator``: per path, the increments of each slab of ``SLAB_STEPS``
 fine steps are drawn once and enter the fine path, and summed in fours the
 coarse one, as one weighted sum per sine mode; the terminal coefficients are
-transformed to nodal values once, at T = 1.
+transformed to nodal values once, at T = 1, by ``fem.sine_transform``.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalError, UsageError
-from .fem import SLAB_STEPS, DriftSpec, ZERO_DRIFT, mass_norm_sq, step_operator
+from .fem import SLAB_STEPS, DriftSpec, ZERO_DRIFT, mass_norm_sq, sine_transform, step_operator
 from .grid import MAX_TASK_BYTES, LevelGeometry, NodalField, make_level, prolong_to, prolong_values
 from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_stream, stream_key
 
@@ -162,13 +162,6 @@ def _functional_values(spec: FunctionalSpec, level: LevelGeometry, states: np.nd
     raise UsageError(f"unknown functional kind {spec.kind!r}")
 
 
-def apply_functional(spec: FunctionalSpec, field: NodalField):
-    """The functional of one field: the field itself for identity, else a float."""
-    if spec.kind == "identity":
-        return field
-    return float(_functional_values(spec, field.level, field.values[:, None])[0])
-
-
 def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
                     kl_rule, drift, zero_noise):
     """Simulate ``count`` coupled paths with sample indices start..start+count-1.
@@ -177,7 +170,8 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     path; coarse is None at the base level. Paths run in sine-mode
     coordinates (see ``StepOperator``) from the initial data sin(pi*x), the
     first sine vector. Without drift each path takes one weighted sum per slab
-    of its increments; a drift is stepped batched over the chunk.
+    of its increments. A drift is stepped batched over the chunk in blocks of
+    SLAB_STEPS // CHUNK_SIZE = 16 steps, whose stacked rows fill one slab.
     """
     fine = make_level(pair_level)
     has_coarse = pair_level > lmin
@@ -193,7 +187,8 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
         cc[0] = 1.0
 
     dt = fine.time_step
-    slabs = [min(SLAB_STEPS, fine.steps - done) for done in range(0, fine.steps, SLAB_STEPS)]
+    size = SLAB_STEPS if drift.func is None else SLAB_STEPS // CHUNK_SIZE
+    blocks = [min(size, fine.steps - done) for done in range(0, fine.steps, size)]
     if drift.func is None and zero_noise:
         cf = op_f.rho[:, None] ** fine.steps * cf
         if has_coarse:
@@ -201,7 +196,7 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     elif drift.func is None:
         for b in range(count):
             stream = path_stream(master_seed, pair_level, replicate, start + b)
-            for nsteps in slabs:
+            for nsteps in blocks:
                 rows = draw_increment_rows(stream, nsteps, jf, dt)
                 cf[:, b] = op_f.step(rows, cf[:, b])
                 if has_coarse:
@@ -209,7 +204,7 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     else:
         streams = [] if zero_noise else [
             path_stream(master_seed, pair_level, replicate, start + b) for b in range(count)]
-        for nsteps in slabs:
+        for nsteps in blocks:
             if zero_noise:
                 rows = np.zeros((nsteps, jf, count))
             else:
@@ -219,8 +214,8 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
             if has_coarse:
                 cc = op_c.step(coarsen_rows(rows, jc), cc, drift)
             _check_finite(cf, cc if has_coarse else None, pair_level, replicate, start, count)
-    xf = op_f.sines @ cf
-    xc = op_c.sines @ cc if has_coarse else None
+    xf = sine_transform(cf)
+    xc = sine_transform(cc) if has_coarse else None
     _check_finite(xf, xc, pair_level, replicate, start, count)
     return xf, xc
 
@@ -243,20 +238,21 @@ def _check_stream_capacity(master_seed, replicate, counts):
                              f"{exc}") from exc
 
 
-def check_chunk_memory(levels, kl_rule, drift: DriftSpec = ZERO_DRIFT, workers: int = 1):
+def check_chunk_memory(levels, kl_rule, workers: int = 1):
     """Fail before any simulation if the chunks of a level in ``levels``, on
-    ``workers`` threads, would need more than ``MAX_TASK_BYTES``: the fine and
-    coarse sine matrices (1.25 dofs**2 doubles, shared) and per thread 4 s*J
-    doubles of slab arrays, s = min(SLAB_STEPS, steps) and J the KL modes, or
-    2*CHUNK_SIZE + 4 under a drift, which stacks the rows of a chunk's paths.
-    Tracemalloc on one 64-pair chunk measured 3.6 s*J at levels 6..9, 3.3 at a
-    large --kl-modes and 130 under a drift.
+    ``workers`` threads, would need more than ``MAX_TASK_BYTES``: (2 + 4 workers)
+    slabs of s*J doubles, s = min(SLAB_STEPS, steps) and J the KL modes. Two
+    slabs are the cached operator weights, shared by the threads (fine 1,
+    coarse 0.5, lower levels at most 0.5 with the default J), and 4 are each
+    thread's increment rows with their scaled, stacked and coarsened copies.
+    Tracemalloc on one 64-pair chunk with cold caches measured 3.6 slabs at
+    levels 6..9 and 4.7 under a drift at levels 6..7, 1.5 of them the weights;
+    4.0 and 5.0 at level 6 with 300 KL modes.
     """
-    per_slab = 4 if drift.func is None else 2 * CHUNK_SIZE + 4
     for level in levels:
         fine = make_level(level)
         slab = min(SLAB_STEPS, fine.steps) * kl_modes(fine, kl_rule)
-        need = 8 * (fine.dofs**2 * 5 // 4 + workers * per_slab * slab)
+        need = 8 * (2 + 4 * workers) * slab
         if need > MAX_TASK_BYTES:
             raise CapacityError(f"level {level} chunks need about {need} bytes on {workers} "
                                 f"worker(s), above the {MAX_TASK_BYTES}-byte cap")
@@ -396,34 +392,6 @@ def pair_op_work(pair_level: int, lmin: int) -> int:
     return w
 
 
-def mc_estimate(sampler: Callable[[int], object], n: int,
-                functional: Optional[Callable] = None):
-    """Plain Monte Carlo mean of ``sampler(0..n-1)`` with unbiased variance.
-
-    Works for scalar or array-valued samples; the variance of array samples
-    is the mean squared Euclidean distance from the sample mean.
-    """
-    if n < 1:
-        raise UsageError("Monte Carlo estimate needs at least one sample")
-    values = []
-    for i in range(n):
-        v = sampler(i)
-        if functional is not None:
-            v = functional(v)
-        values.append(np.asarray(v, dtype=np.float64))
-    total = values[0].copy()
-    for v in values[1:]:
-        total += v
-    estimate = total / n
-    if n == 1:
-        variance = 0.0
-    else:
-        variance = sum(float(np.sum((v - estimate) ** 2)) for v in values) / (n - 1)
-    if estimate.ndim == 0:
-        return float(estimate), variance
-    return estimate, variance
-
-
 @dataclass(frozen=True)
 class LevelStat:
     """Per-level statistics of one estimator run."""
@@ -487,7 +455,7 @@ def mlmc_estimate(
     base = levels[0]
     _check_stream_capacity(master_seed, replicate,
                            [(level, schedule.count_for(level, base)) for level in levels])
-    check_chunk_memory(levels, kl_rule, drift, workers)
+    check_chunk_memory(levels, kl_rule, workers)
     identity = functional.kind == "identity"
     t_total = time.perf_counter()
     stats = []

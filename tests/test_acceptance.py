@@ -15,13 +15,14 @@ import pytest
 from spde_mlmc import (
     build_schedule,
     make_level,
-    mc_estimate,
     mlmc_estimate,
     run_deterministic,
 )
 from spde_mlmc.cli import main
 from spde_mlmc.metrics import fit_slope
 from spde_mlmc.noise import path_stream
+
+from reference import mc_estimate
 
 SEED = 3
 

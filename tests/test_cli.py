@@ -90,9 +90,10 @@ def test_det_conv_holds_no_memory_after_the_run(tmp_path):
 @pytest.mark.parametrize("argv,level", [
     (["variance", "--levels", "16..16", "--pairs", "2"], 16),
     (["variance", "--levels", "3..3", "--pairs", "2", "--kl-modes", "100000000"], 3),
-    (["variance", "--levels", "2..16", "--pairs", "2"], 14),
-    (["run", "--L", "1..14", "--reps", "1"], 14),
-    (["compare", "--L", "1..2", "--strong-L", "1..14", "--reps", "1"], 14),
+    (["variance", "--levels", "2..16", "--pairs", "2"], 16),
+    (["run", "--L", "1..16", "--reps", "1"], 16),
+    (["compare", "--L", "1..2", "--strong-L", "1..16", "--reps", "1"], 16),
+    (["variance", "--levels", "2..16", "--pairs", "2", "--workers", "2"], 15),
 ])
 def test_estimator_chunks_over_memory_cap_rejected_up_front(tmp_path, monkeypatch, capsys,
                                                             argv, level):
@@ -104,6 +105,24 @@ def test_estimator_chunks_over_memory_cap_rejected_up_front(tmp_path, monkeypatc
     monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
     assert main(argv + ["--seed", "1", "--out", str(tmp_path / "o")]) == 2
     assert f"level {level} chunks need about" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run", "--L", "1..1"],
+                                  ["compare", "--L", "1..1", "--strong-L", "1..2"]])
+def test_reps_beyond_replicate_field_rejected_up_front(tmp_path, monkeypatch, capsys, argv):
+    # the replicate index has 16 bits in the stream key: 65,536 replicates fit
+    from spde_mlmc import mlmc
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the replicate check")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    tail = ["--seed", "1", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--reps", "65537"] + tail) == 2
+    assert "replicate 65536" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(AssertionError, match="a chunk ran"):
+        main(argv + ["--reps", "65536"] + tail)
 
 
 def test_variance_zero_noise(tmp_path):
@@ -192,12 +211,6 @@ def test_run_squared_norm_functional(tmp_path):
     assert summary[0][2] == ""
 
 
-def test_compare_requires_both_modes(tmp_path):
-    out = tmp_path / "c"
-    assert main(["compare", "--L", "1..2", "--modes", "weak", "--reps", "1",
-                 "--seed", "3", "--out", str(out)]) == 2
-
-
 def test_compare_small(tmp_path):
     out = tmp_path / "c"
     assert main(["compare", "--L", "1..2", "--strong-L", "1..4", "--reps", "3",
@@ -223,6 +236,29 @@ def test_config_file_merging(tmp_path):
                  "--out", str(out2)]) == 0
     _, rows = read_rows(out2 / "det_conv.csv")
     assert [r[0] for r in rows] == ["3"]
+
+
+@pytest.mark.parametrize("flags,text", [
+    (["run", "--mode", "weak", "--L", "1..2", "--reps", "2", "--kl-modes", "3"],
+     "mode=weak\nL=1..2\nreps=2\nkl-modes=3\n"),
+    (["compare", "--L", "1..2", "--strong-L", "1..3", "--reps", "2"],
+     "L=1..2\nstrong-L=1..3\nreps=2\n"),
+])
+def test_config_file_keys_are_flag_names(tmp_path, flags, text):
+    # a key is its flag without the dashes, so each option has one name
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text, encoding="utf-8")
+    by_flags, by_file = tmp_path / "flags", tmp_path / "file"
+    assert main(flags + ["--seed", "5", "--out", str(by_flags)]) == 0
+    assert main([flags[0], "--config", str(cfg), "--seed", "5", "--out", str(by_file)]) == 0
+    names = sorted(p.name for p in by_flags.glob("*.csv") if p.name != "timings.csv")
+    assert len(names) == 3
+    for name in names:
+        assert (by_file / name).read_bytes() == (by_flags / name).read_bytes()
+    for old_key in ("l_range=1..2\n", "strong_l=1..3\n"):
+        cfg.write_text(old_key, encoding="utf-8")
+        assert main([flags[0], "--config", str(cfg), "--L", "1..1", "--seed", "5",
+                     "--out", str(tmp_path / "old")]) == 2
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

@@ -7,7 +7,6 @@ from spde_mlmc import (
     NodalField,
     UsageError,
     make_level,
-    prolong,
     prolong_to,
 )
 from spde_mlmc.grid import MAX_LEVEL, prolong_values
@@ -57,13 +56,13 @@ def test_field_validation():
 
 
 def test_prolong_hat_peak():
-    fine = prolong(NodalField(make_level(1), np.array([1.0])))
+    fine = prolong_to(NodalField(make_level(1), np.array([1.0])), 2)
     assert fine.level.level == 2
     np.testing.assert_allclose(fine.values, [0.5, 1.0, 0.5])
 
 
 def test_prolong_zero():
-    fine = prolong(NodalField(make_level(3), np.zeros(7)))
+    fine = prolong_to(NodalField(make_level(3), np.zeros(7)), 4)
     assert np.all(fine.values == 0.0)
 
 
@@ -76,7 +75,7 @@ def _mass_norm_sq(field):
 def test_prolong_preserves_l2_norm(level):
     rng = np.random.default_rng(level)
     coarse = NodalField(make_level(level), rng.standard_normal(2**level - 1))
-    fine = prolong(coarse)
+    fine = prolong_to(coarse, level + 1)
     a, b = _mass_norm_sq(coarse), _mass_norm_sq(fine)
     assert b == pytest.approx(a, rel=1e-12)
 
@@ -87,8 +86,9 @@ def test_prolong_linearity(a, b):
     u = rng.standard_normal(7)
     v = rng.standard_normal(7)
     g = make_level(3)
-    combined = prolong(NodalField(g, a * u + b * v))
-    separate = a * prolong(NodalField(g, u)).values + b * prolong(NodalField(g, v)).values
+    combined = prolong_to(NodalField(g, a * u + b * v), 4)
+    separate = (a * prolong_to(NodalField(g, u), 4).values
+                + b * prolong_to(NodalField(g, v), 4).values)
     np.testing.assert_allclose(combined.values, separate, atol=1e-12)
 
 
@@ -117,5 +117,5 @@ def test_prolong_values_batched_matches_single():
     batch = rng.standard_normal((7, 5))
     lifted = prolong_values(batch)
     for b in range(5):
-        single = prolong(NodalField(make_level(3), batch[:, b]))
+        single = prolong_to(NodalField(make_level(3), batch[:, b]), 4)
         np.testing.assert_array_equal(lifted[:, b], single.values)

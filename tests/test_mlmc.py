@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,10 @@ from spde_mlmc import (
     NumericalError,
     UsageError,
     ZERO_DRIFT,
-    apply_functional,
     build_schedule,
     initial_field,
     kl_modes,
     make_level,
-    mc_estimate,
     mlmc_estimate,
     pair_op_work,
     predict_work,
@@ -30,7 +29,8 @@ from spde_mlmc import (
     run_deterministic,
     sample_pair,
 )
-from spde_mlmc.fem import DriftSpec
+from spde_mlmc.fem import DriftSpec, mass_norm_sq
+from spde_mlmc.mlmc import _functional_values
 from spde_mlmc.metrics import fit_slope
 from spde_mlmc.noise import path_stream
 
@@ -39,6 +39,7 @@ from reference import (
     coarsen_block,
     dense,
     euler_step,
+    mc_estimate,
     noise_load,
     projection_matrix,
     sample_kl_block,
@@ -141,25 +142,24 @@ def test_mc_vector_samples():
 
 def test_apply_functional_examples():
     level = make_level(1)
-    f = NodalField(level, np.array([1.0]))
-    assert apply_functional(IDENTITY, f) is f
-    assert apply_functional(SQUARED_NORM, f) == pytest.approx(1.0 / 3.0)
-    assert apply_functional(SQUARED_NORM, NodalField(level, np.array([0.0]))) == 0.0
+    states = np.array([[1.0, 0.0]])
+    assert _functional_values(IDENTITY, level, states) is states
+    norms = _functional_values(SQUARED_NORM, level, states)
+    assert norms[0] == pytest.approx(1.0 / 3.0)
+    assert norms[1] == 0.0
 
 
 def test_squared_norm_flip_invariant():
     level = make_level(3)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(level.dofs)
-    a = apply_functional(SQUARED_NORM, NodalField(level, v))
-    b = apply_functional(SQUARED_NORM, NodalField(level, v[::-1]))
-    assert a == pytest.approx(b, rel=1e-12)
+    assert mass_norm_sq(level, v) == pytest.approx(mass_norm_sq(level, v[::-1]), rel=1e-12)
 
 
 def test_custom_functional():
     spec = FunctionalSpec("custom", func=lambda f: float(f.values.max()))
     level = make_level(2)
-    assert apply_functional(spec, NodalField(level, np.array([1.0, 5.0, 2.0]))) == 5.0
+    assert _functional_values(spec, level, np.array([[1.0], [5.0], [2.0]]))[0] == 5.0
 
 
 # -------------------------------------------------------------- sample_pair
@@ -233,6 +233,39 @@ def test_sample_pair_kl_truncation_matches_stepwise_reconstruction(kl_rule):
     ref_fine, ref_coarse = _stepwise_pair(3, 66, 2, kl_rule=kl_rule)
     np.testing.assert_allclose(ref_fine, fine.values, atol=1e-13)
     np.testing.assert_allclose(ref_coarse, coarse.values, atol=1e-13)
+
+
+@pytest.mark.parametrize("level,kl_rule", [(5, None), (3, 2 * 7 + 5)])
+def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
+    # the drift branch steps blocks of SLAB_STEPS // CHUNK_SIZE = 16 steps;
+    # with CHUNK_SIZE 1 the block is a whole slab, one block per path here
+    from spde_mlmc import mlmc
+
+    drift = DriftSpec(lambda v: -v + np.sin(v), name="nonlinear")
+    blocked = sample_pair(level, 1, master_seed=67, sample=1, kl_rule=kl_rule, drift=drift)
+    monkeypatch.setattr(mlmc, "CHUNK_SIZE", 1)
+    whole = sample_pair(level, 1, master_seed=67, sample=1, kl_rule=kl_rule, drift=drift)
+    for a, b in zip(blocked, whole):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("drift", [ZERO_DRIFT, DriftSpec(lambda v: -v, name="linear")])
+def test_chunk_memory_peak_within_budget(drift):
+    # one cold 64-pair chunk at level 6 against the six slabs (one slab is
+    # min(SLAB_STEPS, steps) * J doubles) that check_chunk_memory budgets on
+    # one worker; a drift stacks all 64 paths' rows, one block of 16 steps
+    from spde_mlmc import fem, mlmc
+
+    level = make_level(6)
+    slab_bytes = 8 * min(fem.SLAB_STEPS, level.steps) * kl_modes(level)
+    fem._step_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        mlmc._simulate_chunk(6, 1, 0, mlmc.CHUNK_SIZE, 0, 3, None, drift, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * slab_bytes
 
 
 def test_non_finite_state_names_its_stream_coordinates():
@@ -357,7 +390,7 @@ def test_scalar_functional_estimate():
     zero_noise = mlmc_estimate(2, 1, schedule, functional=SQUARED_NORM,
                                master_seed=7, zero_noise=True)
     det = run_deterministic(make_level(2))
-    assert zero_noise.estimate == pytest.approx(apply_functional(SQUARED_NORM, det),
+    assert zero_noise.estimate == pytest.approx(mass_norm_sq(det.level, det.values),
                                                 abs=1e-12)
 
 
@@ -400,12 +433,15 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
         mlmc.pair_variances(2, 1, 2, 0, kl_rule=10**8)
     with pytest.raises(CapacityError, match="level 1 chunks"):
         mlmc_estimate(2, 1, build_schedule("weak", 2), kl_rule=10**8)
-    # a drift holds the increments of all the chunk's paths at once: level 11
-    # passes the check without one and fails it with one
-    schedule = build_schedule("weak", 11)
-    mlmc.check_chunk_memory(range(1, 12), None)
-    with pytest.raises(CapacityError, match="level 11 chunks"):
-        mlmc_estimate(11, 1, schedule, drift=DriftSpec(lambda v: -v, name="linear"))
+    # a drift holds one slab of stacked increments, as a run without one
+    # does: both pass the check at level 15 on one worker and fail it at 16
+    drift = DriftSpec(lambda v: -v, name="linear")
+    mlmc.check_chunk_memory(range(1, 16), None)
+    with pytest.raises(AssertionError, match="a chunk ran"):
+        mlmc_estimate(15, 1, build_schedule("strong", 15), drift=drift)
+    for kwargs in ({}, {"drift": drift}):
+        with pytest.raises(CapacityError, match="level 16 chunks"):
+            mlmc_estimate(16, 1, build_schedule("strong", 16), **kwargs)
 
 
 def test_level_law_invariant_across_roles():
