@@ -10,7 +10,8 @@ The package assembles neither matrix. The path engine, ``StepOperator``,
 takes that step in sine-mode coordinates: on the uniform Dirichlet grid the
 sine vectors diagonalise M and K and are the nodal rows of the
 Karhunen-Loeve loads, so every mode evolves on its own, and without drift a
-block of steps is one weighted sum over its increments; ``sine_transform``,
+block of steps is one weighted sum over its increments, formed in two stages
+from two BLOCK x modes tables of powers of the step factors; ``sine_transform``,
 an FFT, maps modes to nodal values. The L2(0,1) norms that the estimators
 report are x^T M x, formed by ``mass_norm_sq`` from the two diagonals. The
 nodal form of the scheme, with the assembled bands and a Thomas solve per
@@ -58,6 +59,10 @@ def initial_field(level: LevelGeometry) -> NodalField:
 #: rounding, and the size of a block; results stay bitwise independent of the
 #: worker count.
 SLAB_STEPS = 1024
+
+#: Rows per stage of the blocked weighted sum, sqrt(SLAB_STEPS): a block of
+#: up to BLOCK**2 steps is summed in groups of BLOCK rows, then over groups.
+BLOCK = 32
 
 
 def sine_transform(coeffs: np.ndarray) -> np.ndarray:
@@ -110,11 +115,14 @@ class StepOperator:
         #: Sine-vector index of each KL mode; None when it is the identity.
         self.fold = target if modes > n else None
         self.beta = sign * load_amplitudes(level, modes) / denom[target]
-        nmax = min(SLAB_STEPS, level.steps)
-        weights = self.rho[target] ** np.arange(nmax - 1, -1, -1)[:, None] * self.beta
-        weights[np.abs(weights) < 1e-300] = 0.0  # keep denormals out of the sums
-        #: weights[-n + k] = rho**(n-1-k) * beta, the weight of step k of n.
-        self.weights = weights
+        rho = self.rho[target]
+        powers = np.arange(BLOCK - 1, -1, -1)[:, None]
+        #: inner[i] = rho**(BLOCK-1-i) and outer[k] = rho**(BLOCK*(BLOCK-1-k)) * beta,
+        #: shape (BLOCK, modes): the weight rho**(n-1-m) * beta of step m = k*b + i
+        #: of n is inner[-b:][i] * outer[-n//b:][k] (see ``step``).
+        self.inner = rho ** powers
+        self.outer = rho ** (BLOCK * powers) * self.beta
+        self.outer[np.abs(self.outer) < 1e-300] = 0.0  # keep denormals out of the sums
 
     def _add_modes(self, coeffs: np.ndarray, per_mode: np.ndarray) -> np.ndarray:
         if self.fold is None:
@@ -129,8 +137,11 @@ class StepOperator:
 
         ``rows`` has shape (n, modes) for one path with ``coeffs`` (dofs,), or
         (n, modes, b) for b paths with ``coeffs`` (dofs, b). Without drift the
-        block is one weighted sum, rho**n c + sum_k rho**(n-1-k) beta dW_k, for
-        n <= SLAB_STEPS. A drift enters step by step as
+        block is one weighted sum, rho**n c + sum_m rho**(n-1-m) beta dW_m, taken
+        in two stages: the k = n/b groups of b = min(BLOCK, n) rows are summed
+        with ``inner``, then the k group sums with ``outer``; n is 1..BLOCK or a
+        multiple of BLOCK up to BLOCK**2 = SLAB_STEPS. A drift enters step by
+        step as
         c <- rho (c + dt f) + beta dW with f = (2/(dofs+1)) S F(S c), two
         ``sine_transform`` calls per step.
         """
@@ -138,10 +149,15 @@ class StepOperator:
         rho = self.rho.reshape(-1, *tail)
         if drift.func is None:
             n = len(rows)
-            if n > len(self.weights):
-                raise UsageError(f"block of {n} steps exceeds the operator's {len(self.weights)}")
-            weighted = self.weights[len(self.weights) - n:].reshape(n, -1, *tail) * rows
-            return self._add_modes(rho**n * coeffs, weighted.sum(axis=0))
+            b = min(BLOCK, n)
+            if n < 1 or n % b or n > BLOCK * BLOCK:
+                raise UsageError(f"a block of {n} steps is neither 1..{BLOCK} steps nor a "
+                                 f"multiple of {BLOCK} up to {BLOCK * BLOCK}")
+            k = n // b
+            partial = np.einsum("kij...,ij->kj...", rows.reshape(k, b, *rows.shape[1:]),
+                                self.inner[BLOCK - b:])
+            weighted = np.einsum("kj...,kj->j...", partial, self.outer[BLOCK - k:])
+            return self._add_modes(rho**n * coeffs, weighted)
         beta = self.beta.reshape(-1, *tail)
         scale = 2.0 * self.level.time_step / (self.level.dofs + 1)
         for increments in rows:

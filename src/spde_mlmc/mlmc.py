@@ -14,9 +14,10 @@ eta = 1/2), plus a singlelevel baseline ``N = ceil(h_L**(-4*gamma))``.
 
 Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
 ``fem.StepOperator``: per path, the increments of each slab of ``SLAB_STEPS``
-fine steps are drawn once and enter the fine path, and summed in fours the
-coarse one, as one weighted sum per sine mode; the terminal coefficients are
-transformed to nodal values once, at T = 1, by ``fem.sine_transform``.
+fine steps are drawn once, into one slab buffer that the chunk reuses, and
+enter the fine path, and summed in fours the coarse one, as one blocked
+weighted sum per sine mode; the terminal coefficients are transformed to
+nodal values once, at T = 1, by ``fem.sine_transform``.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
@@ -35,7 +36,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalError, UsageError
-from .fem import SLAB_STEPS, DriftSpec, ZERO_DRIFT, mass_norm_sq, sine_transform, step_operator
+from .fem import (BLOCK, SLAB_STEPS, DriftSpec, ZERO_DRIFT, mass_norm_sq, sine_transform,
+                  step_operator)
 from .grid import MAX_TASK_BYTES, LevelGeometry, NodalField, make_level, prolong_to, prolong_values
 from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_stream, stream_key
 
@@ -170,8 +172,10 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     path; coarse is None at the base level. Paths run in sine-mode
     coordinates (see ``StepOperator``) from the initial data sin(pi*x), the
     first sine vector. Without drift each path takes one weighted sum per slab
-    of its increments. A drift is stepped batched over the chunk in blocks of
-    SLAB_STEPS // CHUNK_SIZE = 16 steps, whose stacked rows fill one slab.
+    of its increments, drawn into one slab buffer that the chunk reuses. A
+    drift is stepped batched over the chunk in blocks of
+    SLAB_STEPS // CHUNK_SIZE = 16 steps, each path's rows drawn into its part
+    of one (count, 16, J) buffer, which also fills one slab.
     """
     fine = make_level(pair_level)
     has_coarse = pair_level > lmin
@@ -194,22 +198,22 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
         if has_coarse:
             cc = op_c.rho[:, None] ** coarse.steps * cc
     elif drift.func is None:
+        buffer = np.empty((blocks[0], jf))
         for b in range(count):
             stream = path_stream(master_seed, pair_level, replicate, start + b)
             for nsteps in blocks:
-                rows = draw_increment_rows(stream, nsteps, jf, dt)
+                rows = draw_increment_rows(stream, nsteps, jf, dt, out=buffer[:nsteps])
                 cf[:, b] = op_f.step(rows, cf[:, b])
                 if has_coarse:
                     cc[:, b] = op_c.step(coarsen_rows(rows, jc), cc[:, b])
     else:
         streams = [] if zero_noise else [
             path_stream(master_seed, pair_level, replicate, start + b) for b in range(count)]
+        buffer = np.zeros((count, blocks[0], jf))  # stays zero without noise
         for nsteps in blocks:
-            if zero_noise:
-                rows = np.zeros((nsteps, jf, count))
-            else:
-                rows = np.stack([draw_increment_rows(s, nsteps, jf, dt) for s in streams],
-                                axis=2)
+            for b, stream in enumerate(streams):
+                draw_increment_rows(stream, nsteps, jf, dt, out=buffer[b, :nsteps])
+            rows = buffer[:, :nsteps].transpose(1, 2, 0)
             cf = op_f.step(rows, cf, drift)
             if has_coarse:
                 cc = op_c.step(coarsen_rows(rows, jc), cc, drift)
@@ -240,19 +244,21 @@ def _check_stream_capacity(master_seed, replicate, counts):
 
 def check_chunk_memory(levels, kl_rule, workers: int = 1):
     """Fail before any simulation if the chunks of a level in ``levels``, on
-    ``workers`` threads, would need more than ``MAX_TASK_BYTES``: (2 + 4 workers)
-    slabs of s*J doubles, s = min(SLAB_STEPS, steps) and J the KL modes. Two
-    slabs are the cached operator weights, shared by the threads (fine 1,
-    coarse 0.5, lower levels at most 0.5 with the default J), and 4 are each
-    thread's increment rows with their scaled, stacked and coarsened copies.
-    Tracemalloc on one 64-pair chunk with cold caches measured 3.6 slabs at
-    levels 6..9 and 4.7 under a drift at levels 6..7, 1.5 of them the weights;
-    4.0 and 5.0 at level 6 with 300 KL modes.
+    ``workers`` threads, would need more than ``MAX_TASK_BYTES``: 2 slabs of
+    s*J doubles per thread, s = min(SLAB_STEPS, steps) and J the KL modes, and
+    the step tables that the threads share, 2*BLOCK*J doubles for each level
+    that the run has cached by then (the levels up to this one and their
+    coarse partners). Tracemalloc on one 64-pair chunk with cold caches
+    measured at most 1.8 slabs, tables included, at levels 6..9, with a drift
+    and with 300 KL modes.
     """
-    for level in levels:
+    cached = set()
+    for level in sorted(levels):
+        cached |= {level, max(level - 1, 1)}
+        tables = 2 * BLOCK * sum(kl_modes(make_level(m), kl_rule) for m in cached)
         fine = make_level(level)
         slab = min(SLAB_STEPS, fine.steps) * kl_modes(fine, kl_rule)
-        need = 8 * (2 + 4 * workers) * slab
+        need = 8 * (2 * workers * slab + tables)
         if need > MAX_TASK_BYTES:
             raise CapacityError(f"level {level} chunks need about {need} bytes on {workers} "
                                 f"worker(s), above the {MAX_TASK_BYTES}-byte cap")

@@ -63,20 +63,29 @@ def load_amplitudes(level: LevelGeometry, modes: int) -> np.ndarray:
 
 
 def draw_increment_rows(stream: np.random.Generator, nsteps: int, modes: int,
-                        time_step: float) -> np.ndarray:
+                        time_step: float, out: np.ndarray | None = None) -> np.ndarray:
     """Draw ``nsteps`` consecutive increment rows of shape (nsteps, modes).
 
     Consecutive calls on the same stream continue the same block, so slabbed
-    generation reproduces a single full draw bit for bit.
+    generation reproduces a single full draw bit for bit. ``out``, a
+    C-contiguous float64 array of that shape, receives the rows in place of a
+    new array; the values are the same bits either way.
     """
-    return stream.standard_normal((nsteps, modes)) * np.sqrt(time_step)
+    if out is None:
+        out = np.empty((nsteps, modes))
+    stream.standard_normal(out=out)
+    out *= np.sqrt(time_step)
+    return out
 
 
 def coarsen_rows(rows: np.ndarray, modes: int) -> np.ndarray:
     """Sum groups of four consecutive step rows, truncated to ``modes`` columns.
 
     The additions run in ascending step order so the result is reproducible
-    bit for bit.
+    bit for bit; they accumulate in the one output array.
     """
     r = rows[:, :modes]
-    return ((r[0::4] + r[1::4]) + r[2::4]) + r[3::4]
+    coarse = r[0::4] + r[1::4]
+    coarse += r[2::4]
+    coarse += r[3::4]
+    return coarse

@@ -6,8 +6,10 @@ takes the same semi-implicit Euler-Maruyama step the direct way, in nodal
 values: the assembled mass and stiffness bands, a full block of
 Karhunen-Loeve increments per path, the load vector (dW_k, phi_i) of each step
 from the closed-form projections, and one tridiagonal (Thomas) solve per step.
-It is slow and exists only to check the engine against. ``mc_estimate``, a
-plain Monte Carlo mean over any sampler, checks the N^-1/2 rate.
+It is slow and exists only to check the engine against. ``direct_block_step``
+forms a block's weighted sum from one direct table of step weights, the
+oracle of the engine's two-stage sum. ``mc_estimate``, a plain Monte Carlo
+mean over any sampler, checks the N^-1/2 rate.
 """
 
 from dataclasses import dataclass
@@ -140,6 +142,21 @@ def euler_step(
     if fx is not None:
         rhs += dt * mass.matvec(fx)
     return NodalField(level, thomas_solve(system, rhs))
+
+
+def direct_block_step(op, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``StepOperator.step`` without drift, as one multiply-then-sum over the
+    direct table of weights rho**(n-1-m) * beta of steps m = 0..n-1 (rho of
+    each KL mode's sine target, entries below 1e-300 flushed to 0): rows
+    (n, modes) with coeffs (dofs,), or (n, modes, b) with (dofs, b)."""
+    n = len(rows)
+    tail = (1,) * (coeffs.ndim - 1)
+    target = op.fold if op.fold is not None else np.arange(op.modes)
+    weights = op.rho[target] ** np.arange(n - 1, -1, -1)[:, None] * op.beta
+    weights[np.abs(weights) < 1e-300] = 0.0
+    out = op.rho.reshape(-1, *tail) ** n * coeffs
+    np.add.at(out, target, (weights.reshape(n, -1, *tail) * rows).sum(axis=0))
+    return out
 
 
 @dataclass(frozen=True)

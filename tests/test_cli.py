@@ -88,12 +88,15 @@ def test_det_conv_holds_no_memory_after_the_run(tmp_path):
 
 
 @pytest.mark.parametrize("argv,level", [
-    (["variance", "--levels", "16..16", "--pairs", "2"], 16),
+    (["variance", "--levels", "16..16", "--pairs", "2", "--workers", "2"], 16),
     (["variance", "--levels", "3..3", "--pairs", "2", "--kl-modes", "100000000"], 3),
-    (["variance", "--levels", "2..16", "--pairs", "2"], 16),
-    (["run", "--L", "1..16", "--reps", "1"], 16),
-    (["compare", "--L", "1..2", "--strong-L", "1..16", "--reps", "1"], 16),
-    (["variance", "--levels", "2..16", "--pairs", "2", "--workers", "2"], 15),
+    (["variance", "--levels", "2..16", "--pairs", "2", "--workers", "3"], 16),
+    (["run", "--L", "1..16", "--reps", "1", "--workers", "2"], 16),
+    (["compare", "--L", "1..2", "--strong-L", "1..16", "--reps", "1", "--workers", "2"], 16),
+    (["variance", "--levels", "2..16", "--pairs", "2", "--workers", "4"], 15),
+    (["variance", "--levels", "2..17", "--pairs", "2"], 17),
+    (["run", "--L", "1..17", "--reps", "1"], 17),
+    (["compare", "--L", "1..2", "--strong-L", "1..17", "--reps", "1"], 17),
 ])
 def test_estimator_chunks_over_memory_cap_rejected_up_front(tmp_path, monkeypatch, capsys,
                                                             argv, level):
@@ -312,7 +315,9 @@ def test_variance_pool_is_byte_identical_to_inline(tmp_path):
 
 
 _TRACED_RUN = """
-import sys, tracing
+import sys
+from pathlib import Path
+import benchstats, tracing, workloads
 from spde_mlmc import cli
 tracer = tracing.install(tracing.Tracer())
 out = sys.argv[1]
@@ -321,6 +326,10 @@ codes = [
               "--workers", "2", "--out", out + "/v"]),
     cli.main(["run", "--L", "1..2", "--reps", "1", "--seed", "1", "--out", out + "/r"]),
 ]
+run_levels = workloads.read_csv(Path(out, "r", "run_levels.csv"))
+op_work = (benchstats.variance_op_work(range(2, 4), 70, 1)
+           + benchstats.level_rows_op_work(run_levels, 1))
+print(sum(span.items for span in tracer.spans if span.name == "fem.step"), op_work)
 print(codes, sorted({span.name for span in tracer.spans}))
 """
 
@@ -333,7 +342,11 @@ def test_benchmark_trace_hooks_record_spans(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.strip().splitlines()[-1]
+    counts, last = proc.stdout.strip().splitlines()[-2:]
     assert last.startswith("[0, 0] ")
     for name in ("mlmc.task", "mlmc.chunk", "grid.prolong"):
         assert f"'{name}'" in last
+    # the benchmark checks on traced runs that the increments the steps
+    # receive add up to the run's op_work, dofs x steps per simulated path
+    step_items, op_work = map(int, counts.split())
+    assert step_items == op_work

@@ -14,6 +14,7 @@ from spde_mlmc import (
     make_level,
     run_deterministic,
 )
+from spde_mlmc import fem
 from spde_mlmc.fem import DriftSpec, mass_norm_sq, sine_transform, step_operator
 from spde_mlmc.metrics import exact_mean, fit_slope
 
@@ -21,6 +22,7 @@ from reference import (
     TridiagonalMatrix,
     assemble,
     dense,
+    direct_block_step,
     euler_step,
     projection_matrix,
     thomas_solve,
@@ -290,3 +292,46 @@ def test_step_operator_matches_euler_step():
         for row in rows[:, :, b]:
             single = euler_step(level, mass, stiffness, single, ZERO_DRIFT, row @ proj)
         np.testing.assert_allclose(batched[:, b], single.values, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 32, 64, 256, 1024])
+@pytest.mark.parametrize("kl_rule", [None, 19, 300])  # level 5 has 31 dofs
+def test_blocked_step_matches_direct_weights(n, kl_rule):
+    # the two-stage sum against one multiply-then-sum over the direct table
+    # of weights rho**(n-1-m) * beta, for one path and batched over three
+    level = make_level(5)
+    op = step_operator(level, kl_rule)
+    rng = np.random.default_rng(n)
+    for shape in ((), (3,)):
+        coeffs = rng.standard_normal((level.dofs, *shape))
+        rows = rng.standard_normal((n, op.modes, *shape)) * math.sqrt(level.time_step)
+        expected = direct_block_step(op, rows, coeffs)
+        actual = op.step(rows, coeffs.copy())
+        assert actual.shape == expected.shape
+        assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [0, 48, 2048])
+def test_blocked_step_rejects_other_block_lengths(n):
+    level = make_level(5)
+    op = step_operator(level)
+    with pytest.raises(UsageError, match=f"block of {n} steps"):
+        op.step(np.zeros((n, op.modes)), np.zeros(level.dofs))
+
+
+def test_step_operators_hold_two_block_tables():
+    # with a fixed number of KL modes every level's operator stays cached for
+    # the life of the process; each holds two BLOCK x modes tables plus O(dofs)
+    modes = 300
+    fem._step_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        for level_index in range(5, 10):
+            before, _ = tracemalloc.get_traced_memory()
+            op = step_operator(make_level(level_index), modes)
+            held, _ = tracemalloc.get_traced_memory()
+            assert op.inner.shape == op.outer.shape == (fem.BLOCK, modes)
+            assert held - before <= 8 * (2 * fem.BLOCK * modes + 4 * (op.level.dofs + modes))
+    finally:
+        tracemalloc.stop()
+        fem._step_operator.cache_clear()

@@ -251,13 +251,16 @@ def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
 
 @pytest.mark.parametrize("drift", [ZERO_DRIFT, DriftSpec(lambda v: -v, name="linear")])
 def test_chunk_memory_peak_within_budget(drift):
-    # one cold 64-pair chunk at level 6 against the six slabs (one slab is
-    # min(SLAB_STEPS, steps) * J doubles) that check_chunk_memory budgets on
-    # one worker; a drift stacks all 64 paths' rows, one block of 16 steps
+    # one cold 64-pair chunk at level 6 against what check_chunk_memory
+    # budgets on one worker: two slabs (one slab is min(SLAB_STEPS, steps) * J
+    # doubles) and the step tables of levels 6 and 5; the chunk draws into one
+    # slab buffer, with a drift the rows of all 64 paths for 16 steps
     from spde_mlmc import fem, mlmc
 
     level = make_level(6)
     slab_bytes = 8 * min(fem.SLAB_STEPS, level.steps) * kl_modes(level)
+    tables_bytes = 8 * 2 * fem.BLOCK * (kl_modes(level) + kl_modes(make_level(5)))
+    fem.sine_transform(np.ones(3))  # numpy imports numpy.fft on first use, not per chunk
     fem._step_operator.cache_clear()
     tracemalloc.start()
     try:
@@ -265,7 +268,7 @@ def test_chunk_memory_peak_within_budget(drift):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * slab_bytes
+    assert peak <= 2 * slab_bytes + tables_bytes
 
 
 def test_non_finite_state_names_its_stream_coordinates():
@@ -433,15 +436,15 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
         mlmc.pair_variances(2, 1, 2, 0, kl_rule=10**8)
     with pytest.raises(CapacityError, match="level 1 chunks"):
         mlmc_estimate(2, 1, build_schedule("weak", 2), kl_rule=10**8)
-    # a drift holds one slab of stacked increments, as a run without one
-    # does: both pass the check at level 15 on one worker and fail it at 16
+    # a drift holds one slab of increments, as a run without one does: both
+    # pass the check at level 16 on one worker and fail it at 17
     drift = DriftSpec(lambda v: -v, name="linear")
-    mlmc.check_chunk_memory(range(1, 16), None)
+    mlmc.check_chunk_memory(range(1, 17), None)
     with pytest.raises(AssertionError, match="a chunk ran"):
-        mlmc_estimate(15, 1, build_schedule("strong", 15), drift=drift)
+        mlmc_estimate(16, 1, build_schedule("strong", 16), drift=drift)
     for kwargs in ({}, {"drift": drift}):
-        with pytest.raises(CapacityError, match="level 16 chunks"):
-            mlmc_estimate(16, 1, build_schedule("strong", 16), **kwargs)
+        with pytest.raises(CapacityError, match="level 17 chunks"):
+            mlmc_estimate(17, 1, build_schedule("strong", 17), **kwargs)
 
 
 def test_level_law_invariant_across_roles():

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from spde_mlmc import UsageError, kl_modes, make_level, path_stream
-from spde_mlmc.noise import draw_increment_rows
+from spde_mlmc.noise import coarsen_rows, draw_increment_rows
 
 from reference import KLBlock, coarsen_block, noise_load, projection_matrix, sample_kl_block
 
@@ -84,6 +84,12 @@ def test_slabbed_draws_match_full_block():
     parts = [draw_increment_rows(stream, 64, 15, level.time_step)
              for _ in range(level.steps // 64)]
     assert np.array_equal(full, np.vstack(parts))
+    # drawn into one reused buffer, as a chunk does, the rows are the same bits
+    stream = path_stream(1, 4, 0, 0)
+    buffer = np.empty((64, 15))
+    for part in parts:
+        assert draw_increment_rows(stream, 64, 15, level.time_step, out=buffer) is buffer
+        assert np.array_equal(buffer, part)
 
 
 def test_coarsen_all_ones():
@@ -107,6 +113,13 @@ def test_coarsen_is_exact_four_step_sum():
     f = block.increments[:3]
     expected = ((f[:, 0::4] + f[:, 1::4]) + f[:, 2::4]) + f[:, 3::4]
     assert np.array_equal(coarse.increments, expected)
+    # the drift branch coarsens a (steps, modes, paths) view of a
+    # (paths, steps, modes) buffer; one mode leaves the step axis innermost
+    paths = np.random.default_rng(3).standard_normal((5, 16, 7))
+    for modes in (1, 3, 7):
+        r = paths.transpose(1, 2, 0)[:, :modes]
+        expected = ((r[0::4] + r[1::4]) + r[2::4]) + r[3::4]
+        assert np.array_equal(coarsen_rows(r, modes), expected)
 
 
 def test_coarsen_variance():
