@@ -3,7 +3,9 @@
 Four subcommands cover the studies: ``det-conv`` (deterministic convergence),
 ``variance`` (level-difference variance decay), ``run`` (estimator error and
 work per level for one or more schedules), and ``compare`` (strong versus
-weak schedules at matched accuracy).
+weak schedules at matched accuracy). ``run`` and ``compare`` share one study
+path: it builds every schedule and admits the whole study before the first
+chunk runs.
 
 Every output CSV starts with ``#``-prefixed metadata lines recording the
 artifact version, the config hash, and the seed. Given identical config and
@@ -37,11 +39,11 @@ from .mlmc import (
     IDENTITY,
     SQUARED_NORM,
     build_schedule,
+    check_capacity,
     check_chunk_memory,
     mlmc_estimate,
     pair_variances,
 )
-from .noise import KIND_PATH, stream_key
 
 SCHEMA_VERSION = 1
 
@@ -311,16 +313,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         reference_points(cfg.m)
         if cfg.reps < 1:
             raise UsageError("--reps must be at least 1")
-        try:
-            stream_key(cfg.seed, KIND_PATH, 0, cfg.reps - 1, 0)
-        except UsageError as exc:
-            raise UsageError(f"--reps {cfg.reps} needs replicate {cfg.reps - 1}: {exc}") from exc
-        if not 0.0 < cfg.gamma < 1.0:
-            raise UsageError("--gamma must lie in (0, 1)")
-        if cfg.eps < 0.0:
-            raise UsageError("--eps must be nonnegative")
-        if cfg.lmin > cfg.l_range[0]:
-            raise UsageError("--lmin exceeds the smallest requested top level")
         if command == "run":
             cfg.modes = tuple(m.strip() for m in v["mode"].split(",") if m.strip())
             if not cfg.modes:
@@ -336,8 +328,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
                     raise UsageError(f"bad --a-seq {v['a_seq']!r}, expected numbers "
                                      "separated by commas") from exc
             cfg.eta = v["eta"]
-            if "general" in cfg.modes and (cfg.a_seq is None or cfg.eta is None):
-                raise UsageError("general mode needs --a-seq and --eta")
         else:
             cfg.modes = ("strong", "weak")
             cfg.strong_l_range = (parse_range(v["strong_l"])
@@ -396,43 +386,41 @@ def cmd_variance(cfg: RunConfig) -> int:
     return 0
 
 
-def _functional_spec(cfg: RunConfig):
-    return SQUARED_NORM if cfg.functional == "squared-norm" else IDENTITY
-
-
-def _run_one_mode(cfg: RunConfig, mode: str, l_lo: int, l_hi: int):
-    """Estimator runs for one schedule mode over a top-level range.
+def _study(cfg: RunConfig, ranges):
+    """Estimator runs of one schedule per mode and top level in ``ranges``,
+    ((mode, lo, hi), ...), in that order. Every schedule is built and the
+    whole study admitted before the first chunk runs.
 
     Returns (replicate_rows, level_rows, summary_rows, timing_rows).
     """
-    functional = _functional_spec(cfg)
+    schedules = [build_schedule(mode, top, gamma=cfg.gamma, eps=cfg.eps, eta=cfg.eta,
+                                a=cfg.a_seq[: top + 1] if cfg.a_seq is not None else None)
+                 for mode, lo, hi in ranges for top in range(lo, hi + 1)]
+    check_capacity(schedules, cfg.lmin, cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers)
+    functional = SQUARED_NORM if cfg.functional == "squared-norm" else IDENTITY
     rep_rows, level_rows, summary_rows, timing_rows = [], [], [], []
-    for top in range(l_lo, l_hi + 1):
-        a_seq = cfg.a_seq[: top + 1] if cfg.a_seq is not None else None
-        schedule = build_schedule(mode, top, gamma=cfg.gamma, eps=cfg.eps,
-                                  a=a_seq, eta=cfg.eta)
+    for schedule in schedules:
+        mode, top = schedule.mode, schedule.top_level
         errors = []
-        total_work = None
         for rep in range(cfg.reps):
             result = mlmc_estimate(
                 top, cfg.lmin, schedule, functional=functional,
                 master_seed=cfg.seed, replicate=rep, kl_rule=cfg.kl_modes,
                 zero_noise=cfg.zero_noise, workers=cfg.workers,
             )
-            timing_rows.append((f"{mode} L={top} rep={rep}", result.wall_seconds))
-            timing_rows += [(f"{mode} L={top} rep={rep} level={stat.level}", stat.wall_seconds)
+            label = f"{mode} L={top} rep={rep}"
+            timing_rows.append((label, result.wall_seconds))
+            timing_rows += [(f"{label} level={stat.level}", stat.wall_seconds)
                             for stat in result.level_stats]
             if functional.kind == "identity":
-                err = rms_error(result.estimate, _eval_grid_size(cfg, top))
-                errors.append(err)
-                rep_rows.append((mode, top, rep, err, None))
+                errors.append(rms_error(result.estimate, _eval_grid_size(cfg, top)))
+                rep_rows.append((mode, top, rep, errors[-1], None))
             else:
                 rep_rows.append((mode, top, rep, None, result.estimate))
-            if total_work is None:
+            if rep == 0:
                 total_work = result.total_op_work
-                for stat in result.level_stats:
-                    level_rows.append((mode, top, stat.level, stat.samples,
-                                       stat.op_work, stat.variance))
+                level_rows += [(mode, top, stat.level, stat.samples, stat.op_work, stat.variance)
+                               for stat in result.level_stats]
         agg = rms_aggregate(errors) if errors else None
         outside = int(cfg.eps == 0.0 and mode != "singlelevel")
         summary_rows.append((mode, top, agg, total_work, cfg.reps, outside))
@@ -463,14 +451,8 @@ plot for [m in "strong weak singlelevel general"] \\
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    check_chunk_memory(range(cfg.lmin, cfg.l_range[1] + 1), cfg.kl_modes, workers=cfg.workers)
-    rep_rows, level_rows, summary_rows, timing_rows = [], [], [], []
-    for mode in cfg.modes:
-        r, l, s, t = _run_one_mode(cfg, mode, *cfg.l_range)
-        rep_rows += r
-        level_rows += l
-        summary_rows += s
-        timing_rows += t
+    rep_rows, level_rows, summary_rows, timing_rows = _study(
+        cfg, [(mode, *cfg.l_range) for mode in cfg.modes])
     notes = []
     if cfg.eps == 0.0:
         notes.append("warning: eps=0 is the border case outside the theory")
@@ -489,34 +471,17 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    top = max(cfg.l_range[1], cfg.strong_l_range[1])
-    check_chunk_memory(range(cfg.lmin, top + 1), cfg.kl_modes, workers=cfg.workers)
-    all_summary = {}
-    summary_rows, timing_rows = [], []
-    level_rows = []
-    for mode in ("strong", "weak"):
-        lo, hi = cfg.strong_l_range if mode == "strong" else cfg.l_range
-        _r, l, s, t = _run_one_mode(cfg, mode, lo, hi)
-        level_rows += l
-        summary_rows += s
-        timing_rows += t
-        for row in s:
-            all_summary[(mode, row[1])] = row
+    _reps, level_rows, summary_rows, timing_rows = _study(
+        cfg, (("strong", *cfg.strong_l_range), ("weak", *cfg.l_range)))
+    strong = [row for row in summary_rows if row[0] == "strong"]
     matched_rows = []
-    weak_ls = sorted(top for mode, top in all_summary if mode == "weak")
-    strong_ls = sorted(top for mode, top in all_summary if mode == "strong")
-    for wl in weak_ls:
-        _, _, weak_rms, weak_work, _, _ = all_summary[("weak", wl)]
-        partner = None
-        for sl in strong_ls:
-            if all_summary[("strong", sl)][2] <= weak_rms:
-                partner = sl
-                break
-        if partner is None:
-            continue
-        _, _, strong_rms, strong_work, _, _ = all_summary[("strong", partner)]
-        matched_rows.append((wl, partner, weak_rms, strong_rms, weak_work,
-                             strong_work, strong_work / weak_work))
+    for _, weak_l, weak_rms, weak_work, *_ in (r for r in summary_rows if r[0] == "weak"):
+        # the smallest strong top level at least as accurate as the weak one
+        partner = next((row for row in strong if row[2] <= weak_rms), None)
+        if partner is not None:
+            _, strong_l, strong_rms, strong_work, *_ = partner
+            matched_rows.append((weak_l, strong_l, weak_rms, strong_rms, weak_work,
+                                 strong_work, strong_work / weak_work))
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_csv(cfg.out / "compare.csv",
               ("mode", "L", "rms_error_agg", "op_work_total", "replicates",

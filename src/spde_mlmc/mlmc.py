@@ -21,9 +21,10 @@ nodal values once, at T = 1, by ``fem.sine_transform``.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
-Stream coordinates beyond the Philox key fields, and levels whose chunks would
-need more than ``grid.MAX_TASK_BYTES``, are rejected before any path is
-simulated.
+``check_capacity`` admits a whole study, every schedule of it, before any
+path is simulated: it rejects a base level above a schedule's top level,
+levels whose chunks would need more than ``grid.MAX_TASK_BYTES``, and stream
+coordinates beyond the Philox key fields.
 """
 
 import math
@@ -44,6 +45,13 @@ from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_
 #: Paths simulated per batch. Fixed so that reductions are identical no
 #: matter how chunks are distributed over workers.
 CHUNK_SIZE = 64
+
+#: Doubles per dof and path that a chunk's states and terminal transforms
+#: take: over its slabs and tables, one cold 64-pair chunk at levels 5..8 with
+#: 1, 3, 19 or dofs KL modes, with and without a drift, peaked at up to 11.93
+#: (tracemalloc; level 5, one mode, a drift). Below level 5 a fixed overhead
+#: of up to 0.33 MiB per chunk dominates.
+STATE_DOUBLES = 12
 
 SCHEDULE_MODES = ("singlelevel", "strong", "weak", "general")
 
@@ -244,24 +252,46 @@ def _check_stream_capacity(master_seed, replicate, counts):
 
 def check_chunk_memory(levels, kl_rule, workers: int = 1):
     """Fail before any simulation if the chunks of a level in ``levels``, on
-    ``workers`` threads, would need more than ``MAX_TASK_BYTES``: 2 slabs of
-    s*J doubles per thread, s = min(SLAB_STEPS, steps) and J the KL modes, and
-    the step tables that the threads share, 2*BLOCK*J doubles for each level
-    that the run has cached by then (the levels up to this one and their
-    coarse partners). Tracemalloc on one 64-pair chunk with cold caches
-    measured at most 1.8 slabs, tables included, at levels 6..9, with a drift
-    and with 300 KL modes.
+    ``workers`` threads, would need more than ``MAX_TASK_BYTES``. Each thread
+    holds 2 slabs of s*J doubles, s = min(SLAB_STEPS, steps) and J the KL
+    modes, and ``STATE_DOUBLES * dofs * CHUNK_SIZE`` doubles of states and
+    terminal transforms; the threads share the step tables, 2*BLOCK*J doubles
+    for every level 1..l, so the bound of a level does not depend on which
+    levels ran before it.
     """
-    cached = set()
     for level in sorted(levels):
-        cached |= {level, max(level - 1, 1)}
-        tables = 2 * BLOCK * sum(kl_modes(make_level(m), kl_rule) for m in cached)
         fine = make_level(level)
-        slab = min(SLAB_STEPS, fine.steps) * kl_modes(fine, kl_rule)
-        need = 8 * (2 * workers * slab + tables)
+        per_thread = (2 * min(SLAB_STEPS, fine.steps) * kl_modes(fine, kl_rule)
+                      + STATE_DOUBLES * fine.dofs * CHUNK_SIZE)
+        tables = 2 * BLOCK * sum(kl_modes(make_level(m), kl_rule) for m in range(1, level + 1))
+        need = 8 * (workers * per_thread + tables)
         if need > MAX_TASK_BYTES:
             raise CapacityError(f"level {level} chunks need about {need} bytes on {workers} "
                                 f"worker(s), above the {MAX_TASK_BYTES}-byte cap")
+
+
+def check_capacity(schedules, lmin, master_seed, replicates, kl_rule, workers: int = 1):
+    """Admit a study before any path is simulated: ``replicates`` replicates
+    of each schedule in ``schedules`` from the base level ``lmin``.
+
+    Checks the base level against every schedule, then the chunk memory of
+    every level the study runs, then the stream key of each level's last
+    sample in the last replicate. Returns the levels of each schedule, its
+    base level first.
+    """
+    if lmin < 1:
+        raise UsageError("the base level must be at least 1 (level 0 is empty)")
+    plan = []
+    for schedule in schedules:
+        top = schedule.top_level
+        if lmin > top:
+            raise UsageError(f"base level {lmin} exceeds the top level {top}")
+        plan.append([top] if schedule.mode == "singlelevel" else list(range(lmin, top + 1)))
+    check_chunk_memory(set().union(*plan), kl_rule, workers)
+    for schedule, levels in zip(schedules, plan):
+        _check_stream_capacity(master_seed, replicates - 1,
+                               [(level, schedule.count_for(level, levels[0])) for level in levels])
+    return plan
 
 
 def sample_pair(
@@ -452,16 +482,8 @@ def mlmc_estimate(
     """
     if schedule.top_level != top_level:
         raise UsageError("schedule was built for a different top level")
-    if lmin < 1:
-        raise UsageError("the base level must be at least 1 (level 0 is empty)")
-    if lmin > top_level:
-        raise UsageError("base level exceeds the top level")
-
-    levels = [top_level] if schedule.mode == "singlelevel" else list(range(lmin, top_level + 1))
+    (levels,) = check_capacity([schedule], lmin, master_seed, replicate + 1, kl_rule, workers)
     base = levels[0]
-    _check_stream_capacity(master_seed, replicate,
-                           [(level, schedule.count_for(level, base)) for level in levels])
-    check_chunk_memory(levels, kl_rule, workers)
     identity = functional.kind == "identity"
     t_total = time.perf_counter()
     stats = []
@@ -561,6 +583,14 @@ def predict_work(
     if kappa <= 0.0:
         raise UsageError("kappa must be positive")
 
+    eta = schedule.eta if schedule.eta is not None else 0.5
+    if kappa < 2.0 * eta:
+        bound_exponent = -max(2.0, delta)
+        bound_poly_power = None
+    else:
+        bound_exponent = -(2.0 + kappa - 2.0 * eta)
+        bound_poly_power = 2.0 + schedule.eps
+
     if schedule.mode == "singlelevel":
         accuracy_exponent = -((d + 2) / (2.0 * gamma) + 2.0)
         log_factor = False
@@ -571,18 +601,8 @@ def predict_work(
         accuracy_exponent = -((d + 2) / (2.0 * gamma) + 1.0)
         log_factor = True
     else:
-        eta = schedule.eta if schedule.eta is not None else 1.0
-        accuracy_exponent = (-max(2.0, delta) if kappa < 2.0 * eta
-                             else -(2.0 + kappa - 2.0 * eta))
+        accuracy_exponent = bound_exponent
         log_factor = False
-
-    eta = schedule.eta if schedule.eta is not None else 0.5
-    if kappa < 2.0 * eta:
-        bound_exponent = -max(2.0, delta)
-        bound_poly_power = None
-    else:
-        bound_exponent = -(2.0 + kappa - 2.0 * eta)
-        bound_poly_power = 2.0 + schedule.eps
 
     from scipy.special import zeta  # deferred: importing the package loads numpy only
 

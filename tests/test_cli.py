@@ -90,7 +90,7 @@ def test_det_conv_holds_no_memory_after_the_run(tmp_path):
 @pytest.mark.parametrize("argv,level", [
     (["variance", "--levels", "16..16", "--pairs", "2", "--workers", "2"], 16),
     (["variance", "--levels", "3..3", "--pairs", "2", "--kl-modes", "100000000"], 3),
-    (["variance", "--levels", "2..16", "--pairs", "2", "--workers", "3"], 16),
+    (["variance", "--levels", "2..16", "--pairs", "2", "--workers", "3"], 15),
     (["run", "--L", "1..16", "--reps", "1", "--workers", "2"], 16),
     (["compare", "--L", "1..2", "--strong-L", "1..16", "--reps", "1", "--workers", "2"], 16),
     (["variance", "--levels", "2..16", "--pairs", "2", "--workers", "4"], 15),
@@ -126,6 +126,32 @@ def test_reps_beyond_replicate_field_rejected_up_front(tmp_path, monkeypatch, ca
     assert not (tmp_path / "o").exists()
     with pytest.raises(AssertionError, match="a chunk ran"):
         main(argv + ["--reps", "65536"] + tail)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["run", "--mode", "weak,bogus", "--L", "1..5"], "bogus"),
+    (["run", "--mode", "weak,general", "--L", "1..5", "--a-seq", "1,0.5,0.25",
+      "--eta", "1"], "4 entries"),
+    (["run", "--mode", "weak,general", "--L", "1..3", "--a-seq", "1,0.5,0.25,0.5",
+      "--eta", "1"], "nonincreasing"),
+    (["run", "--mode", "strong,general", "--L", "1..3", "--a-seq", "1,0.5,0.25,0.125",
+      "--eta", "2"], "eta"),
+    (["compare", "--L", "2..3", "--strong-L", "1..5", "--lmin", "2"],
+     "exceeds the top level"),
+])
+def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsys,
+                                                    argv, named):
+    # every schedule of a study is built and admitted before any path runs
+    from spde_mlmc import mlmc
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the study was admitted")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    out = tmp_path / "o"
+    assert main(argv + ["--reps", "3", "--seed", "1", "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_variance_zero_noise(tmp_path):

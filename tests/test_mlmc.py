@@ -249,26 +249,29 @@ def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
         assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("kl_rule", [None, 1, 3, 19])
 @pytest.mark.parametrize("drift", [ZERO_DRIFT, DriftSpec(lambda v: -v, name="linear")])
-def test_chunk_memory_peak_within_budget(drift):
+def test_chunk_memory_peak_within_budget(drift, kl_rule):
     # one cold 64-pair chunk at level 6 against what check_chunk_memory
     # budgets on one worker: two slabs (one slab is min(SLAB_STEPS, steps) * J
-    # doubles) and the step tables of levels 6 and 5; the chunk draws into one
-    # slab buffer, with a drift the rows of all 64 paths for 16 steps
+    # doubles), STATE_DOUBLES doubles per dof and path for the states and
+    # their terminal transforms, and the step tables of levels 1..6; with few
+    # KL modes the states outweigh the slabs
     from spde_mlmc import fem, mlmc
 
     level = make_level(6)
-    slab_bytes = 8 * min(fem.SLAB_STEPS, level.steps) * kl_modes(level)
-    tables_bytes = 8 * 2 * fem.BLOCK * (kl_modes(level) + kl_modes(make_level(5)))
+    slab_bytes = 8 * min(fem.SLAB_STEPS, level.steps) * kl_modes(level, kl_rule)
+    state_bytes = 8 * mlmc.STATE_DOUBLES * level.dofs * mlmc.CHUNK_SIZE
+    tables_bytes = 8 * 2 * fem.BLOCK * sum(kl_modes(make_level(m), kl_rule) for m in range(1, 7))
     fem.sine_transform(np.ones(3))  # numpy imports numpy.fft on first use, not per chunk
     fem._step_operator.cache_clear()
     tracemalloc.start()
     try:
-        mlmc._simulate_chunk(6, 1, 0, mlmc.CHUNK_SIZE, 0, 3, None, drift, False)
+        mlmc._simulate_chunk(6, 1, 0, mlmc.CHUNK_SIZE, 0, 3, kl_rule, drift, False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * slab_bytes + tables_bytes
+    assert peak <= 2 * slab_bytes + state_bytes + tables_bytes
 
 
 def test_non_finite_state_names_its_stream_coordinates():
@@ -550,6 +553,9 @@ def test_predict_work_branches():
     pred2 = predict_work(low_kappa, d=1, kappa=3.0, delta=0.0)
     assert pred2.bound_exponent == pytest.approx(-(2.0 + 3.0 - 2.0))
     assert pred2.bound_poly_power == pytest.approx(3.0)
+    # a general schedule's complexity is its bound, on both sides of 2 eta
+    assert pred.accuracy_exponent == pred.bound_exponent
+    assert pred2.accuracy_exponent == pred2.bound_exponent
 
 
 def test_predict_work_zeta_constant():
