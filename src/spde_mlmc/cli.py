@@ -7,6 +7,14 @@ weak schedules at matched accuracy). ``run`` and ``compare`` share one study
 path: it builds every schedule and admits the whole study before the first
 chunk runs.
 
+Each option is declared once, in ``_OPTIONS``. The CLI checks only what it
+alone knows: that ``--seed`` and ``--out`` are given, the seed range, the
+mode and functional names, the parsing of each value, and ``--m``. The
+library's admission functions (``mlmc.check_capacity``,
+``mlmc.check_chunk_memory``, ``mlmc.pair_variances``) check base level, pair
+level, workers, pairs and replicates before the first chunk runs and before
+``--out`` is created.
+
 Every output CSV starts with ``#``-prefixed metadata lines recording the
 artifact version, the config hash, and the seed. Given identical config and
 seed, the contract CSVs are byte-identical across reruns and worker counts;
@@ -79,15 +87,19 @@ def _fmt(value) -> str:
 
 @dataclass
 class RunConfig:
-    """Validated configuration of one subcommand invocation."""
+    """Validated configuration of one subcommand invocation.
+
+    Each field but ``command`` and ``modes`` (filled by ``--mode``) is named
+    after an option in ``_OPTIONS``; its default here is the option's.
+    """
 
     command: str
     seed: int
     out: Path
     levels: Optional[tuple] = None
     pairs: int = 1000
-    l_range: Optional[tuple] = None
-    strong_l_range: Optional[tuple] = None
+    L: Optional[tuple] = None
+    strong_L: Optional[tuple] = None
     lmin: int = 1
     gamma: float = 0.5
     eps: float = 1.0
@@ -101,32 +113,15 @@ class RunConfig:
     zero_noise: bool = False
     workers: int = 1
 
-    def hash_items(self) -> dict:
-        """Config items entering the hash: everything that can change the
-        numbers. Output directory and worker count are excluded on purpose."""
-        items = {
-            "command": self.command,
-            "seed": self.seed,
-            "levels": self.levels,
-            "pairs": self.pairs,
-            "L": self.l_range,
-            "strong_L": self.strong_l_range,
-            "lmin": self.lmin,
-            "gamma": self.gamma,
-            "eps": self.eps,
-            "reps": self.reps,
-            "modes": ",".join(self.modes),
-            "functional": self.functional,
-            "kl_modes": self.kl_modes,
-            "m": self.m,
-            "a_seq": self.a_seq,
-            "eta": self.eta,
-            "zero_noise": self.zero_noise,
-        }
-        return {k: v for k, v in items.items() if v is not None}
-
     def config_hash(self) -> str:
-        canon = ";".join(f"{k}={v}" for k, v in sorted(self.hash_items().items()))
+        """Hash of every field that can change the numbers, keyed by its name:
+        all but the output directory and the worker count, less those left
+        None. A new field therefore changes every hash unless it defaults to
+        None."""
+        items = {k: v for k, v in vars(self).items()
+                 if v is not None and k not in ("out", "workers")}
+        items["modes"] = ",".join(self.modes)
+        canon = ";".join(f"{k}={v}" for k, v in sorted(items.items()))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
@@ -171,51 +166,58 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-# Flag registry per subcommand: dest -> (flag, converter, default, help).
-_COMMON = {
-    "seed": ("--seed", int, None, "master seed (required; no entropy default)"),
-    "out": ("--out", str, None, "output directory (required)"),
-    "config": ("--config", str, None, "key=value file; flags override it"),
-    "workers": ("--workers", int, 1, "worker threads (never changes results)"),
-    "lmin": ("--lmin", int, 1, "base level of the hierarchy"),
-    "kl_modes": ("--kl-modes", int, None, "fixed KL truncation (default: dofs per level)"),
+def _flag_word(text: str) -> bool:
+    """A flag: given on the command line ("yes"), or 1/true/yes or
+    0/false/no, in any case, in a config file."""
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(text)
+    return word in ("1", "true", "yes")
+
+
+def _names(text: str) -> tuple:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
+
+
+_ALL = "det-conv variance run compare"
+_ESTIMATORS = "variance run compare"
+
+#: The options: name -> (converter, subcommands, help). The name is the
+#: option's only one: ``--name`` with '-' for '_' is its flag, and the name is
+#: its argparse dest, config-file key, ``RunConfig`` field and hash key
+#: (``mode`` fills the field ``modes``). The converter runs once, on the flag
+#: text or the config-file text; the default is the ``RunConfig`` field's.
+_OPTIONS = {
+    "levels": (parse_range, "det-conv variance", "level range a..b (variance: pair levels)"),
+    "L": (parse_range, "run compare", "top-level range a..b (compare: the weak schedule's)"),
+    "strong_L": (parse_range, "compare",
+                 "top-level range for the strong schedule (default: --L)"),
+    "mode": (_names, "run", "schedule mode(s), comma separated"),
+    "pairs": (int, "variance", "coupled pairs per level"),
+    "gamma": (float, _ESTIMATORS, "rate parameter in (0,1) (variance: recorded only)"),
+    "eps": (float, "run compare", "schedule exponent offset (0 is outside the theory)"),
+    "reps": (int, "run compare", "independent replicates"),
+    "functional": (str, "run", "identity or squared-norm"),
+    "m": (int, "run compare", "reference grid size 2**r+1 (raised to match L)"),
+    "a_seq": (_floats, "run", "decay sequence a_0,a_1,... for general mode"),
+    "eta": (float, "run", "variance order for general mode"),
+    "zero_noise": (_flag_word, "variance run", "diagnostic: zero all increments"),
+    "seed": (int, _ALL, "master seed (required; no entropy default)"),
+    "out": (Path, _ALL, "output directory (required)"),
+    "config": (str, _ALL, "key=value file; flags override it"),
+    "workers": (int, _ESTIMATORS, "worker threads (never changes results)"),
+    "lmin": (int, _ESTIMATORS, "base level of the hierarchy"),
+    "kl_modes": (int, _ESTIMATORS, "fixed KL truncation (default: dofs per level)"),
 }
 
-_OPTIONS = {
-    "det-conv": {
-        "levels": ("--levels", str, None, "level range a..b"),
-        **{k: _COMMON[k] for k in ("seed", "out", "config")},
-    },
-    "variance": {
-        "levels": ("--levels", str, None, "pair-level range a..b"),
-        "pairs": ("--pairs", int, 1000, "coupled pairs per level"),
-        "gamma": ("--gamma", float, 0.5, "rate parameter (recorded in metadata)"),
-        "zero_noise": ("--zero-noise", "flag", False, "diagnostic: zero all increments"),
-        **_COMMON,
-    },
-    "run": {
-        "l_range": ("--L", str, None, "top-level range a..b"),
-        "mode": ("--mode", str, "weak", "schedule mode(s), comma separated"),
-        "gamma": ("--gamma", float, 0.5, "rate parameter in (0,1)"),
-        "eps": ("--eps", float, 1.0, "schedule exponent offset (0 is outside the theory)"),
-        "reps": ("--reps", int, 10, "independent replicates"),
-        "functional": ("--functional", str, "identity", "identity or squared-norm"),
-        "m": ("--m", int, 33, "reference grid size 2**r+1 (raised to match L)"),
-        "a_seq": ("--a-seq", str, None, "decay sequence a_0,a_1,... for general mode"),
-        "eta": ("--eta", float, None, "variance order for general mode"),
-        "zero_noise": ("--zero-noise", "flag", False, "diagnostic: zero all increments"),
-        **_COMMON,
-    },
-    "compare": {
-        "l_range": ("--L", str, None, "top-level range for the weak schedule"),
-        "strong_l": ("--strong-L", str, None, "top-level range for the strong schedule (default: --L)"),
-        "gamma": ("--gamma", float, 0.5, "rate parameter in (0,1)"),
-        "eps": ("--eps", float, 1.0, "schedule exponent offset"),
-        "reps": ("--reps", int, 10, "independent replicates"),
-        "m": ("--m", int, 33, "reference grid size 2**r+1 (raised to match L)"),
-        **_COMMON,
-    },
-}
+
+def _options(command: str) -> list:
+    return [name for name, (_conv, commands, _help) in _OPTIONS.items()
+            if command in commands.split()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,114 +226,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multilevel Monte Carlo studies for the stochastic heat equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in _OPTIONS.items():
+    for command in _ALL.split():
         p = sub.add_parser(command)
-        for dest, (flag, conv, _default, help_text) in options.items():
-            if conv == "flag":
-                p.add_argument(flag, dest=dest, action="store_const", const=True,
-                               default=None, help=help_text)
+        for name in _options(command):
+            conv, _commands, help_text = _OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            if conv is _flag_word:
+                p.add_argument(flag, dest=name, action="store_const", const="yes",
+                               help=help_text)
             else:
-                p.add_argument(flag, dest=dest, type=conv, default=None, help=help_text)
+                p.add_argument(flag, dest=name, help=help_text)
     return parser
 
 
-def _parse_bool(raw: str) -> bool:
-    """A config-file flag: 1/true/yes or 0/false/no, in any case."""
-    word = raw.lower()
-    if word not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(raw)
-    return word in ("1", "true", "yes")
-
-
-def _merge(args: argparse.Namespace, command: str) -> dict:
-    """Resolve option values: CLI flag, then config file, then default. A
-    config key is the flag's name without the dashes, '-' read as '_'."""
-    options = _OPTIONS[command]
-    keys = {flag[2:].replace("-", "_"): dest for dest, (flag, *_rest) in options.items()}
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in file_values:
-        if key not in keys:
-            raise UsageError(f"unknown config key {key!r} for {command}")
-    merged = {}
-    for key, dest in keys.items():
-        if dest == "config":
-            continue
-        _flag, conv, default, _help = options[dest]
-        value = getattr(args, dest, None)
-        if value is None and key in file_values:
-            raw = file_values[key]
-            try:
-                value = _parse_bool(raw) if conv == "flag" else conv(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad value {raw!r} for config key {key!r}") from exc
-        if value is None:
-            value = default
-        merged[dest] = value
-    return merged
-
-
 def make_config(args: argparse.Namespace) -> RunConfig:
+    """Resolve each option from its flag, else the config file, else the
+    ``RunConfig`` default, and check what only the CLI can check."""
     command = args.command
-    v = _merge(args, command)
-    if v.get("seed") is None:
-        raise UsageError("--seed is required (runs never draw entropy from the system)")
-    if v.get("out") is None:
-        raise UsageError("--out is required")
-    cfg = RunConfig(command=command, seed=v["seed"], out=Path(v["out"]))
+    names = [name for name in _options(command) if name != "config"]
+    file_texts = _load_config_file(args.config) if args.config else {}
+    for key in file_texts:
+        if key not in names:
+            raise UsageError(f"unknown config key {key!r} for {command}")
+    values = {}
+    for name in names:
+        text, source = getattr(args, name), "--" + name.replace("_", "-")
+        if text is None and name in file_texts:
+            text, source = file_texts[name], f"config key {name!r}"
+        if text is None:
+            continue
+        try:
+            values[name] = _OPTIONS[name][0](text)
+        except UsageError:
+            raise
+        except ValueError as exc:
+            raise UsageError(f"bad value {text!r} for {source}") from exc
+    for name in ("seed", "out", "levels" if "levels" in names else "L"):
+        if name not in values:
+            raise UsageError(f"--{name} is required")
+    if "mode" in values:
+        values["modes"] = values.pop("mode")
+    cfg = RunConfig(command=command, **values)
     if not 0 <= cfg.seed < 2**64:
         raise UsageError("seed must fit in 64 bits")
-    cfg.workers = v.get("workers", 1)
-    if cfg.workers < 1:
-        raise UsageError("--workers must be at least 1")
-    cfg.lmin = v.get("lmin", 1)
-    if cfg.lmin < 1:
-        raise UsageError("--lmin must be at least 1 (level 0 has no interior nodes)")
-    cfg.kl_modes = v.get("kl_modes")
-    if command == "det-conv":
-        if v["levels"] is None:
-            raise UsageError("--levels is required")
-        cfg.levels = parse_range(v["levels"])
-    elif command == "variance":
-        if v["levels"] is None:
-            raise UsageError("--levels is required")
-        cfg.levels = parse_range(v["levels"])
-        cfg.pairs = v["pairs"]
-        if cfg.pairs < 2:
-            raise UsageError("--pairs must be at least 2")
-        cfg.gamma = v["gamma"]
-        cfg.zero_noise = bool(v["zero_noise"])
-        if cfg.levels[0] < cfg.lmin:
-            raise UsageError("pair levels must not go below the base level")
-    elif command in ("run", "compare"):
-        if v["l_range"] is None:
-            raise UsageError("--L is required")
-        cfg.l_range = parse_range(v["l_range"])
-        cfg.gamma = v["gamma"]
-        cfg.eps = v["eps"]
-        cfg.reps = v["reps"]
-        cfg.m = v["m"]
-        reference_points(cfg.m)
-        if cfg.reps < 1:
-            raise UsageError("--reps must be at least 1")
-        if command == "run":
-            cfg.modes = tuple(m.strip() for m in v["mode"].split(",") if m.strip())
-            if not cfg.modes:
-                raise UsageError("--mode must name at least one schedule mode")
-            cfg.functional = v["functional"]
-            if cfg.functional not in ("identity", "squared-norm"):
-                raise UsageError("--functional must be identity or squared-norm")
-            cfg.zero_noise = bool(v["zero_noise"])
-            if v["a_seq"] is not None:
-                try:
-                    cfg.a_seq = tuple(float(x) for x in v["a_seq"].split(","))
-                except ValueError as exc:
-                    raise UsageError(f"bad --a-seq {v['a_seq']!r}, expected numbers "
-                                     "separated by commas") from exc
-            cfg.eta = v["eta"]
-        else:
-            cfg.modes = ("strong", "weak")
-            cfg.strong_l_range = (parse_range(v["strong_l"])
-                                  if v["strong_l"] is not None else cfg.l_range)
+    if not cfg.modes:
+        raise UsageError("--mode must name at least one schedule mode")
+    if cfg.functional not in ("identity", "squared-norm"):
+        raise UsageError("--functional must be identity or squared-norm")
+    reference_points(cfg.m)
+    if command == "compare":
+        cfg.modes = ("strong", "weak")
+        cfg.strong_L = cfg.strong_L or cfg.L
     return cfg
 
 
@@ -452,7 +397,7 @@ plot for [m in "strong weak singlelevel general"] \\
 
 def cmd_run(cfg: RunConfig) -> int:
     rep_rows, level_rows, summary_rows, timing_rows = _study(
-        cfg, [(mode, *cfg.l_range) for mode in cfg.modes])
+        cfg, [(mode, *cfg.L) for mode in cfg.modes])
     notes = []
     if cfg.eps == 0.0:
         notes.append("warning: eps=0 is the border case outside the theory")
@@ -472,7 +417,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     _reps, level_rows, summary_rows, timing_rows = _study(
-        cfg, (("strong", *cfg.strong_l_range), ("weak", *cfg.l_range)))
+        cfg, (("strong", *cfg.strong_L), ("weak", *cfg.L)))
     strong = [row for row in summary_rows if row[0] == "strong"]
     matched_rows = []
     for _, weak_l, weak_rms, weak_work, *_ in (r for r in summary_rows if r[0] == "weak"):

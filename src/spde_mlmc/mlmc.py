@@ -22,9 +22,10 @@ nodal values once, at T = 1, by ``fem.sine_transform``.
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
 ``check_capacity`` admits a whole study, every schedule of it, before any
-path is simulated: it rejects a base level above a schedule's top level,
-levels whose chunks would need more than ``grid.MAX_TASK_BYTES``, and stream
-coordinates beyond the Philox key fields.
+path is simulated: it rejects a base level below 1 or above a schedule's top
+level, fewer than one replicate or worker, levels whose chunks would need
+more than ``grid.MAX_TASK_BYTES``, and stream coordinates beyond the Philox
+key fields. ``pair_variances`` admits its level the same way.
 """
 
 import math
@@ -49,9 +50,14 @@ CHUNK_SIZE = 64
 #: Doubles per dof and path that a chunk's states and terminal transforms
 #: take: over its slabs and tables, one cold 64-pair chunk at levels 5..8 with
 #: 1, 3, 19 or dofs KL modes, with and without a drift, peaked at up to 11.93
-#: (tracemalloc; level 5, one mode, a drift). Below level 5 a fixed overhead
-#: of up to 0.33 MiB per chunk dominates.
+#: (tracemalloc; level 5, one mode, a drift).
 STATE_DOUBLES = 12
+
+#: Bytes a chunk holds whatever its size: its Philox streams and Python
+#: objects. Over its slabs, states and tables, one cold 64-pair chunk at
+#: levels 1..8 with 1, 3, 19 or dofs KL modes, with and without a drift,
+#: peaked at up to 43,640 bytes (tracemalloc; level 1, a drift).
+CHUNK_OVERHEAD_BYTES = 2**16
 
 SCHEDULE_MODES = ("singlelevel", "strong", "weak", "general")
 
@@ -253,18 +259,21 @@ def _check_stream_capacity(master_seed, replicate, counts):
 def check_chunk_memory(levels, kl_rule, workers: int = 1):
     """Fail before any simulation if the chunks of a level in ``levels``, on
     ``workers`` threads, would need more than ``MAX_TASK_BYTES``. Each thread
-    holds 2 slabs of s*J doubles, s = min(SLAB_STEPS, steps) and J the KL
-    modes, and ``STATE_DOUBLES * dofs * CHUNK_SIZE`` doubles of states and
-    terminal transforms; the threads share the step tables, 2*BLOCK*J doubles
-    for every level 1..l, so the bound of a level does not depend on which
-    levels ran before it.
+    holds 2 slabs of s*J doubles, J the KL modes and s = min(SLAB_STEPS,
+    CHUNK_SIZE*steps) (a drift chunk draws 16 steps of all its paths into
+    one slab), ``STATE_DOUBLES * dofs * CHUNK_SIZE`` doubles of states and
+    terminal transforms, and ``CHUNK_OVERHEAD_BYTES``; the threads share the
+    step tables, 2*BLOCK*J doubles for every level 1..l, so the bound of a
+    level does not depend on which levels ran before it.
     """
+    if workers < 1:
+        raise UsageError(f"workers must be at least 1, got {workers}")
     for level in sorted(levels):
         fine = make_level(level)
-        per_thread = (2 * min(SLAB_STEPS, fine.steps) * kl_modes(fine, kl_rule)
+        per_thread = (2 * min(SLAB_STEPS, CHUNK_SIZE * fine.steps) * kl_modes(fine, kl_rule)
                       + STATE_DOUBLES * fine.dofs * CHUNK_SIZE)
         tables = 2 * BLOCK * sum(kl_modes(make_level(m), kl_rule) for m in range(1, level + 1))
-        need = 8 * (workers * per_thread + tables)
+        need = 8 * (workers * per_thread + tables) + workers * CHUNK_OVERHEAD_BYTES
         if need > MAX_TASK_BYTES:
             raise CapacityError(f"level {level} chunks need about {need} bytes on {workers} "
                                 f"worker(s), above the {MAX_TASK_BYTES}-byte cap")
@@ -281,6 +290,8 @@ def check_capacity(schedules, lmin, master_seed, replicates, kl_rule, workers: i
     """
     if lmin < 1:
         raise UsageError("the base level must be at least 1 (level 0 is empty)")
+    if replicates < 1:
+        raise UsageError(f"a study needs at least one replicate, got {replicates}")
     plan = []
     for schedule in schedules:
         top = schedule.top_level
@@ -292,6 +303,13 @@ def check_capacity(schedules, lmin, master_seed, replicates, kl_rule, workers: i
         _check_stream_capacity(master_seed, replicates - 1,
                                [(level, schedule.count_for(level, levels[0])) for level in levels])
     return plan
+
+
+def _check_pair_level(pair_level, lmin):
+    if lmin < 1:
+        raise UsageError("the base level must be at least 1 (level 0 is empty)")
+    if pair_level < lmin:
+        raise UsageError(f"pair level {pair_level} below the base level {lmin}")
 
 
 def sample_pair(
@@ -309,8 +327,7 @@ def sample_pair(
 
     Identical stream coordinates reproduce the pair bitwise.
     """
-    if pair_level < lmin:
-        raise UsageError(f"pair level {pair_level} below the base level {lmin}")
+    _check_pair_level(pair_level, lmin)
     xf, xc = _simulate_chunk(pair_level, lmin, sample, 1, replicate, master_seed,
                              kl_rule, drift, zero_noise)
     fine = NodalField(make_level(pair_level), xf[:, 0])
@@ -403,8 +420,11 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     Both are Hilbert-space variances (mean squared L2 distance from the
     sample mean) estimated from ``n`` coupled pairs; the coarse member is
     prolonged to the fine grid before differencing. At the base level the
-    difference degenerates to the path itself.
+    difference degenerates to the path itself. Fails before any simulation
+    on a pair level below the base level, fewer than two pairs, too many
+    pairs for the stream key, or chunks over ``MAX_TASK_BYTES``.
     """
+    _check_pair_level(pair_level, lmin)
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
     _check_stream_capacity(master_seed, 0, [(pair_level, n)])

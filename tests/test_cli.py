@@ -154,6 +154,31 @@ def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["variance", "--levels", "2..3", "--pairs", "8", "--workers", "0"], "workers"),
+    (["variance", "--levels", "2..3", "--pairs", "8", "--lmin", "0"], "base level"),
+    (["variance", "--levels", "2..3", "--pairs", "8", "--lmin", "3"],
+     "pair level 2 below the base level 3"),
+    (["variance", "--levels", "2..3", "--pairs", "1"], "two pairs"),
+    (["run", "--L", "1..2", "--reps", "0"], "at least one replicate"),
+    (["compare", "--L", "1..2", "--workers", "0"], "workers"),
+    (["compare", "--L", "1..2", "--lmin", "0"], "base level"),
+])
+def test_library_checks_exit_2_before_the_first_chunk(tmp_path, monkeypatch, capsys,
+                                                      argv, named):
+    # the CLI leaves these checks to the library's admission functions
+    from spde_mlmc import mlmc
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the input was admitted")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    out = tmp_path / "o"
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_variance_zero_noise(tmp_path):
     out = tmp_path / "v"
     assert main(["variance", "--levels", "2..3", "--pairs", "8", "--seed", "3",
@@ -288,6 +313,39 @@ def test_config_file_keys_are_flag_names(tmp_path, flags, text):
         cfg.write_text(old_key, encoding="utf-8")
         assert main([flags[0], "--config", str(cfg), "--L", "1..1", "--seed", "5",
                      "--out", str(tmp_path / "old")]) == 2
+
+
+_ALL_SET_CONFIG = "levels=2..3\npairs=8\ngamma=0.3\nzero-noise=yes\nworkers=2\nlmin=2\nkl-modes=3\n"
+
+
+@pytest.mark.parametrize("argv,config_text,config_hash", [
+    (["det-conv", "--levels", "1..2", "--seed", "1"], None, "32fdcc9edac38cff"),
+    (["det-conv", "--levels", "2..3", "--seed", str(2**64 - 1)], None, "95d3a2c543a4c4a1"),
+    (["variance", "--levels", "2..2", "--seed", "1"], None, "0b2f921ae158ca80"),
+    (["variance", "--seed", "3"], _ALL_SET_CONFIG, "06df5be6b319e595"),
+    (["run", "--L", "1..1", "--seed", "1"], None, "a168cdf2bf803cbc"),
+    (["run", "--mode", "weak,general", "--L", "2..2", "--gamma", "0.4", "--eps", "0.5",
+      "--reps", "2", "--functional", "squared-norm", "--m", "65", "--a-seq", "1,0.5,0.25",
+      "--eta", "0.7", "--zero-noise", "--workers", "2", "--lmin", "2", "--kl-modes", "3",
+      "--seed", "4"], None, "c51a6c3e2ea87d31"),
+    (["compare", "--L", "1..1", "--seed", "1"], None, "34ccc49449abd924"),
+    (["compare", "--L", "2..2", "--strong-L", "2..3", "--gamma", "0.4", "--eps", "0.5",
+      "--reps", "2", "--m", "65", "--workers", "2", "--lmin", "2", "--kl-modes", "3",
+      "--seed", "5"], None, "e99912f9b7563ac3"),
+], ids=["det-conv", "det-conv-all", "variance", "variance-all-config", "run", "run-all",
+        "compare", "compare-all"])
+def test_config_hash_is_pinned(tmp_path, argv, config_text, config_hash):
+    # each subcommand at its defaults and with every option set: a change to
+    # how options are named, defaulted or converted shows here
+    if config_text is not None:
+        (tmp_path / "cfg.txt").write_text(config_text, encoding="utf-8")
+        argv = argv + ["--config", str(tmp_path / "cfg.txt")]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    csvs = [p for p in out.glob("*.csv") if p.name != "timings.csv"]
+    assert csvs
+    for path in csvs:
+        assert f"# config_hash={config_hash}\n" in path.read_text(encoding="utf-8")
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

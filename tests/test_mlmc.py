@@ -252,26 +252,32 @@ def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
 @pytest.mark.parametrize("kl_rule", [None, 1, 3, 19])
 @pytest.mark.parametrize("drift", [ZERO_DRIFT, DriftSpec(lambda v: -v, name="linear")])
 def test_chunk_memory_peak_within_budget(drift, kl_rule):
-    # one cold 64-pair chunk at level 6 against what check_chunk_memory
-    # budgets on one worker: two slabs (one slab is min(SLAB_STEPS, steps) * J
-    # doubles), STATE_DOUBLES doubles per dof and path for the states and
-    # their terminal transforms, and the step tables of levels 1..6; with few
-    # KL modes the states outweigh the slabs
+    # one cold 64-pair chunk at levels 1..4 and 6 against what
+    # check_chunk_memory budgets on one worker: two slabs (one slab is
+    # min(SLAB_STEPS, CHUNK_SIZE * steps) * J doubles), STATE_DOUBLES doubles
+    # per dof and path for the states and their terminal transforms, the
+    # fixed CHUNK_OVERHEAD_BYTES, and the step tables of levels 1..l; with few
+    # KL modes the states outweigh the slabs, and below level 5 the overhead
+    # and a drift chunk's slab of 16 steps of every path do
     from spde_mlmc import fem, mlmc
 
-    level = make_level(6)
-    slab_bytes = 8 * min(fem.SLAB_STEPS, level.steps) * kl_modes(level, kl_rule)
-    state_bytes = 8 * mlmc.STATE_DOUBLES * level.dofs * mlmc.CHUNK_SIZE
-    tables_bytes = 8 * 2 * fem.BLOCK * sum(kl_modes(make_level(m), kl_rule) for m in range(1, 7))
     fem.sine_transform(np.ones(3))  # numpy imports numpy.fft on first use, not per chunk
-    fem._step_operator.cache_clear()
-    tracemalloc.start()
-    try:
-        mlmc._simulate_chunk(6, 1, 0, mlmc.CHUNK_SIZE, 0, 3, kl_rule, drift, False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * slab_bytes + state_bytes + tables_bytes
+    for l in (1, 2, 3, 4, 6):
+        level = make_level(l)
+        slab_bytes = (8 * min(fem.SLAB_STEPS, mlmc.CHUNK_SIZE * level.steps)
+                      * kl_modes(level, kl_rule))
+        state_bytes = 8 * mlmc.STATE_DOUBLES * level.dofs * mlmc.CHUNK_SIZE
+        tables_bytes = 8 * 2 * fem.BLOCK * sum(kl_modes(make_level(m), kl_rule)
+                                               for m in range(1, l + 1))
+        fem._step_operator.cache_clear()
+        tracemalloc.start()
+        try:
+            mlmc._simulate_chunk(l, 1, 0, mlmc.CHUNK_SIZE, 0, 3, kl_rule, drift, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = 2 * slab_bytes + state_bytes + mlmc.CHUNK_OVERHEAD_BYTES + tables_bytes
+        assert peak <= budget, f"level {l}"
 
 
 def test_non_finite_state_names_its_stream_coordinates():
@@ -425,6 +431,30 @@ def test_pair_variances_validation():
 
     with pytest.raises(UsageError):
         pair_variances(2, 1, 1, 0)
+
+
+def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeypatch):
+    # below the base level a pair is never coupled, so its "difference"
+    # would silently be the fine path; no worker and no replicate run nothing
+    from spde_mlmc import mlmc
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the admission check")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    with pytest.raises(UsageError, match="pair level 2 below the base level 3"):
+        mlmc.pair_variances(2, 3, 4, 0)
+    with pytest.raises(UsageError, match="base level must be at least 1"):
+        mlmc.pair_variances(2, 0, 4, 0)
+    for workers in (0, -3):
+        with pytest.raises(UsageError, match="workers must be at least 1"):
+            mlmc.check_chunk_memory([20], None, workers=workers)
+        with pytest.raises(UsageError, match="workers must be at least 1"):
+            mlmc.pair_variances(2, 1, 4, 0, workers=workers)
+        with pytest.raises(UsageError, match="workers must be at least 1"):
+            mlmc_estimate(2, 1, build_schedule("weak", 2), workers=workers)
+    with pytest.raises(UsageError, match="at least one replicate, got 0"):
+        mlmc.check_capacity([build_schedule("weak", 2)], 1, 0, 0, None)
 
 
 def test_chunk_memory_checked_before_simulation(monkeypatch):
