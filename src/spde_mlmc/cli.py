@@ -5,15 +5,15 @@ Four subcommands cover the studies: ``det-conv`` (deterministic convergence),
 work per level for one or more schedules), and ``compare`` (strong versus
 weak schedules at matched accuracy). ``run`` and ``compare`` share one study
 path: it builds every schedule and admits the whole study before the first
-chunk runs.
+chunk runs; ``variance`` admits its whole level range the same way.
 
 Each option is declared once, in ``_OPTIONS``. The CLI checks only what it
 alone knows: that ``--seed`` and ``--out`` are given, the seed range, the
 mode and functional names, the parsing of each value, and ``--m``. The
-library's admission functions (``mlmc.check_capacity``,
-``mlmc.check_chunk_memory``, ``mlmc.pair_variances``) check base level, pair
-level, workers, pairs and replicates before the first chunk runs and before
-``--out`` is created.
+library's one admission function, ``mlmc.check_capacity``, checks base level,
+pair level, workers, replicates, chunk memory and stream keys, and
+``mlmc.pair_variances`` that there are two pairs, before the first chunk runs
+and before ``--out`` is created.
 
 Every output CSV starts with ``#``-prefixed metadata lines recording the
 artifact version, the config hash, and the seed. Given identical config and
@@ -48,7 +48,6 @@ from .mlmc import (
     SQUARED_NORM,
     build_schedule,
     check_capacity,
-    check_chunk_memory,
     mlmc_estimate,
     pair_variances,
 )
@@ -310,15 +309,17 @@ def cmd_det_conv(cfg: RunConfig) -> int:
 
 
 def cmd_variance(cfg: RunConfig) -> int:
-    lo, hi = cfg.levels
-    check_chunk_memory(range(lo, hi + 1), cfg.kl_modes, workers=cfg.workers)
-    rows = []
-    points = []
-    for l in range(lo, hi + 1):
+    levels = range(cfg.levels[0], cfg.levels[1] + 1)
+    check_capacity([[(l, cfg.pairs) for l in levels]], cfg.lmin, cfg.seed, 1, cfg.kl_modes,
+                   cfg.workers)
+    rows, points, timing_rows = [], [], []
+    for l in levels:
+        started = time.perf_counter()
         var_diff, var_fine = pair_variances(
             l, cfg.lmin, cfg.pairs, cfg.seed, kl_rule=cfg.kl_modes,
             zero_noise=cfg.zero_noise, workers=cfg.workers,
         )
+        timing_rows.append((f"variance level={l}", time.perf_counter() - started))
         rows.append((l, var_diff, var_fine))
         if var_diff > 1e-18:  # zero-noise runs leave only cancellation residue
             points.append((l, np.log2(var_diff)))
@@ -328,6 +329,7 @@ def cmd_variance(cfg: RunConfig) -> int:
     write_csv(cfg.out / "variance.csv",
               ("level", "var_difference", "var_level"), rows, cfg,
               notes=(f"pairs={cfg.pairs}", "recommended: at least 100 pairs"))
+    write_timings(cfg.out / "timings.csv", timing_rows, cfg)
     return 0
 
 
@@ -341,7 +343,8 @@ def _study(cfg: RunConfig, ranges):
     schedules = [build_schedule(mode, top, gamma=cfg.gamma, eps=cfg.eps, eta=cfg.eta,
                                 a=cfg.a_seq[: top + 1] if cfg.a_seq is not None else None)
                  for mode, lo, hi in ranges for top in range(lo, hi + 1)]
-    check_capacity(schedules, cfg.lmin, cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers)
+    check_capacity([schedule.level_counts(cfg.lmin) for schedule in schedules], cfg.lmin,
+                   cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers)
     functional = SQUARED_NORM if cfg.functional == "squared-norm" else IDENTITY
     rep_rows, level_rows, summary_rows, timing_rows = [], [], [], []
     for schedule in schedules:

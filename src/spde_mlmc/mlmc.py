@@ -21,18 +21,22 @@ nodal values once, at T = 1, by ``fem.sine_transform``.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
-``check_capacity`` admits a whole study, every schedule of it, before any
-path is simulated: it rejects a base level below 1 or above a schedule's top
-level, fewer than one replicate or worker, levels whose chunks would need
-more than ``grid.MAX_TASK_BYTES``, and stream coordinates beyond the Philox
-key fields. ``pair_variances`` admits its level the same way.
+``check_capacity`` is the one admission of estimator work: ``mlmc_estimate``,
+``pair_variances`` and ``sample_pair`` call it, and the CLI calls it on a whole
+study, before any path is simulated. It rejects a base level below 1, a level
+below the base level, fewer than one replicate or worker, levels whose chunks
+would need more than ``grid.MAX_TASK_BYTES``, and stream coordinates beyond
+the Philox key fields. A level's chunks are made and reduced as they run,
+with at most two per worker in flight.
 """
 
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -95,6 +99,15 @@ class SampleSchedule:
         if level == lmin:
             return self.counts[0]
         return self.counts[level]
+
+    def level_counts(self, lmin: int) -> list:
+        """(level, samples) of each level that a run from the base level
+        ``lmin`` simulates, base first; levels that ``check_capacity`` rejects
+        if ``lmin`` lies outside 1..top (the top level alone above it)."""
+        top = self.top_level
+        levels = ([top] if self.mode == "singlelevel" or lmin > top
+                  else range(max(lmin, 0), top + 1))
+        return [(level, self.count_for(level, lmin)) for level in levels]
 
 
 def build_schedule(
@@ -245,17 +258,6 @@ def _check_finite(fine, coarse, pair_level, replicate, start, count):
             f"samples {start}..{start + count - 1}")
 
 
-def _check_stream_capacity(master_seed, replicate, counts):
-    """Fail before any simulation if a (level, samples) pair in ``counts``
-    needs stream coordinates beyond the Philox key fields."""
-    for level, n in counts:
-        try:
-            stream_key(master_seed, KIND_PATH, level, replicate, n - 1)
-        except UsageError as exc:
-            raise UsageError(f"level {level} with {n} samples, replicate {replicate}: "
-                             f"{exc}") from exc
-
-
 def check_chunk_memory(levels, kl_rule, workers: int = 1):
     """Fail before any simulation if the chunks of a level in ``levels``, on
     ``workers`` threads, would need more than ``MAX_TASK_BYTES``. Each thread
@@ -279,37 +281,32 @@ def check_chunk_memory(levels, kl_rule, workers: int = 1):
                                 f"worker(s), above the {MAX_TASK_BYTES}-byte cap")
 
 
-def check_capacity(schedules, lmin, master_seed, replicates, kl_rule, workers: int = 1):
-    """Admit a study before any path is simulated: ``replicates`` replicates
-    of each schedule in ``schedules`` from the base level ``lmin``.
+def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 1):
+    """Admit estimator work before any path is simulated: ``replicates``
+    replicates of each run in ``runs``, a list of (level, samples) pairs in
+    increasing level order, from the base level ``lmin``.
 
-    Checks the base level against every schedule, then the chunk memory of
-    every level the study runs, then the stream key of each level's last
-    sample in the last replicate. Returns the levels of each schedule, its
-    base level first.
+    Checks the base level and that no level of a run lies below it, the
+    replicates, the chunk memory of every level the runs share on ``workers``
+    threads, and the stream key of each level's last sample in the last
+    replicate.
     """
     if lmin < 1:
         raise UsageError("the base level must be at least 1 (level 0 is empty)")
     if replicates < 1:
         raise UsageError(f"a study needs at least one replicate, got {replicates}")
-    plan = []
-    for schedule in schedules:
-        top = schedule.top_level
-        if lmin > top:
-            raise UsageError(f"base level {lmin} exceeds the top level {top}")
-        plan.append([top] if schedule.mode == "singlelevel" else list(range(lmin, top + 1)))
-    check_chunk_memory(set().union(*plan), kl_rule, workers)
-    for schedule, levels in zip(schedules, plan):
-        _check_stream_capacity(master_seed, replicates - 1,
-                               [(level, schedule.count_for(level, levels[0])) for level in levels])
-    return plan
-
-
-def _check_pair_level(pair_level, lmin):
-    if lmin < 1:
-        raise UsageError("the base level must be at least 1 (level 0 is empty)")
-    if pair_level < lmin:
-        raise UsageError(f"pair level {pair_level} below the base level {lmin}")
+    for run in runs:
+        (low, _), (top, _) = run[0], run[-1]
+        if low < lmin:
+            above = f", which exceeds the top level {top}" if lmin > top else ""
+            raise UsageError(f"pair level {low} below the base level {lmin}{above}")
+    check_chunk_memory({level for run in runs for level, _ in run}, kl_rule, workers)
+    for level, n in (pair for run in runs for pair in run):
+        try:
+            stream_key(master_seed, KIND_PATH, level, replicates - 1, n - 1)
+        except UsageError as exc:
+            raise UsageError(f"level {level} with {n} samples, replicate {replicates - 1}: "
+                             f"{exc}") from exc
 
 
 def sample_pair(
@@ -327,7 +324,7 @@ def sample_pair(
 
     Identical stream coordinates reproduce the pair bitwise.
     """
-    _check_pair_level(pair_level, lmin)
+    check_capacity([[(pair_level, sample + 1)]], lmin, master_seed, replicate + 1, kl_rule)
     xf, xc = _simulate_chunk(pair_level, lmin, sample, 1, replicate, master_seed,
                              kl_rule, drift, zero_noise)
     fine = NodalField(make_level(pair_level), xf[:, 0])
@@ -375,34 +372,52 @@ def _pair_moment_task(args):
 
 @contextmanager
 def _pool(workers: int):
-    """A thread pool for more than one worker; None runs tasks inline.
+    """A map of a chunk task over an iterable of task tuples, results in
+    order: on a thread pool for more than one worker, keeping at most two
+    chunks per worker in flight; the builtin ``map`` runs them inline.
 
     Threads draw and step in parallel because Philox fills and numpy array
     arithmetic release the GIL; Python callables (a custom functional, a
     drift) run one at a time.
     """
     if workers < 2:
-        yield None
+        yield map
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool
+        yield partial(_window_map, pool, 2 * workers)
 
 
-def _level_sums(task, pool, level: int, lmin: int, n: int, *args):
-    """Run ``task`` over the chunks of ``n`` samples at ``level``, on ``pool``
-    or inline, and add up the partial sums it returns in chunk order.
+def _window_map(pool, window: int, task, tasks):
+    """Yield ``task`` of each tuple in ``tasks``, in order, with at most
+    ``window`` of them submitted to ``pool`` and not yet yielded."""
+    pending = deque()
+    try:
+        for args in tasks:
+            pending.append(pool.submit(task, args))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
-    A chunk's task tuple is (level, lmin, start, count, *args). Returns the
-    list of sums and the wall time of the tasks.
+
+def _level_sums(task, run_map, level: int, lmin: int, n: int, *args):
+    """Run ``task`` over the chunks of ``n`` samples at ``level`` with
+    ``run_map`` (from ``_pool``) and add up the partial sums it returns in
+    chunk order, as they arrive.
+
+    A chunk's task tuple is (level, lmin, start, count, *args), made when the
+    map asks for it. Returns the list of sums and the wall time of the level.
     """
-    tasks = [(level, lmin, s, min(CHUNK_SIZE, n - s), *args) for s in range(0, n, CHUNK_SIZE)]
+    tasks = ((level, lmin, s, min(CHUNK_SIZE, n - s), *args) for s in range(0, n, CHUNK_SIZE))
     started = time.perf_counter()
-    partials = list(pool.map(task, tasks)) if pool is not None else [task(t) for t in tasks]
-    wall = time.perf_counter() - started
-    sums = [0.0] * len(partials[0])
-    for partial in partials:
-        sums = [total + value for total, value in zip(sums, partial)]
-    return sums, wall
+    sums = None
+    for partial_sums in run_map(task, tasks):
+        sums = [total + value for total, value in zip(sums or [0.0] * len(partial_sums),
+                                                      partial_sums)]
+    return sums, time.perf_counter() - started
 
 
 def _mean_and_variance(total, sq, n: int, level: LevelGeometry):
@@ -421,17 +436,15 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     sample mean) estimated from ``n`` coupled pairs; the coarse member is
     prolonged to the fine grid before differencing. At the base level the
     difference degenerates to the path itself. Fails before any simulation
-    on a pair level below the base level, fewer than two pairs, too many
-    pairs for the stream key, or chunks over ``MAX_TASK_BYTES``.
+    on fewer than two pairs or on what ``check_capacity`` rejects of ``n``
+    pairs at ``pair_level`` in replicate 0.
     """
-    _check_pair_level(pair_level, lmin)
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
-    _check_stream_capacity(master_seed, 0, [(pair_level, n)])
-    check_chunk_memory([pair_level], kl_rule, workers=workers)
-    with _pool(workers) as pool:
+    check_capacity([[(pair_level, n)]], lmin, master_seed, 1, kl_rule, workers)
+    with _pool(workers) as run_map:
         (diff_sum, diff_sq, fine_sum, fine_sq), _wall = _level_sums(
-            _pair_moment_task, pool, pair_level, lmin, n,
+            _pair_moment_task, run_map, pair_level, lmin, n,
             0, master_seed, kl_rule, ZERO_DRIFT, zero_noise)
     fine = make_level(pair_level)
     return (_mean_and_variance(diff_sum, diff_sq, n, fine)[1],
@@ -502,16 +515,16 @@ def mlmc_estimate(
     """
     if schedule.top_level != top_level:
         raise UsageError("schedule was built for a different top level")
-    (levels,) = check_capacity([schedule], lmin, master_seed, replicate + 1, kl_rule, workers)
-    base = levels[0]
+    plan = schedule.level_counts(lmin)
+    check_capacity([plan], lmin, master_seed, replicate + 1, kl_rule, workers)
+    base = plan[0][0]
     identity = functional.kind == "identity"
     t_total = time.perf_counter()
     stats = []
     estimate = 0.0
-    with _pool(workers) as pool:
-        for level in levels:
-            n = schedule.count_for(level, base)
-            (total, sq), wall = _level_sums(_level_task, pool, level, base, n, replicate,
+    with _pool(workers) as run_map:
+        for level, n in plan:
+            (total, sq), wall = _level_sums(_level_task, run_map, level, base, n, replicate,
                                             master_seed, kl_rule, drift, zero_noise,
                                             functional)
             geometry = make_level(level)
@@ -530,7 +543,7 @@ def mlmc_estimate(
 
     top = make_level(top_level)
     # Summing the per-level means on the top grid touches dofs(L) entries per level.
-    summation_work = len(levels) * top.dofs
+    summation_work = len(plan) * top.dofs
     return MlmcResult(
         estimate=NodalField(top, estimate) if identity else float(estimate),
         level_stats=tuple(stats),

@@ -160,6 +160,7 @@ def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsy
     (["variance", "--levels", "2..3", "--pairs", "8", "--lmin", "3"],
      "pair level 2 below the base level 3"),
     (["variance", "--levels", "2..3", "--pairs", "1"], "two pairs"),
+    (["variance", "--levels", "2..17", "--pairs", "8"], "level 17 chunks"),
     (["run", "--L", "1..2", "--reps", "0"], "at least one replicate"),
     (["compare", "--L", "1..2", "--workers", "0"], "workers"),
     (["compare", "--L", "1..2", "--lmin", "0"], "base level"),
@@ -200,6 +201,9 @@ def test_variance_output_and_determinism(tmp_path):
     assert header == ["level", "var_difference", "var_level"]
     assert rows[-1][0] == "slope"
     assert all(float(r[1]) > 0.0 for r in rows[:-1])
+    _, timings = read_rows(a / "timings.csv")
+    assert [r[0] for r in timings] == ["variance level=2", "variance level=3"]
+    assert all(float(r[1]) >= 0.0 for r in timings)
 
 
 def test_run_outputs(tmp_path):

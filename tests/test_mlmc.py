@@ -454,7 +454,7 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
         with pytest.raises(UsageError, match="workers must be at least 1"):
             mlmc_estimate(2, 1, build_schedule("weak", 2), workers=workers)
     with pytest.raises(UsageError, match="at least one replicate, got 0"):
-        mlmc.check_capacity([build_schedule("weak", 2)], 1, 0, 0, None)
+        mlmc.check_capacity([build_schedule("weak", 2).level_counts(1)], 1, 0, 0, None)
 
 
 def test_chunk_memory_checked_before_simulation(monkeypatch):
@@ -478,6 +478,42 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
     for kwargs in ({}, {"drift": drift}):
         with pytest.raises(CapacityError, match="level 17 chunks"):
             mlmc_estimate(17, 1, build_schedule("strong", 17), **kwargs)
+
+
+def test_sample_pair_admitted_before_simulation(monkeypatch):
+    # one pair at level 17 draws from chunk buffers that the memory cap rejects
+    from spde_mlmc import mlmc
+    from spde_mlmc.errors import CapacityError
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the admission check")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    with pytest.raises(CapacityError, match="level 17 chunks"):
+        mlmc.sample_pair(17, 1, 0, 0)
+    with pytest.raises(UsageError, match="16 bits"):
+        mlmc.sample_pair(2, 1, 0, 0, replicate=2**16)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_level_runner_bookkeeping_does_not_grow_with_samples(workers):
+    # 2**22 samples are 65,536 chunks: the runner makes their task tuples as
+    # it goes and folds each partial sum as it arrives, with at most two
+    # chunks per worker in flight; the sums show that each chunk ran once
+    from spde_mlmc import mlmc
+
+    def stub(args):
+        return np.full(3, float(args[2])), 1.0
+
+    with mlmc._pool(workers) as run_map:
+        tracemalloc.start()
+        try:
+            (total, sq), _wall = mlmc._level_sums(stub, run_map, 2, 1, 2**22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(total, np.full(3, 64.0 * 65535 * 65536 / 2)) and sq == 65536.0
+    assert peak <= 2**20
 
 
 def test_level_law_invariant_across_roles():
