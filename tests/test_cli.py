@@ -160,10 +160,10 @@ def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsy
     (["variance", "--levels", "2..3", "--pairs", "8", "--lmin", "3"],
      "pair level 2 below the base level 3"),
     (["variance", "--levels", "2..3", "--pairs", "1"], "two pairs"),
-    (["variance", "--levels", "2..17", "--pairs", "8"], "level 17 chunks"),
     (["run", "--L", "1..2", "--reps", "0"], "at least one replicate"),
     (["compare", "--L", "1..2", "--workers", "0"], "workers"),
     (["compare", "--L", "1..2", "--lmin", "0"], "base level"),
+    (["variance", "--levels", "2..17", "--pairs", "8"], "level 17 chunks"),
 ])
 def test_library_checks_exit_2_before_the_first_chunk(tmp_path, monkeypatch, capsys,
                                                       argv, named):
