@@ -54,10 +54,10 @@ from .mlmc import (
 
 SCHEMA_VERSION = 1
 
-#: Memory of one ``det-conv`` level per dof, an upper bound: the solution,
-#: exact mean, error and mass product peak at 6.1 doubles per dof (tracemalloc,
-#: levels 1..18). Under ``MAX_TASK_BYTES`` it admits levels up to 24 and
-#: rejects the rest before any level runs.
+#: Memory of one ``det-conv`` level per dof, an upper bound: the solution, exact
+#: mean, error and mass product peak at 6.2 doubles per dof at level 7 and 5.0
+#: from level 12 up (tracemalloc, levels 7..18). Under ``MAX_TASK_BYTES`` it
+#: admits levels up to 24 and rejects the rest before any level runs.
 DET_CONV_BYTES_PER_DOF = 11 * 8
 
 

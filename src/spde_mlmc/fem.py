@@ -7,14 +7,15 @@ semi-implicit Euler-Maruyama step solves
 ``(M + dt*K) x_new = M x + dt*M F(x) + load``.
 
 The package assembles neither matrix. The path engine, ``StepOperator``,
-takes that step in sine-mode coordinates: on the uniform Dirichlet grid the
-sine vectors diagonalise M and K and are the nodal rows of the
-Karhunen-Loeve loads, so every mode evolves on its own, and without drift a
-block of steps is one weighted sum over its increments, formed in two stages
-from two BLOCK x modes tables of powers of the step factors; ``sine_transform``,
-an FFT, maps modes to nodal values. The L2(0,1) norms that the estimators
-report are x^T M x, formed by ``mass_norm_sq`` from the two diagonals. The
-nodal form of the scheme, with the assembled bands and a Thomas solve per
+takes that step in sine-mode coordinates: the sine vectors diagonalise M and
+K and are the nodal rows of the Karhunen-Loeve loads, so every mode evolves
+on its own. ``mode_factors`` alone forms the per-mode eigenvalues, load
+amplitudes and step factors, exact to rounding at every level, and each power
+rho^N of a step factor is exp(N log rho). Without drift a block of steps is
+one weighted sum over its increments, formed in two stages from two BLOCK x
+modes tables of those powers; ``sine_transform``, an FFT, maps modes to nodal
+values. ``mass_norm_sq`` forms the L2(0,1) norms x^T M x from the two
+diagonals. The nodal scheme, with assembled bands and a Thomas solve per
 step, lives in ``tests/reference.py`` as the oracle.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import UsageError
 from .grid import LevelGeometry, NodalField, make_level
-from .noise import kl_modes, load_amplitudes
+from .noise import kl_modes
 
 
 @dataclass(frozen=True)
@@ -76,27 +77,41 @@ def sine_transform(coeffs: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(odd, axis=0).imag[1:n + 1]
 
 
-def _mode_factors(level: LevelGeometry):
-    """Per sine mode j = 1..dofs, the step factor rho_j = lm_j/(lm_j + dt lk_j)
-    and the denominator lm_j + dt lk_j (see ``StepOperator``)."""
-    h, dt = level.mesh_width, level.time_step
-    cos = np.cos(np.arange(1, level.dofs + 1) * np.pi * h)
-    lam_m = h * (2.0 / 3.0 + cos / 3.0)
-    denom = lam_m + dt * (2.0 / h) * (1.0 - cos)
-    return lam_m / denom, denom
+def mode_factors(level: LevelGeometry, count: int, modes: int):
+    """The per-mode quantities of the scheme on ``level``, formed here alone:
+    log rho_j of the sine modes j = 1..count, and the sine index and beta_j of
+    the KL modes j = 1..modes (see ``StepOperator``; count = dofs if modes > count).
+
+    v_j = 1 - cos(j*pi*h) is taken as 2 sin^2(j*pi*h/2); the subtraction's
+    relative error grows as 1/h^2 (8e-6 for mode 1 at level 19). With lm_j =
+    h(1 - v_j/3) and lk_j = 2 v_j/h the eigenvalues of M and K, d_j = lm_j + dt lk_j
+    and a_j = 2 sqrt(2) v_j/(j^2 pi^2 h) the load amplitude of KL mode j: rho_j =
+    lm_j/d_j, log rho_j = log1p(-dt lk_j/d_j) and beta_j = a_j/d_j. Every rho^N,
+    N = 1 to 4**level, is exp(N log rho): rho^N multiplies rho's rounding error by N.
+    """
+    h, dt, n = level.mesh_width, level.time_step, level.dofs
+    j = np.arange(1, max(count, modes) + 1)
+    v = 2.0 * np.sin(j * np.pi * h / 2.0) ** 2
+    damping = dt * (2.0 / h) * v[:count]
+    denom = h * (1.0 - v[:count] / 3.0) + damping
+    r = j[:modes] % (2 * (n + 1))
+    sign = np.where(r <= n, 1.0, -1.0)
+    sign[(r == 0) | (r == n + 1)] = 0.0
+    target = np.where(r <= n, r, 2 * (n + 1) - r) - 1
+    target[sign == 0.0] = 0
+    amplitude = np.sqrt(2.0) * 2.0 * v[:modes] / (j[:modes] ** 2 * np.pi**2 * h)
+    return np.log1p(-damping / denom), target, sign * amplitude / denom[target]
 
 
 class StepOperator:
     """Semi-implicit Euler-Maruyama steps of a level in sine-mode coordinates.
 
     A state is the coefficient vector c of the nodal values x = S c
-    (``sine_transform``). The sine vectors diagonalise M and K (eigenvalues
-    lm_j = h(2/3 + cos(j*pi*h)/3) and lk_j = (2/h)(1 - cos(j*pi*h))) and are the
-    nodal rows of the KL loads, so without drift mode j follows
-    c_j <- rho_j c_j + beta_j dW_j with rho_j = lm_j/(lm_j + dt lk_j) and
-    beta_j = a_j/(lm_j + dt lk_j), a_j the load amplitude of KL mode j. KL modes
-    beyond dofs alias onto sine vector |r| (or vanish), r = j mod 2(dofs+1)
-    folded into -dofs..dofs, with the sign of r.
+    (``sine_transform``). The sine vectors diagonalise M and K and are the nodal
+    rows of the KL loads, so without drift mode j follows c_j <- rho_j c_j +
+    beta_j dW_j, with the factors of ``mode_factors``. KL modes beyond dofs
+    alias onto sine vector |r| (or vanish), r = j mod 2(dofs+1) folded into
+    -dofs..dofs, with the sign of r.
     """
 
     def __init__(self, level: LevelGeometry, modes: Optional[int] = None):
@@ -106,22 +121,15 @@ class StepOperator:
         modes = n if modes is None else modes
         self.level = level
         self.modes = modes
-        self.rho, denom = _mode_factors(level)
-        r = np.arange(1, modes + 1) % (2 * (n + 1))
-        sign = np.where(r <= n, 1.0, -1.0)
-        sign[(r == 0) | (r == n + 1)] = 0.0
-        target = np.where(r <= n, r, 2 * (n + 1) - r) - 1
-        target[sign == 0.0] = 0
+        self.log_rho, target, self.beta = mode_factors(level, n, modes)
         #: Sine-vector index of each KL mode; None when it is the identity.
         self.fold = target if modes > n else None
-        self.beta = sign * load_amplitudes(level, modes) / denom[target]
-        rho = self.rho[target]
-        powers = np.arange(BLOCK - 1, -1, -1)[:, None]
+        exponents = np.arange(BLOCK - 1, -1, -1)[:, None] * self.log_rho[target]
         #: inner[i] = rho**(BLOCK-1-i) and outer[k] = rho**(BLOCK*(BLOCK-1-k)) * beta,
         #: shape (BLOCK, modes): the weight rho**(n-1-m) * beta of step m = k*b + i
         #: of n is inner[-b:][i] * outer[-n//b:][k] (see ``step``).
-        self.inner = rho ** powers
-        self.outer = rho ** (BLOCK * powers) * self.beta
+        self.inner = np.exp(exponents)
+        self.outer = np.exp(BLOCK * exponents) * self.beta
         self.outer[np.abs(self.outer) < 1e-300] = 0.0  # keep denormals out of the sums
 
     def _add_modes(self, coeffs: np.ndarray, per_mode: np.ndarray) -> np.ndarray:
@@ -130,6 +138,10 @@ class StepOperator:
         else:
             np.add.at(coeffs, self.fold, per_mode)
         return coeffs
+
+    def decay(self, coeffs: np.ndarray, n: int) -> np.ndarray:
+        """rho**n c: coefficients (dofs,) or (dofs, b) after ``n`` steps without noise or drift."""
+        return np.exp(n * self.log_rho).reshape(-1, *(1,) * (coeffs.ndim - 1)) * coeffs
 
     def step(self, rows: np.ndarray, coeffs: np.ndarray,
              drift: DriftSpec = ZERO_DRIFT) -> np.ndarray:
@@ -141,12 +153,9 @@ class StepOperator:
         in two stages: the k = n/b groups of b = min(BLOCK, n) rows are summed
         with ``inner``, then the k group sums with ``outer``; n is 1..BLOCK or a
         multiple of BLOCK up to BLOCK**2 = SLAB_STEPS. A drift enters step by
-        step as
-        c <- rho (c + dt f) + beta dW with f = (2/(dofs+1)) S F(S c), two
+        step as c <- rho (c + dt f) + beta dW with f = (2/(dofs+1)) S F(S c), two
         ``sine_transform`` calls per step.
         """
-        tail = (1,) * (coeffs.ndim - 1)
-        rho = self.rho.reshape(-1, *tail)
         if drift.func is None:
             n = len(rows)
             b = min(BLOCK, n)
@@ -157,8 +166,9 @@ class StepOperator:
             partial = np.einsum("kij...,ij->kj...", rows.reshape(k, b, *rows.shape[1:]),
                                 self.inner[BLOCK - b:])
             weighted = np.einsum("kj...,kj->j...", partial, self.outer[BLOCK - k:])
-            return self._add_modes(rho**n * coeffs, weighted)
-        beta = self.beta.reshape(-1, *tail)
+            return self._add_modes(self.decay(coeffs, n), weighted)
+        tail = (1,) * (coeffs.ndim - 1)
+        rho, beta = np.exp(self.log_rho).reshape(-1, *tail), self.beta.reshape(-1, *tail)
         scale = 2.0 * self.level.time_step / (self.level.dofs + 1)
         for increments in rows:
             forcing = sine_transform(drift.apply(sine_transform(coeffs)))
@@ -184,9 +194,8 @@ def run_deterministic(level: LevelGeometry) -> NodalField:
     the L2 error decays at second order in the mesh width since dt = h^2.
     Memory is O(dofs): no operator is built.
     """
-    initial = initial_field(level)
-    rho, _ = _mode_factors(level)
-    return NodalField(level, rho[0] ** level.steps * initial.values)
+    log_rho, _, _ = mode_factors(level, 1, 1)
+    return NodalField(level, np.exp(level.steps * log_rho[0]) * initial_field(level).values)
 
 
 def mass_norm_sq(level: LevelGeometry, values: np.ndarray):

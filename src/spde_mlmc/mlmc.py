@@ -16,18 +16,15 @@ Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
 ``fem.StepOperator``: per path, the increments of each slab of ``SLAB_STEPS``
 fine steps are drawn once, into one slab buffer that the chunk reuses, and
 enter the fine path, and summed in fours the coarse one, as one blocked
-weighted sum per sine mode; the terminal coefficients are transformed to
-nodal values once, at T = 1, by ``fem.sine_transform``.
+weighted sum per sine mode (``StepOperator.decay`` alone without noise or
+drift); ``fem.sine_transform`` maps the coefficients at T = 1 to nodal values.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
 ``check_capacity`` is the one admission of estimator work: ``mlmc_estimate``,
 ``pair_variances`` and ``sample_pair`` call it, and the CLI calls it on a whole
-study, before any path is simulated. It rejects a base level below 1, a level
-below the base level, fewer than one replicate or worker, levels whose chunks
-would need more than ``grid.MAX_TASK_BYTES``, and stream coordinates beyond
-the Philox key fields. A level's chunks are made and reduced as they run,
-with at most two per worker in flight.
+study, before any path is simulated. A level's chunks are made and reduced as
+they run, with at most two per worker in flight.
 """
 
 import math
@@ -221,9 +218,9 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     size = SLAB_STEPS if drift.func is None else SLAB_STEPS // CHUNK_SIZE
     blocks = [min(size, fine.steps - done) for done in range(0, fine.steps, size)]
     if drift.func is None and zero_noise:
-        cf = op_f.rho[:, None] ** fine.steps * cf
+        cf = op_f.decay(cf, fine.steps)
         if has_coarse:
-            cc = op_c.rho[:, None] ** coarse.steps * cc
+            cc = op_c.decay(cc, coarse.steps)
     elif drift.func is None:
         buffer = np.empty((blocks[0], jf))
         for b in range(count):
@@ -637,10 +634,11 @@ def predict_work(
         accuracy_exponent = bound_exponent
         log_factor = False
 
-    from scipy.special import zeta  # deferred: importing the package loads numpy only
-
-    error_constant = (math.inf if schedule.eps == 0.0
-                      else 1.0 + math.sqrt(1.0 + float(zeta(1.0 + schedule.eps, 1))))
+    # zeta(s): the terms k < n = 1000 and the Euler-Maclaurin tail, about 1e-15 relative
+    s, n = 1.0 + schedule.eps, 1000.0
+    zeta = (float(np.sum(np.arange(1.0, n) ** -s)) + n ** (1.0 - s) / (s - 1.0)
+            + n ** -s / 2.0 + s * n ** (-s - 1.0) / 12.0) if s > 1.0 else math.inf
+    error_constant = 1.0 + math.sqrt(1.0 + zeta)
 
     return WorkPrediction(
         per_level=per_level,

@@ -2,9 +2,10 @@
 
 The noise is white in space: the expansion runs over the Dirichlet
 eigenbasis e_j(x) = sqrt(2) sin(j*pi*x) with unit mode variances, truncated
-at J(l) modes. By default J(l) = 2**l - 1 matches the spatial resolution, so
-the truncation is a function of the level alone and level differences
-telescope without bias.
+at J(l) modes; ``fem.mode_factors`` forms the loads of the modes on the P1
+basis. By default J(l) = 2**l - 1 matches the spatial resolution, so the
+truncation is a function of the level alone and level differences telescope
+without bias.
 
 Streams are counter-based: each sample path owns a Philox generator keyed by
 (master_seed, stream kind, level, replicate, sample index), so any path can
@@ -52,14 +53,6 @@ def kl_modes(level: LevelGeometry, rule: int | None = None) -> int:
     if rule < 1:
         raise UsageError("mode truncation must be at least 1")
     return rule
-
-
-def load_amplitudes(level: LevelGeometry, modes: int) -> np.ndarray:
-    """Amplitudes a_j, j = 1..modes, of the load rows: (e_j, phi_i) = a_j sin(j*pi*x_i),
-    with a_j = sqrt(2) * 4 sin(j*pi*h/2)^2 / (j^2 pi^2 h)."""
-    h = level.mesh_width
-    j = np.arange(1, modes + 1, dtype=np.float64)
-    return np.sqrt(2.0) * 4.0 * np.sin(j * np.pi * h / 2.0) ** 2 / (j**2 * np.pi**2 * h)
 
 
 def draw_increment_rows(stream: np.random.Generator, nsteps: int, modes: int,

@@ -20,7 +20,7 @@ import numpy as np
 from spde_mlmc.errors import NumericalError, UsageError
 from spde_mlmc.fem import DriftSpec
 from spde_mlmc.grid import LevelGeometry, NodalField, make_level
-from spde_mlmc.noise import coarsen_rows, draw_increment_rows, load_amplitudes
+from spde_mlmc.noise import coarsen_rows, draw_increment_rows
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,11 @@ def direct_block_step(op, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     (n, modes) with coeffs (dofs,), or (n, modes, b) with (dofs, b)."""
     n = len(rows)
     tail = (1,) * (coeffs.ndim - 1)
+    rho = np.exp(op.log_rho)
     target = op.fold if op.fold is not None else np.arange(op.modes)
-    weights = op.rho[target] ** np.arange(n - 1, -1, -1)[:, None] * op.beta
+    weights = rho[target] ** np.arange(n - 1, -1, -1)[:, None] * op.beta
     weights[np.abs(weights) < 1e-300] = 0.0
-    out = op.rho.reshape(-1, *tail) ** n * coeffs
+    out = rho.reshape(-1, *tail) ** n * coeffs
     np.add.at(out, target, (weights.reshape(n, -1, *tail) * rows).sum(axis=0))
     return out
 
@@ -182,8 +183,10 @@ def projection_matrix(level: LevelGeometry, modes: int) -> ProjectionMatrix:
     if level.dofs < 1:
         raise UsageError("projection needs at least one interior node")
     j = np.arange(1, modes + 1, dtype=np.float64)
+    h = level.mesh_width
+    amplitudes = np.sqrt(2.0) * 4.0 * np.sin(j * np.pi * h / 2.0) ** 2 / (j**2 * np.pi**2 * h)
     phases = np.sin(np.outer(j * np.pi, level.nodes))
-    return ProjectionMatrix(level, load_amplitudes(level, modes)[:, None] * phases)
+    return ProjectionMatrix(level, amplitudes[:, None] * phases)
 
 
 @dataclass(frozen=True)

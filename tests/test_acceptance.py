@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance gate: one test per criterion, each printing a PASS/FAIL line,
+and a deep-level check of the deterministic rate beside criterion 1.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines. The
 statistical criteria run at their prescribed replicate counts under the
@@ -86,6 +87,20 @@ def test_criterion_1_deterministic_convergence(tmp_path):
     ok = -2.2 <= slope <= -1.7 and elapsed < 10.0
     report(1, ok, f"deterministic L2 slope {slope:.3f} in [-2.2, -1.7], "
                   f"{elapsed:.1f}s < 10s")
+
+
+def test_deterministic_error_falls_fourfold_per_level_to_level_20(tmp_path):
+    # beside criterion 1: second order also where 1 - cos(pi h) formed by
+    # subtraction, or a rounded rho raised to 4**level steps, would lose it
+    # (from level 14 up). The ratios start at level 5: the scheme's own ratio
+    # from level 4 to 5 is 4.16.
+    out = tmp_path / "det"
+    assert main(["det-conv", "--levels", "4..20", "--seed", str(SEED),
+                 "--out", str(out)]) == 0
+    _, rows = read_rows(out / "det_conv.csv")
+    errors = [float(row[3]) for row in rows[1:-1]]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert len(ratios) == 15 and all(3.9 <= r <= 4.1 for r in ratios), ratios
 
 
 def test_criterion_2_monte_carlo_rate():

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 import spde_mlmc
 from spde_mlmc import (
@@ -29,9 +30,10 @@ from spde_mlmc import (
     run_deterministic,
     sample_pair,
 )
+from spde_mlmc import fem
 from spde_mlmc.fem import DriftSpec, mass_norm_sq
 from spde_mlmc.mlmc import _functional_values
-from spde_mlmc.metrics import fit_slope
+from spde_mlmc.metrics import exact_mean, fit_slope
 from spde_mlmc.noise import path_stream
 
 from reference import (
@@ -183,6 +185,26 @@ def test_sample_pair_zero_noise_is_deterministic_solution():
                                atol=1e-13)
     np.testing.assert_allclose(coarse.values, run_deterministic(make_level(2)).values,
                                atol=1e-13)
+
+
+@pytest.mark.parametrize("level_index", range(2, 9))
+def test_zero_noise_chunk_equals_the_deterministic_solution(level_index):
+    # both form rho_1**steps as exp(steps log rho_1), from one set of factors
+    fine, _ = sample_pair(level_index, level_index, master_seed=0, sample=0, zero_noise=True)
+    det = run_deterministic(make_level(level_index)).values
+    assert np.max(np.abs(fine.values - det)) <= 1e-14 * np.max(np.abs(det))
+
+
+def test_zero_noise_chunk_stays_exact_at_level_16():
+    # 4**16 steps: a rounded rho raised to that power would be off by 7e-12
+    level = make_level(16)
+    try:
+        fine, _ = sample_pair(16, 16, master_seed=0, sample=0, zero_noise=True)
+    finally:
+        fem._step_operator.cache_clear()
+    det = run_deterministic(level).values
+    assert np.max(np.abs(fine.values - det)) <= 1e-14 * np.max(np.abs(det))
+    assert math.sqrt(mass_norm_sq(level, fine.values - exact_mean(1.0, level).values)) <= 1e-12
 
 
 def test_sample_pair_below_base_rejected():
@@ -632,6 +654,10 @@ def test_predict_work_zeta_constant():
                                                 rel=1e-12)
     border = build_schedule("weak", 3, gamma=0.5, eps=0.0)
     assert math.isinf(predict_work(border, d=1).error_constant)
+    for eps in (1e-6, 1e-3, 0.1, 0.5, 3.0, 30.0):
+        schedule = build_schedule("weak", 3, gamma=0.5, eps=eps)
+        assert predict_work(schedule, d=1).error_constant == pytest.approx(
+            1.0 + math.sqrt(1.0 + zeta(1.0 + eps, 1)), rel=1e-12)
 
 
 def test_package_import_loads_no_scipy():
