@@ -7,13 +7,7 @@ compares sample schedules derived from weak versus strong convergence rates.
 """
 
 from .errors import CapacityError, NumericalError, UsageError
-from .fem import (
-    DriftSpec,
-    ZERO_DRIFT,
-    initial_field,
-    mass_norm_sq,
-    run_deterministic,
-)
+from .fem import initial_field, mass_norm_sq, run_deterministic
 from .grid import LevelGeometry, NodalField, make_level, prolong_to
 from .metrics import (
     exact_mean,
@@ -23,11 +17,8 @@ from .metrics import (
     rms_error,
 )
 from .mlmc import (
-    FunctionalSpec,
-    IDENTITY,
     LevelStat,
     MlmcResult,
-    SQUARED_NORM,
     SampleSchedule,
     WorkPrediction,
     build_schedule,

@@ -8,12 +8,13 @@ path: it builds every schedule and admits the whole study before the first
 chunk runs; ``variance`` admits its whole level range the same way.
 
 Each option is declared once, in ``_OPTIONS``. The CLI checks only what it
-alone knows: that ``--seed`` and ``--out`` are given, the seed range, the
-mode and functional names, the parsing of each value, and ``--m``. The
-library's one admission function, ``mlmc.check_capacity``, checks base level,
-pair level, workers, replicates, chunk memory and stream keys, and
-``mlmc.pair_variances`` that there are two pairs, before the first chunk runs
-and before ``--out`` is created.
+alone knows: that ``--seed`` and ``--out`` are given, the seed range, that
+``--mode`` names at least one mode and none twice, the parsing of each value,
+and ``--m``. The library's one admission function, ``mlmc.check_capacity``,
+checks base level, pair level, workers, replicates, chunk memory and stream
+keys, ``mlmc.pair_variances`` that there are two pairs, and
+``mlmc.mlmc_estimate`` the ``--functional`` name, which it takes as given,
+before the first chunk runs and before ``--out`` is created.
 
 Every output CSV starts with ``#``-prefixed metadata lines recording the
 artifact version, the config hash, and the seed. Given identical config and
@@ -43,14 +44,7 @@ from .metrics import (
     rms_aggregate,
     rms_error,
 )
-from .mlmc import (
-    IDENTITY,
-    SQUARED_NORM,
-    build_schedule,
-    check_capacity,
-    mlmc_estimate,
-    pair_variances,
-)
+from .mlmc import build_schedule, check_capacity, mlmc_estimate, pair_variances
 
 SCHEMA_VERSION = 1
 
@@ -270,8 +264,9 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("seed must fit in 64 bits")
     if not cfg.modes:
         raise UsageError("--mode must name at least one schedule mode")
-    if cfg.functional not in ("identity", "squared-norm"):
-        raise UsageError("--functional must be identity or squared-norm")
+    for mode in cfg.modes:
+        if cfg.modes.count(mode) > 1:
+            raise UsageError(f"--mode names {mode!r} more than once")
     reference_points(cfg.m)
     if command == "compare":
         cfg.modes = ("strong", "weak")
@@ -345,14 +340,13 @@ def _study(cfg: RunConfig, ranges):
                  for mode, lo, hi in ranges for top in range(lo, hi + 1)]
     check_capacity([schedule.level_counts(cfg.lmin) for schedule in schedules], cfg.lmin,
                    cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers)
-    functional = SQUARED_NORM if cfg.functional == "squared-norm" else IDENTITY
     rep_rows, level_rows, summary_rows, timing_rows = [], [], [], []
     for schedule in schedules:
         mode, top = schedule.mode, schedule.top_level
         errors = []
         for rep in range(cfg.reps):
             result = mlmc_estimate(
-                top, cfg.lmin, schedule, functional=functional,
+                top, cfg.lmin, schedule, functional=cfg.functional,
                 master_seed=cfg.seed, replicate=rep, kl_rule=cfg.kl_modes,
                 zero_noise=cfg.zero_noise, workers=cfg.workers,
             )
@@ -360,7 +354,7 @@ def _study(cfg: RunConfig, ranges):
             timing_rows.append((label, result.wall_seconds))
             timing_rows += [(f"{label} level={stat.level}", stat.wall_seconds)
                             for stat in result.level_stats]
-            if functional.kind == "identity":
+            if cfg.functional == "identity":
                 errors.append(rms_error(result.estimate, _eval_grid_size(cfg, top)))
                 rep_rows.append((mode, top, rep, errors[-1], None))
             else:

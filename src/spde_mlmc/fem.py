@@ -13,13 +13,13 @@ on its own. ``mode_factors`` alone forms the per-mode eigenvalues, load
 amplitudes and step factors, exact to rounding at every level, and each power
 rho^N of a step factor is exp(N log rho). Without drift a block of steps is
 one weighted sum over its increments, formed in two stages from two BLOCK x
-modes tables of those powers; ``sine_transform``, an FFT, maps modes to nodal
-values. ``mass_norm_sq`` forms the L2(0,1) norms x^T M x from the two
-diagonals. The nodal scheme, with assembled bands and a Thomas solve per
-step, lives in ``tests/reference.py`` as the oracle.
+modes tables of those powers; a drift F is a plain callable on nodal values
+(None means F = 0), applied step by step. ``sine_transform``, an FFT, maps
+modes to nodal values. ``mass_norm_sq`` forms the L2(0,1) norms x^T M x from
+the two diagonals. The nodal scheme, with assembled bands and a Thomas solve
+per step, lives in ``tests/reference.py`` as the oracle.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -28,24 +28,6 @@ import numpy as np
 from .errors import UsageError
 from .grid import LevelGeometry, NodalField, make_level
 from .noise import kl_modes
-
-
-@dataclass(frozen=True)
-class DriftSpec:
-    """Nodewise drift F applied to the state. ``func`` must be globally
-    Lipschitz (documented contract, not machine-checked) and vectorised
-    over numpy arrays. ``func=None`` means F = 0."""
-
-    func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = "zero"
-
-    def apply(self, values: np.ndarray) -> Optional[np.ndarray]:
-        if self.func is None:
-            return None
-        return self.func(values)
-
-
-ZERO_DRIFT = DriftSpec()
 
 
 def initial_field(level: LevelGeometry) -> NodalField:
@@ -144,7 +126,7 @@ class StepOperator:
         return np.exp(n * self.log_rho).reshape(-1, *(1,) * (coeffs.ndim - 1)) * coeffs
 
     def step(self, rows: np.ndarray, coeffs: np.ndarray,
-             drift: DriftSpec = ZERO_DRIFT) -> np.ndarray:
+             drift: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
         """Advance modal coefficients over ``n`` steps of KL increments.
 
         ``rows`` has shape (n, modes) for one path with ``coeffs`` (dofs,), or
@@ -152,11 +134,13 @@ class StepOperator:
         block is one weighted sum, rho**n c + sum_m rho**(n-1-m) beta dW_m, taken
         in two stages: the k = n/b groups of b = min(BLOCK, n) rows are summed
         with ``inner``, then the k group sums with ``outer``; n is 1..BLOCK or a
-        multiple of BLOCK up to BLOCK**2 = SLAB_STEPS. A drift enters step by
-        step as c <- rho (c + dt f) + beta dW with f = (2/(dofs+1)) S F(S c), two
-        ``sine_transform`` calls per step.
+        multiple of BLOCK up to BLOCK**2 = SLAB_STEPS. A drift F, None for F = 0,
+        maps nodal values of shape (dofs,) or (dofs, b) to values of the same
+        shape; it must be vectorised and globally Lipschitz (documented, not
+        checked). It enters step by step as c <- rho (c + dt f) + beta dW with
+        f = (2/(dofs+1)) S F(S c), two ``sine_transform`` calls per step.
         """
-        if drift.func is None:
+        if drift is None:
             n = len(rows)
             b = min(BLOCK, n)
             if n < 1 or n % b or n > BLOCK * BLOCK:
@@ -171,7 +155,7 @@ class StepOperator:
         rho, beta = np.exp(self.log_rho).reshape(-1, *tail), self.beta.reshape(-1, *tail)
         scale = 2.0 * self.level.time_step / (self.level.dofs + 1)
         for increments in rows:
-            forcing = sine_transform(drift.apply(sine_transform(coeffs)))
+            forcing = sine_transform(drift(sine_transform(coeffs)))
             coeffs = self._add_modes(rho * (coeffs + scale * forcing), beta * increments)
         return coeffs
 

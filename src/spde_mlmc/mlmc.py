@@ -18,6 +18,9 @@ fine steps are drawn once, into one slab buffer that the chunk reuses, and
 enter the fine path, and summed in fours the coarse one, as one blocked
 weighted sum per sine mode (``StepOperator.decay`` alone without noise or
 drift); ``fem.sine_transform`` maps the coefficients at T = 1 to nodal values.
+The functional and the drift are plain values: the functional is
+``"identity"``, ``"squared-norm"`` or a callable on a ``NodalField``, the
+drift None (F = 0) or a callable on nodal values.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
@@ -39,8 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalError, UsageError
-from .fem import (BLOCK, SLAB_STEPS, DriftSpec, ZERO_DRIFT, mass_norm_sq, sine_transform,
-                  step_operator)
+from .fem import BLOCK, SLAB_STEPS, mass_norm_sq, sine_transform, step_operator
 from .grid import MAX_TASK_BYTES, LevelGeometry, NodalField, make_level, prolong_to, prolong_values
 from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_stream, stream_key
 
@@ -86,7 +88,6 @@ class SampleSchedule:
     gamma: float
     eps: float
     eta: Optional[float]
-    a: tuple
 
     def count_for(self, level: int, lmin: int) -> int:
         if self.mode == "singlelevel":
@@ -133,8 +134,7 @@ def build_schedule(
     h = [2.0 ** (-l) for l in range(top_level + 1)]
     if mode == "singlelevel":
         n = _ceil_count(h[top_level] ** (-4.0 * gamma))
-        return SampleSchedule(top_level, (n,), mode, gamma, eps, None,
-                              (h[top_level] ** (2.0 * gamma),))
+        return SampleSchedule(top_level, (n,), mode, gamma, eps, None)
 
     if mode == "strong":
         seq = [h[l] ** gamma for l in range(top_level + 1)]
@@ -158,34 +158,17 @@ def build_schedule(
     counts = [_ceil_count(base)]
     for l in range(1, top_level + 1):
         counts.append(_ceil_count(base * seq[l] ** (2.0 * eta_eff) * l ** (1.0 + eps)))
-    return SampleSchedule(top_level, tuple(counts), mode, gamma, eps, eta_eff, tuple(seq))
+    return SampleSchedule(top_level, tuple(counts), mode, gamma, eps, eta_eff)
 
 
-@dataclass(frozen=True)
-class FunctionalSpec:
-    """What to estimate: the solution itself, its squared L2 norm, or a
-    user-supplied scalar functional of the nodal field."""
-
-    kind: str
-    func: Optional[Callable[[NodalField], float]] = None
-
-
-IDENTITY = FunctionalSpec("identity")
-SQUARED_NORM = FunctionalSpec("squared_norm")
-
-
-def _functional_values(spec: FunctionalSpec, level: LevelGeometry, states: np.ndarray):
+def _functional_values(functional, level: LevelGeometry, states: np.ndarray):
     """The functional of each column of ``states`` (dofs, b) on ``level``:
     the states themselves for identity, else an array of b values."""
-    if spec.kind == "identity":
+    if functional == "identity":
         return states
-    if spec.kind == "squared_norm":
+    if functional == "squared-norm":
         return mass_norm_sq(level, states)
-    if spec.kind == "custom":
-        if spec.func is None:
-            raise UsageError("custom functional without a callable")
-        return np.array([float(spec.func(NodalField(level, x))) for x in states.T])
-    raise UsageError(f"unknown functional kind {spec.kind!r}")
+    return np.array([float(functional(NodalField(level, x))) for x in states.T])
 
 
 def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
@@ -215,13 +198,13 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
         cc[0] = 1.0
 
     dt = fine.time_step
-    size = SLAB_STEPS if drift.func is None else SLAB_STEPS // CHUNK_SIZE
+    size = SLAB_STEPS if drift is None else SLAB_STEPS // CHUNK_SIZE
     blocks = [min(size, fine.steps - done) for done in range(0, fine.steps, size)]
-    if drift.func is None and zero_noise:
+    if drift is None and zero_noise:
         cf = op_f.decay(cf, fine.steps)
         if has_coarse:
             cc = op_c.decay(cc, coarse.steps)
-    elif drift.func is None:
+    elif drift is None:
         buffer = np.empty((blocks[0], jf))
         for b in range(count):
             stream = path_stream(master_seed, pair_level, replicate, start + b)
@@ -313,7 +296,7 @@ def sample_pair(
     sample: int,
     replicate: int = 0,
     kl_rule: Optional[int] = None,
-    drift: DriftSpec = ZERO_DRIFT,
+    drift: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     zero_noise: bool = False,
 ):
     """One coupled sample: the fine path at ``pair_level`` and, above the base
@@ -330,7 +313,7 @@ def sample_pair(
     return fine, NodalField(make_level(pair_level - 1), xc[:, 0])
 
 
-def _level_values(functional: FunctionalSpec, pair_level: int, xf, xc):
+def _level_values(functional, pair_level: int, xf, xc):
     """Functional of the fine paths less that of their coarse partners, states
     prolonged to the fine grid first; the fine values alone at the base level."""
     fine = _functional_values(functional, make_level(pair_level), xf)
@@ -364,7 +347,7 @@ def _pair_moment_task(args):
     ``args`` holds the arguments of ``_simulate_chunk``."""
     xf, xc = _simulate_chunk(*args)
     fine = make_level(args[0])
-    return _moments(_level_values(IDENTITY, args[0], xf, xc), fine) + _moments(xf, fine)
+    return _moments(_level_values("identity", args[0], xf, xc), fine) + _moments(xf, fine)
 
 
 @contextmanager
@@ -442,7 +425,7 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     with _pool(workers) as run_map:
         (diff_sum, diff_sq, fine_sum, fine_sq), _wall = _level_sums(
             _pair_moment_task, run_map, pair_level, lmin, n,
-            0, master_seed, kl_rule, ZERO_DRIFT, zero_noise)
+            0, master_seed, kl_rule, None, zero_noise)
     fine = make_level(pair_level)
     return (_mean_and_variance(diff_sum, diff_sq, n, fine)[1],
             _mean_and_variance(fine_sum, fine_sq, n, fine)[1])
@@ -475,23 +458,18 @@ class MlmcResult:
     estimate: object  # NodalField on the top level (identity mode) or float
     level_stats: tuple
     total_op_work: int
-    summation_op_work: int
     wall_seconds: float
-    schedule: SampleSchedule
-    lmin: int
-    master_seed: int
-    replicate: int
 
 
 def mlmc_estimate(
     top_level: int,
     lmin: int,
     schedule: SampleSchedule,
-    functional: FunctionalSpec = IDENTITY,
+    functional="identity",
     master_seed: int = 0,
     replicate: int = 0,
     kl_rule: Optional[int] = None,
-    drift: DriftSpec = ZERO_DRIFT,
+    drift: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     zero_noise: bool = False,
     workers: int = 1,
 ) -> MlmcResult:
@@ -503,19 +481,32 @@ def mlmc_estimate(
     lmin : base level of the hierarchy (1 by default in the CLI); the term
         below it is zero, so the base level is estimated on its own.
     schedule : per-level sample counts from :func:`build_schedule`.
-    functional : what to average; identity yields a nodal field on level L.
+    functional : what to average: ``"identity"`` (the default) yields a nodal
+        field on level L, ``"squared-norm"`` the squared L2(0,1) norm, and a
+        callable taking a ``NodalField`` and returning a float a custom scalar.
     master_seed, replicate : stream coordinates. Distinct replicates are
         independent; a fixed pair reproduces the result bitwise.
     kl_rule : fixed KL truncation for every level, or None for J = dofs.
+    drift : the drift F, None (the default) for F = 0, or a callable mapping
+        nodal values of shape (dofs,) or (dofs, b) to values of that shape. It
+        must be vectorised and globally Lipschitz (documented, not checked).
+    zero_noise : diagnostic: zero every increment, so each level runs the
+        noiseless scheme.
     workers : thread count for chunk simulation. Results do not depend on
         it; chunk boundaries and the reduction order are fixed.
+
+    Fails before any simulation on an unknown functional, a schedule for
+    another top level, or what ``check_capacity`` rejects.
     """
+    if not (callable(functional) or functional in ("identity", "squared-norm")):
+        raise UsageError(f"unknown functional {functional!r}: expected 'identity', "
+                         "'squared-norm' or a callable")
     if schedule.top_level != top_level:
         raise UsageError("schedule was built for a different top level")
     plan = schedule.level_counts(lmin)
     check_capacity([plan], lmin, master_seed, replicate + 1, kl_rule, workers)
     base = plan[0][0]
-    identity = functional.kind == "identity"
+    identity = functional == "identity"
     t_total = time.perf_counter()
     stats = []
     estimate = 0.0
@@ -540,17 +531,11 @@ def mlmc_estimate(
 
     top = make_level(top_level)
     # Summing the per-level means on the top grid touches dofs(L) entries per level.
-    summation_work = len(plan) * top.dofs
     return MlmcResult(
         estimate=NodalField(top, estimate) if identity else float(estimate),
         level_stats=tuple(stats),
-        total_op_work=sum(s.op_work for s in stats) + summation_work,
-        summation_op_work=summation_work,
+        total_op_work=sum(s.op_work for s in stats) + len(plan) * top.dofs,
         wall_seconds=time.perf_counter() - t_total,
-        schedule=schedule,
-        lmin=base,
-        master_seed=master_seed,
-        replicate=replicate,
     )
 
 

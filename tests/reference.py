@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from spde_mlmc.errors import NumericalError, UsageError
-from spde_mlmc.fem import DriftSpec
 from spde_mlmc.grid import LevelGeometry, NodalField, make_level
 from spde_mlmc.noise import coarsen_rows, draw_increment_rows
 
@@ -118,7 +117,7 @@ def euler_step(
     mass: TridiagonalMatrix,
     stiffness: TridiagonalMatrix,
     state: NodalField,
-    drift: DriftSpec,
+    drift: Optional[Callable[[np.ndarray], np.ndarray]],
     noise_load: np.ndarray,
 ) -> NodalField:
     """One semi-implicit Euler-Maruyama step.
@@ -138,9 +137,8 @@ def euler_step(
         sup=mass.sup + dt * stiffness.sup,
     )
     rhs = mass.matvec(state.values) + noise_load
-    fx = drift.apply(state.values)
-    if fx is not None:
-        rhs += dt * mass.matvec(fx)
+    if drift is not None:
+        rhs += dt * mass.matvec(drift(state.values))
     return NodalField(level, thomas_solve(system, rhs))
 
 

@@ -138,6 +138,8 @@ def test_reps_beyond_replicate_field_rejected_up_front(tmp_path, monkeypatch, ca
       "--eta", "2"], "eta"),
     (["compare", "--L", "2..3", "--strong-L", "1..5", "--lmin", "2"],
      "exceeds the top level"),
+    (["run", "--functional", "squared_norm", "--L", "1..2"],
+     "unknown functional 'squared_norm'"),
 ])
 def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsys,
                                                     argv, named):
@@ -256,6 +258,15 @@ def test_run_general_mode_requires_sequence(tmp_path):
     assert main(["run", "--mode", "general", "--L", "1..2", "--reps", "1",
                  "--seed", "2", "--a-seq", "1,0.5,0.25", "--eta", "1.0",
                  "--out", str(out)]) == 0
+
+
+def test_repeated_mode_rejected(tmp_path, capsys):
+    # a repeated mode would run its study twice and write its rows twice
+    out = tmp_path / "r"
+    assert main(["run", "--mode", "weak,strong,weak", "--L", "1..2", "--reps", "1",
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert "--mode names 'weak' more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_squared_norm_functional(tmp_path):

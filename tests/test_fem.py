@@ -9,13 +9,12 @@ from spde_mlmc import (
     NodalField,
     NumericalError,
     UsageError,
-    ZERO_DRIFT,
     initial_field,
     make_level,
     run_deterministic,
 )
 from spde_mlmc import fem
-from spde_mlmc.fem import DriftSpec, mass_norm_sq, sine_transform, step_operator
+from spde_mlmc.fem import mass_norm_sq, sine_transform, step_operator
 from spde_mlmc.metrics import exact_mean, fit_slope
 
 from reference import (
@@ -157,7 +156,7 @@ def test_euler_step_zero_fixed_point():
     level = make_level(3)
     mass, stiffness = assemble(level)
     state = NodalField(level, np.zeros(7))
-    out = euler_step(level, mass, stiffness, state, ZERO_DRIFT, np.zeros(7))
+    out = euler_step(level, mass, stiffness, state, None, np.zeros(7))
     assert np.all(out.values == 0.0)
 
 
@@ -165,7 +164,7 @@ def test_euler_step_single_dof_value():
     level = make_level(1)
     mass, stiffness = assemble(level)
     out = euler_step(level, mass, stiffness, NodalField(level, np.array([1.0])),
-                     ZERO_DRIFT, np.zeros(1))
+                     None, np.zeros(1))
     assert out.values[0] == pytest.approx(0.25, abs=1e-15)
 
 
@@ -178,7 +177,7 @@ def test_euler_step_linearity_without_drift():
 
     def step(state, load):
         return euler_step(level, mass, stiffness, NodalField(level, state),
-                          ZERO_DRIFT, load).values
+                          None, load).values
 
     combined = step(2.0 * u + 3.0 * v, 2.0 * load_u + 3.0 * load_v)
     np.testing.assert_allclose(
@@ -190,7 +189,7 @@ def test_euler_step_with_drift():
     # explicit drift enters as dt * M F(x_prev) on the right-hand side
     level = make_level(1)
     mass, stiffness = assemble(level)
-    drift = DriftSpec(func=lambda v: 2.0 * v, name="linear")
+    drift = lambda v: 2.0 * v
     out = euler_step(level, mass, stiffness, NodalField(level, np.array([1.0])),
                      drift, np.zeros(1))
     expected = ((1.0 / 3.0) * (1.0 + 0.25 * 2.0)) / (1.0 / 3.0 + 0.25 * 4.0)
@@ -272,7 +271,7 @@ def test_symmetric_loads_preserve_symmetry():
     for _ in range(5):
         half = rng.standard_normal(level.dofs // 2)
         load = np.concatenate([half, rng.standard_normal(1), half[::-1]])
-        state = euler_step(level, mass, stiffness, state, ZERO_DRIFT, load)
+        state = euler_step(level, mass, stiffness, state, None, load)
         np.testing.assert_allclose(state.values, state.values[::-1], atol=1e-13)
 
 
@@ -290,7 +289,7 @@ def test_step_operator_matches_euler_step():
     for b in range(6):
         single = NodalField(level, sine_transform(coeffs[:, b]))
         for row in rows[:, :, b]:
-            single = euler_step(level, mass, stiffness, single, ZERO_DRIFT, row @ proj)
+            single = euler_step(level, mass, stiffness, single, None, row @ proj)
         np.testing.assert_allclose(batched[:, b], single.values, atol=1e-13)
 
 

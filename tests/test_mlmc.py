@@ -12,13 +12,9 @@ from scipy.special import zeta
 
 import spde_mlmc
 from spde_mlmc import (
-    IDENTITY,
-    SQUARED_NORM,
-    FunctionalSpec,
     NodalField,
     NumericalError,
     UsageError,
-    ZERO_DRIFT,
     build_schedule,
     initial_field,
     kl_modes,
@@ -31,7 +27,7 @@ from spde_mlmc import (
     sample_pair,
 )
 from spde_mlmc import fem
-from spde_mlmc.fem import DriftSpec, mass_norm_sq
+from spde_mlmc.fem import mass_norm_sq
 from spde_mlmc.mlmc import _functional_values
 from spde_mlmc.metrics import exact_mean, fit_slope
 from spde_mlmc.noise import path_stream
@@ -145,8 +141,8 @@ def test_mc_vector_samples():
 def test_apply_functional_examples():
     level = make_level(1)
     states = np.array([[1.0, 0.0]])
-    assert _functional_values(IDENTITY, level, states) is states
-    norms = _functional_values(SQUARED_NORM, level, states)
+    assert _functional_values("identity", level, states) is states
+    norms = _functional_values("squared-norm", level, states)
     assert norms[0] == pytest.approx(1.0 / 3.0)
     assert norms[1] == 0.0
 
@@ -159,9 +155,10 @@ def test_squared_norm_flip_invariant():
 
 
 def test_custom_functional():
-    spec = FunctionalSpec("custom", func=lambda f: float(f.values.max()))
     level = make_level(2)
-    assert _functional_values(spec, level, np.array([[1.0], [5.0], [2.0]]))[0] == 5.0
+    values = _functional_values(lambda f: float(f.values.max()), level,
+                                np.array([[1.0], [5.0], [2.0]]))
+    assert values[0] == 5.0
 
 
 # -------------------------------------------------------------- sample_pair
@@ -222,7 +219,7 @@ def _stepwise_path(level, block, drift):
     return state.values
 
 
-def _stepwise_pair(pair_level, master_seed, sample, kl_rule=None, drift=ZERO_DRIFT):
+def _stepwise_pair(pair_level, master_seed, sample, kl_rule=None, drift=None):
     fine_level, coarse_level = make_level(pair_level), make_level(pair_level - 1)
     block = sample_kl_block(path_stream(master_seed, pair_level, 0, sample), fine_level,
                             kl_modes(fine_level, kl_rule))
@@ -240,7 +237,7 @@ def test_sample_pair_matches_stepwise_reconstruction():
 
 @pytest.mark.parametrize("kl_rule", [None, 2 * 7 + 5])
 def test_sample_pair_with_drift_matches_stepwise_reconstruction(kl_rule):
-    drift = DriftSpec(lambda v: -v, name="linear")
+    drift = lambda v: -v
     fine, coarse = sample_pair(3, 1, master_seed=65, sample=4, kl_rule=kl_rule, drift=drift)
     ref_fine, ref_coarse = _stepwise_pair(3, 65, 4, kl_rule=kl_rule, drift=drift)
     np.testing.assert_allclose(ref_fine, fine.values, atol=1e-13)
@@ -263,7 +260,7 @@ def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
     # with CHUNK_SIZE 1 the block is a whole slab, one block per path here
     from spde_mlmc import mlmc
 
-    drift = DriftSpec(lambda v: -v + np.sin(v), name="nonlinear")
+    drift = lambda v: -v + np.sin(v)
     blocked = sample_pair(level, 1, master_seed=67, sample=1, kl_rule=kl_rule, drift=drift)
     monkeypatch.setattr(mlmc, "CHUNK_SIZE", 1)
     whole = sample_pair(level, 1, master_seed=67, sample=1, kl_rule=kl_rule, drift=drift)
@@ -272,7 +269,7 @@ def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
 
 
 @pytest.mark.parametrize("kl_rule", [None, 1, 3, 19])
-@pytest.mark.parametrize("drift", [ZERO_DRIFT, DriftSpec(lambda v: -v, name="linear")])
+@pytest.mark.parametrize("drift", [None, lambda v: -v], ids=["drift0", "drift1"])
 def test_chunk_memory_peak_within_budget(drift, kl_rule):
     # one cold 64-pair chunk at levels 1..4 and 6 against what
     # check_chunk_memory budgets on one worker: two slabs (one slab is
@@ -303,7 +300,7 @@ def test_chunk_memory_peak_within_budget(drift, kl_rule):
 
 
 def test_non_finite_state_names_its_stream_coordinates():
-    blowup = DriftSpec(lambda v: np.full_like(v, np.inf), name="inf")
+    blowup = lambda v: np.full_like(v, np.inf)
     with np.errstate(all="ignore"), \
             pytest.raises(NumericalError, match=r"level 2, replicate 3, samples 5\.\.5"):
         sample_pair(2, 1, master_seed=1, sample=5, replicate=3, drift=blowup)
@@ -331,7 +328,7 @@ def test_estimate_is_sum_of_prolonged_contributions():
 
 def test_all_counts_one_is_valid():
     schedule = build_schedule("strong", 2, gamma=0.5, eps=1.0)
-    ones = schedule.__class__(2, (1, 1, 1), "strong", 0.5, 1.0, 1.0, schedule.a)
+    ones = schedule.__class__(2, (1, 1, 1), "strong", 0.5, 1.0, 1.0)
     result = mlmc_estimate(2, 1, ones, master_seed=3)
     assert all(s.variance == 0.0 for s in result.level_stats)
     assert all(s.samples == 1 for s in result.level_stats)
@@ -359,8 +356,8 @@ def test_workers_do_not_change_results():
 def test_callables_with_workers_match_inline():
     # worker threads call Python callables in place; nothing is pickled
     schedule = build_schedule("weak", 3, gamma=0.5, eps=1.0)
-    custom = FunctionalSpec("custom", func=lambda f: float(f.values[0]))
-    drift = DriftSpec(lambda v: -v, name="linear")
+    custom = lambda f: float(f.values[0])
+    drift = lambda v: -v
     for kwargs in ({"functional": custom}, {"drift": drift}):
         serial = mlmc_estimate(3, 1, schedule, master_seed=1, **kwargs)
         threaded = mlmc_estimate(3, 1, schedule, master_seed=1, workers=2, **kwargs)
@@ -409,6 +406,20 @@ def test_stream_capacity_checked_before_simulation(monkeypatch):
         mlmc.pair_variances(3, 1, 2**32 + 1, 0)
 
 
+@pytest.mark.parametrize("functional", ["squared_norm", "custom", None])
+def test_unknown_functional_rejected_before_the_first_chunk(monkeypatch, functional):
+    from spde_mlmc import mlmc
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the functional was checked")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    schedule = build_schedule("weak", 2, gamma=0.5, eps=1.0)
+    with pytest.raises(UsageError, match=f"unknown functional {functional!r}: expected "
+                                         "'identity', 'squared-norm' or a callable"):
+        mlmc_estimate(2, 1, schedule, functional=functional, master_seed=0)
+
+
 def test_singlelevel_estimate():
     schedule = build_schedule("singlelevel", 2, gamma=0.5)
     result = mlmc_estimate(2, 1, schedule, master_seed=5)
@@ -419,9 +430,9 @@ def test_singlelevel_estimate():
 
 def test_scalar_functional_estimate():
     schedule = build_schedule("strong", 2, gamma=0.5, eps=1.0)
-    result = mlmc_estimate(2, 1, schedule, functional=SQUARED_NORM, master_seed=7)
+    result = mlmc_estimate(2, 1, schedule, functional="squared-norm", master_seed=7)
     assert isinstance(result.estimate, float)
-    zero_noise = mlmc_estimate(2, 1, schedule, functional=SQUARED_NORM,
+    zero_noise = mlmc_estimate(2, 1, schedule, functional="squared-norm",
                                master_seed=7, zero_noise=True)
     det = run_deterministic(make_level(2))
     assert zero_noise.estimate == pytest.approx(mass_norm_sq(det.level, det.values),
@@ -493,7 +504,7 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
         mlmc_estimate(2, 1, build_schedule("weak", 2), kl_rule=10**8)
     # a drift holds one slab of increments, as a run without one does: both
     # pass the check at level 16 on one worker and fail it at 17
-    drift = DriftSpec(lambda v: -v, name="linear")
+    drift = lambda v: -v
     mlmc.check_chunk_memory(range(1, 17), None)
     with pytest.raises(AssertionError, match="a chunk ran"):
         mlmc_estimate(16, 1, build_schedule("strong", 16), drift=drift)
