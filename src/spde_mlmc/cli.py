@@ -346,7 +346,7 @@ def _study(cfg: RunConfig, ranges):
         errors = []
         for rep in range(cfg.reps):
             result = mlmc_estimate(
-                top, cfg.lmin, schedule, functional=cfg.functional,
+                schedule, cfg.lmin, functional=cfg.functional,
                 master_seed=cfg.seed, replicate=rep, kl_rule=cfg.kl_modes,
                 zero_noise=cfg.zero_noise, workers=cfg.workers,
             )

@@ -6,11 +6,14 @@ first level with a nonempty interior-node space), and each higher level
 contributes the mean of coupled fine/coarse differences driven by the same
 Wiener increments.
 
-Sample counts come from a-priori schedules: either the generic rule
-``N_0 = ceil(a_L**-2)``, ``N_l = ceil(a_L**-2 * a_l**(2*eta) * l**(1+eps))``
-for a user-supplied decay sequence, or its two dyadic specialisations
-("strong": a_l = h_l**gamma with eta = 1, "weak": a_l = h_l**(2*gamma) with
-eta = 1/2), plus a singlelevel baseline ``N = ceil(h_L**(-4*gamma))``.
+Sample counts come from a-priori schedules: the rule ``N_0 = ceil(a_L**-2)``,
+``N_l = ceil(a_L**-2 * a_l**(2*eta) * l**(1+eps))`` for a decay sequence a_l
+and a variance order eta. "general" takes both as given; a named mode is one
+rate power p of ``RATE_POWERS``, with a_l = h_l**(p*gamma) and eta = 1/p
+("strong" p = 1, "weak" p = 2), and "singlelevel" runs ``ceil(a_L**-2)``
+samples of the top level alone. ``predict_work`` takes every multilevel
+complexity exponent from the one work bound of the MLMC theorem (Giles,
+Oper. Res. 56 (2008)) applied to the schedule's a_l and eta.
 
 Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
 ``fem.StepOperator``: per path, the increments of each slab of ``SLAB_STEPS``
@@ -62,7 +65,11 @@ STATE_DOUBLES = 12
 #: peaked at up to 43,640 bytes (tracemalloc; level 1, a drift).
 CHUNK_OVERHEAD_BYTES = 2**16
 
-SCHEDULE_MODES = ("singlelevel", "strong", "weak", "general")
+#: Rate power p of each named schedule mode: decay a_l = h_l**(p*gamma),
+#: variance order eta = 1/p and default kappa = (d+2)/(p*gamma).
+RATE_POWERS = {"singlelevel": 2.0, "strong": 1.0, "weak": 2.0}
+
+SCHEDULE_MODES = (*RATE_POWERS, "general")
 
 
 def _ceil_count(value: float) -> int:
@@ -87,7 +94,7 @@ class SampleSchedule:
     mode: str
     gamma: float
     eps: float
-    eta: Optional[float]
+    eta: float
 
     def count_for(self, level: int, lmin: int) -> int:
         if self.mode == "singlelevel":
@@ -118,8 +125,8 @@ def build_schedule(
 ) -> SampleSchedule:
     """Sample counts for one estimator run.
 
-    ``a`` and ``eta`` are only consumed in general mode; the dyadic modes
-    derive them from ``gamma``.
+    ``a`` and ``eta`` are only consumed in general mode; a named mode derives
+    them from ``gamma`` and its rate power.
     """
     if mode not in SCHEDULE_MODES:
         raise UsageError(f"unknown schedule mode {mode!r}")
@@ -131,18 +138,7 @@ def build_schedule(
         raise UsageError(f"eps must be nonnegative, got {eps}")
     make_level(top_level)  # capacity check
 
-    h = [2.0 ** (-l) for l in range(top_level + 1)]
-    if mode == "singlelevel":
-        n = _ceil_count(h[top_level] ** (-4.0 * gamma))
-        return SampleSchedule(top_level, (n,), mode, gamma, eps, None)
-
-    if mode == "strong":
-        seq = [h[l] ** gamma for l in range(top_level + 1)]
-        eta_eff = 1.0
-    elif mode == "weak":
-        seq = [h[l] ** (2.0 * gamma) for l in range(top_level + 1)]
-        eta_eff = 0.5
-    else:
+    if mode == "general":
         if a is None or eta is None:
             raise UsageError("general mode needs the decay sequence a and eta")
         seq = [float(v) for v in a]
@@ -152,13 +148,21 @@ def build_schedule(
             raise UsageError("decay sequence must be positive and nonincreasing")
         if not 0.0 <= eta <= 1.0:
             raise UsageError(f"eta must lie in [0, 1], got {eta}")
-        eta_eff = float(eta)
+        eta = float(eta)
+    else:
+        power = RATE_POWERS[mode]
+        seq = [(2.0 ** -l) ** (power * gamma) for l in range(top_level + 1)]
+        eta = 1.0 / power
+    if mode == "singlelevel":
+        # a_L**-2 as h_L**(-2*p*gamma), one rounding
+        n = _ceil_count((2.0 ** -top_level) ** (-2.0 * power * gamma))
+        return SampleSchedule(top_level, (n,), mode, gamma, eps, eta)
 
     base = seq[top_level] ** -2.0
     counts = [_ceil_count(base)]
     for l in range(1, top_level + 1):
-        counts.append(_ceil_count(base * seq[l] ** (2.0 * eta_eff) * l ** (1.0 + eps)))
-    return SampleSchedule(top_level, tuple(counts), mode, gamma, eps, eta_eff)
+        counts.append(_ceil_count(base * seq[l] ** (2.0 * eta) * l ** (1.0 + eps)))
+    return SampleSchedule(top_level, tuple(counts), mode, gamma, eps, eta)
 
 
 def _functional_values(functional, level: LevelGeometry, states: np.ndarray):
@@ -462,9 +466,8 @@ class MlmcResult:
 
 
 def mlmc_estimate(
-    top_level: int,
-    lmin: int,
     schedule: SampleSchedule,
+    lmin: int,
     functional="identity",
     master_seed: int = 0,
     replicate: int = 0,
@@ -477,10 +480,10 @@ def mlmc_estimate(
 
     Parameters
     ----------
-    top_level : finest mesh level L; must match ``schedule.top_level``.
+    schedule : per-level sample counts from :func:`build_schedule`; its
+        ``top_level`` is the finest mesh level L.
     lmin : base level of the hierarchy (1 by default in the CLI); the term
         below it is zero, so the base level is estimated on its own.
-    schedule : per-level sample counts from :func:`build_schedule`.
     functional : what to average: ``"identity"`` (the default) yields a nodal
         field on level L, ``"squared-norm"`` the squared L2(0,1) norm, and a
         callable taking a ``NodalField`` and returning a float a custom scalar.
@@ -495,14 +498,13 @@ def mlmc_estimate(
     workers : thread count for chunk simulation. Results do not depend on
         it; chunk boundaries and the reduction order are fixed.
 
-    Fails before any simulation on an unknown functional, a schedule for
-    another top level, or what ``check_capacity`` rejects.
+    Fails before any simulation on an unknown functional or what
+    ``check_capacity`` rejects.
     """
     if not (callable(functional) or functional in ("identity", "squared-norm")):
         raise UsageError(f"unknown functional {functional!r}: expected 'identity', "
                          "'squared-norm' or a callable")
-    if schedule.top_level != top_level:
-        raise UsageError("schedule was built for a different top level")
+    top_level = schedule.top_level
     plan = schedule.level_counts(lmin)
     check_capacity([plan], lmin, master_seed, replicate + 1, kl_rule, workers)
     base = plan[0][0]
@@ -543,10 +545,10 @@ def mlmc_estimate(
 class WorkPrediction:
     """Theoretical work of a schedule plus its asymptotic complexity."""
 
-    per_level: tuple           # N_l * cost * h_l**-(d+2), schedule index order
-    summation: float           # sum_cost * h_L**-delta
+    per_level: tuple           # N_l * h_l**-(d+2), schedule index order
+    summation: float           # h_L**-delta
     total: float
-    accuracy_exponent: float   # work ~ accuracy**exponent for the mode
+    accuracy_exponent: float   # work ~ accuracy**exponent: the bound's, or -(kappa+2)
     log_factor: bool           # whether a |log2 accuracy| factor multiplies it
     bound_exponent: float      # exponent of a_L in the schedule work bound
     bound_poly_power: Optional[float]  # power of L multiplying the bound
@@ -559,65 +561,50 @@ def predict_work(
     d: int = 1,
     kappa: Optional[float] = None,
     delta: float = 0.0,
-    cost: float = 1.0,
-    sum_cost: float = 1.0,
 ) -> WorkPrediction:
     """Evaluate the work model for a schedule.
 
-    The per-sample cost at level l is ``cost * h_l**-(d+2)`` (space times
-    time), and adding up the level estimators costs ``sum_cost * h_L**-delta``.
-    The accuracy exponents reproduce the complexity table: plain Monte Carlo
-    scales as eps**-((d+2)/(2*gamma)+2), the strong-rate schedule as
-    eps**-(d+2)/gamma with a log factor, and the weak-rate schedule as
-    eps**-((d+2)/(2*gamma)+1) with a log factor.
+    The per-sample cost at level l is ``h_l**-(d+2)`` (space times time), and
+    adding up the level estimators costs ``h_L**-delta``. ``kappa`` defaults
+    to (d+2)/(p*gamma) for a named mode of rate power p. A multilevel
+    schedule's accuracy exponent is its work bound's: -(kappa + 2*(1-eta))
+    with a log factor for kappa >= 2*eta (strong: -(d+2)/gamma, weak:
+    -((d+2)/(2*gamma)+1)), else -max(2, delta). Plain Monte Carlo scales as
+    eps**-(kappa+2), eps**-((d+2)/(2*gamma)+2) by default, with no log factor.
     """
     if d < 0:
         raise UsageError("spatial work dimension d must be nonnegative")
     if delta < 0.0:
         raise UsageError("summation exponent delta must be nonnegative")
-    gamma = schedule.gamma
     top = schedule.top_level
     h_top = 2.0 ** (-top)
 
     if schedule.mode == "singlelevel":
-        per_level = (schedule.counts[0] * cost * h_top ** -(d + 2),)
+        per_level = (schedule.counts[0] * h_top ** -(d + 2),)
     else:
-        per_level = tuple(
-            schedule.counts[l] * cost * (2.0 ** (-l)) ** -(d + 2)
-            for l in range(top + 1)
-        )
-    summation = sum_cost * h_top**-delta
+        per_level = tuple(schedule.counts[l] * (2.0 ** (-l)) ** -(d + 2)
+                          for l in range(top + 1))
+    summation = h_top**-delta
 
     if kappa is None:
-        if schedule.mode == "strong":
-            kappa = (d + 2) / gamma
-        elif schedule.mode in ("weak", "singlelevel"):
-            kappa = (d + 2) / (2.0 * gamma)
-        else:
+        if schedule.mode == "general":
             raise UsageError("general mode needs an explicit kappa")
+        kappa = (d + 2) / (RATE_POWERS[schedule.mode] * schedule.gamma)
     if kappa <= 0.0:
         raise UsageError("kappa must be positive")
 
-    eta = schedule.eta if schedule.eta is not None else 0.5
+    eta = schedule.eta
     if kappa < 2.0 * eta:
         bound_exponent = -max(2.0, delta)
         bound_poly_power = None
     else:
-        bound_exponent = -(2.0 + kappa - 2.0 * eta)
+        bound_exponent = -(kappa + 2.0 * (1.0 - eta))
         bound_poly_power = 2.0 + schedule.eps
 
     if schedule.mode == "singlelevel":
-        accuracy_exponent = -((d + 2) / (2.0 * gamma) + 2.0)
-        log_factor = False
-    elif schedule.mode == "strong":
-        accuracy_exponent = -(d + 2) / gamma
-        log_factor = True
-    elif schedule.mode == "weak":
-        accuracy_exponent = -((d + 2) / (2.0 * gamma) + 1.0)
-        log_factor = True
+        accuracy_exponent, log_factor = -(kappa + 2.0), False
     else:
-        accuracy_exponent = bound_exponent
-        log_factor = False
+        accuracy_exponent, log_factor = bound_exponent, bound_poly_power is not None
 
     # zeta(s): the terms k < n = 1000 and the Euler-Maclaurin tail, about 1e-15 relative
     s, n = 1.0 + schedule.eps, 1000.0

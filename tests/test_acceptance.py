@@ -141,7 +141,7 @@ def test_criterion_4_exact_telescoping():
     worst = 0.0
     for top in range(1, 6):
         schedule = build_schedule("strong", top, gamma=0.5, eps=1.0)
-        result = mlmc_estimate(top, 1, schedule, master_seed=SEED, zero_noise=True)
+        result = mlmc_estimate(schedule, 1, master_seed=SEED, zero_noise=True)
         target = run_deterministic(make_level(top)).values
         worst = max(worst, float(np.max(np.abs(result.estimate.values - target))))
     elapsed = time.perf_counter() - t0
@@ -208,7 +208,7 @@ def test_criterion_7_unbiasedness():
     top, reps = 3, 50
     schedule = build_schedule("weak", top, gamma=0.5, eps=1.0)
     estimates = np.array([
-        mlmc_estimate(top, 1, schedule, master_seed=SEED, replicate=rep).estimate.values
+        mlmc_estimate(schedule, 1, master_seed=SEED, replicate=rep).estimate.values
         for rep in range(reps)
     ])
     mean = estimates.mean(axis=0)

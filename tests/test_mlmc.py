@@ -311,14 +311,14 @@ def test_non_finite_state_names_its_stream_coordinates():
 @pytest.mark.parametrize("top", [1, 2, 3, 4])
 def test_zero_noise_telescopes_to_deterministic(top):
     schedule = build_schedule("strong", top, gamma=0.5, eps=1.0)
-    result = mlmc_estimate(top, 1, schedule, master_seed=1, zero_noise=True)
+    result = mlmc_estimate(schedule, 1, master_seed=1, zero_noise=True)
     np.testing.assert_allclose(result.estimate.values,
                                run_deterministic(make_level(top)).values, atol=1e-10)
 
 
 def test_estimate_is_sum_of_prolonged_contributions():
     schedule = build_schedule("weak", 3, gamma=0.5, eps=1.0)
-    result = mlmc_estimate(3, 1, schedule, master_seed=4)
+    result = mlmc_estimate(schedule, 1, master_seed=4)
     total = np.zeros(make_level(3).dofs)
     for stat in result.level_stats:
         field = NodalField(make_level(stat.level), stat.mean_contribution)
@@ -329,25 +329,25 @@ def test_estimate_is_sum_of_prolonged_contributions():
 def test_all_counts_one_is_valid():
     schedule = build_schedule("strong", 2, gamma=0.5, eps=1.0)
     ones = schedule.__class__(2, (1, 1, 1), "strong", 0.5, 1.0, 1.0)
-    result = mlmc_estimate(2, 1, ones, master_seed=3)
+    result = mlmc_estimate(ones, 1, master_seed=3)
     assert all(s.variance == 0.0 for s in result.level_stats)
     assert all(s.samples == 1 for s in result.level_stats)
 
 
 def test_reproducible_bitwise():
     schedule = build_schedule("weak", 2, gamma=0.5, eps=1.0)
-    a = mlmc_estimate(2, 1, schedule, master_seed=12, replicate=1)
-    b = mlmc_estimate(2, 1, schedule, master_seed=12, replicate=1)
+    a = mlmc_estimate(schedule, 1, master_seed=12, replicate=1)
+    b = mlmc_estimate(schedule, 1, master_seed=12, replicate=1)
     assert np.array_equal(a.estimate.values, b.estimate.values)
     assert a.total_op_work == b.total_op_work
-    c = mlmc_estimate(2, 1, schedule, master_seed=12, replicate=2)
+    c = mlmc_estimate(schedule, 1, master_seed=12, replicate=2)
     assert not np.array_equal(a.estimate.values, c.estimate.values)
 
 
 def test_workers_do_not_change_results():
     schedule = build_schedule("weak", 3, gamma=0.5, eps=1.0)
-    serial = mlmc_estimate(3, 1, schedule, master_seed=6)
-    parallel = mlmc_estimate(3, 1, schedule, master_seed=6, workers=2)
+    serial = mlmc_estimate(schedule, 1, master_seed=6)
+    parallel = mlmc_estimate(schedule, 1, master_seed=6, workers=2)
     assert np.array_equal(serial.estimate.values, parallel.estimate.values)
     for a, b in zip(serial.level_stats, parallel.level_stats):
         assert a.variance == b.variance
@@ -359,8 +359,8 @@ def test_callables_with_workers_match_inline():
     custom = lambda f: float(f.values[0])
     drift = lambda v: -v
     for kwargs in ({"functional": custom}, {"drift": drift}):
-        serial = mlmc_estimate(3, 1, schedule, master_seed=1, **kwargs)
-        threaded = mlmc_estimate(3, 1, schedule, master_seed=1, workers=2, **kwargs)
+        serial = mlmc_estimate(schedule, 1, master_seed=1, **kwargs)
+        threaded = mlmc_estimate(schedule, 1, master_seed=1, workers=2, **kwargs)
         assert np.array_equal(getattr(serial.estimate, "values", serial.estimate),
                               getattr(threaded.estimate, "values", threaded.estimate))
         for a, b in zip(serial.level_stats, threaded.level_stats):
@@ -398,10 +398,10 @@ def test_stream_capacity_checked_before_simulation(monkeypatch):
     monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
     schedule = build_schedule("strong", 2, gamma=0.5, eps=1.0)
     with pytest.raises(UsageError, match="16 bits"):
-        mlmc_estimate(2, 1, schedule, master_seed=0, replicate=2**16)
+        mlmc_estimate(schedule, 1, master_seed=0, replicate=2**16)
     too_many = dataclasses.replace(schedule, counts=(4, 4, 2**32 + 1))
     with pytest.raises(UsageError, match="32 bits"):
-        mlmc_estimate(2, 1, too_many, master_seed=0)
+        mlmc_estimate(too_many, 1, master_seed=0)
     with pytest.raises(UsageError, match="32 bits"):
         mlmc.pair_variances(3, 1, 2**32 + 1, 0)
 
@@ -417,12 +417,12 @@ def test_unknown_functional_rejected_before_the_first_chunk(monkeypatch, functio
     schedule = build_schedule("weak", 2, gamma=0.5, eps=1.0)
     with pytest.raises(UsageError, match=f"unknown functional {functional!r}: expected "
                                          "'identity', 'squared-norm' or a callable"):
-        mlmc_estimate(2, 1, schedule, functional=functional, master_seed=0)
+        mlmc_estimate(schedule, 1, functional=functional, master_seed=0)
 
 
 def test_singlelevel_estimate():
     schedule = build_schedule("singlelevel", 2, gamma=0.5)
-    result = mlmc_estimate(2, 1, schedule, master_seed=5)
+    result = mlmc_estimate(schedule, 1, master_seed=5)
     assert len(result.level_stats) == 1
     assert result.level_stats[0].level == 2
     assert result.level_stats[0].samples == schedule.counts[0]
@@ -430,9 +430,9 @@ def test_singlelevel_estimate():
 
 def test_scalar_functional_estimate():
     schedule = build_schedule("strong", 2, gamma=0.5, eps=1.0)
-    result = mlmc_estimate(2, 1, schedule, functional="squared-norm", master_seed=7)
+    result = mlmc_estimate(schedule, 1, functional="squared-norm", master_seed=7)
     assert isinstance(result.estimate, float)
-    zero_noise = mlmc_estimate(2, 1, schedule, functional="squared-norm",
+    zero_noise = mlmc_estimate(schedule, 1, functional="squared-norm",
                                master_seed=7, zero_noise=True)
     det = run_deterministic(make_level(2))
     assert zero_noise.estimate == pytest.approx(mass_norm_sq(det.level, det.values),
@@ -442,9 +442,7 @@ def test_scalar_functional_estimate():
 def test_schedule_level_mismatch_rejected():
     schedule = build_schedule("weak", 3, gamma=0.5, eps=1.0)
     with pytest.raises(UsageError):
-        mlmc_estimate(4, 1, schedule, master_seed=0)
-    with pytest.raises(UsageError):
-        mlmc_estimate(3, 0, schedule, master_seed=0)
+        mlmc_estimate(schedule, 0, master_seed=0)
 
 
 def test_level_difference_variance_decays():
@@ -485,7 +483,7 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
         with pytest.raises(UsageError, match="workers must be at least 1"):
             mlmc.pair_variances(2, 1, 4, 0, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
-            mlmc_estimate(2, 1, build_schedule("weak", 2), workers=workers)
+            mlmc_estimate(build_schedule("weak", 2), 1, workers=workers)
     with pytest.raises(UsageError, match="at least one replicate, got 0"):
         mlmc.check_capacity([build_schedule("weak", 2).level_counts(1)], 1, 0, 0, None)
 
@@ -501,16 +499,16 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
     with pytest.raises(CapacityError, match="level 2 chunks"):
         mlmc.pair_variances(2, 1, 2, 0, kl_rule=10**8)
     with pytest.raises(CapacityError, match="level 1 chunks"):
-        mlmc_estimate(2, 1, build_schedule("weak", 2), kl_rule=10**8)
+        mlmc_estimate(build_schedule("weak", 2), 1, kl_rule=10**8)
     # a drift holds one slab of increments, as a run without one does: both
     # pass the check at level 16 on one worker and fail it at 17
     drift = lambda v: -v
     mlmc.check_chunk_memory(range(1, 17), None)
     with pytest.raises(AssertionError, match="a chunk ran"):
-        mlmc_estimate(16, 1, build_schedule("strong", 16), drift=drift)
+        mlmc_estimate(build_schedule("strong", 16), 1, drift=drift)
     for kwargs in ({}, {"drift": drift}):
         with pytest.raises(CapacityError, match="level 17 chunks"):
-            mlmc_estimate(17, 1, build_schedule("strong", 17), **kwargs)
+            mlmc_estimate(build_schedule("strong", 17), 1, **kwargs)
 
 
 def test_sample_pair_admitted_before_simulation(monkeypatch):
@@ -574,7 +572,7 @@ def test_unbiased_against_deterministic_mean():
     schedule = build_schedule("weak", top, gamma=0.5, eps=1.0)
     estimates = []
     for rep in range(reps):
-        result = mlmc_estimate(top, 1, schedule, master_seed=77, replicate=rep)
+        result = mlmc_estimate(schedule, 1, master_seed=77, replicate=rep)
         estimates.append(result.estimate.values)
     estimates = np.array(estimates)
     mean = estimates.mean(axis=0)
@@ -588,7 +586,7 @@ def test_mse_matches_variance_decomposition():
     # per-level variances divided by the sample counts
     top, reps = 2, 80
     schedule = build_schedule("weak", top, gamma=0.5, eps=1.0)
-    results = [mlmc_estimate(top, 1, schedule, master_seed=31, replicate=r)
+    results = [mlmc_estimate(schedule, 1, master_seed=31, replicate=r)
                for r in range(reps)]
     fields = np.array([r.estimate.values for r in results])
     mean = fields.mean(axis=0)
@@ -652,9 +650,15 @@ def test_predict_work_branches():
     pred2 = predict_work(low_kappa, d=1, kappa=3.0, delta=0.0)
     assert pred2.bound_exponent == pytest.approx(-(2.0 + 3.0 - 2.0))
     assert pred2.bound_poly_power == pytest.approx(3.0)
-    # a general schedule's complexity is its bound, on both sides of 2 eta
+    # a general schedule's complexity is its bound, on both sides of 2 eta,
+    # with the bound's log factor
     assert pred.accuracy_exponent == pred.bound_exponent
     assert pred2.accuracy_exponent == pred2.bound_exponent
+    assert not pred.log_factor and pred2.log_factor
+    # so is a named mode's, also at a kappa other than its default
+    weak = predict_work(build_schedule("weak", 3, gamma=0.5), kappa=0.5)
+    assert weak.accuracy_exponent == weak.bound_exponent == -2.0
+    assert not weak.log_factor
 
 
 def test_predict_work_zeta_constant():
