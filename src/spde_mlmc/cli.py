@@ -10,11 +10,12 @@ chunk runs; ``variance`` admits its whole level range the same way.
 Each option is declared once, in ``_OPTIONS``. The CLI checks only what it
 alone knows: that ``--seed`` and ``--out`` are given, the seed range, that
 ``--mode`` names at least one mode and none twice, the parsing of each value,
-and ``--m``. The library's one admission function, ``mlmc.check_capacity``,
-checks base level, pair level, workers, replicates, chunk memory and stream
-keys, ``mlmc.pair_variances`` that there are two pairs, and
-``mlmc.mlmc_estimate`` the ``--functional`` name, which it takes as given,
-before the first chunk runs and before ``--out`` is created.
+that ``--out`` is or can be made a directory, and ``--m`` with its memory. The
+library's one admission function, ``mlmc.check_capacity``, checks base level,
+pair level, workers, replicates, chunk memory and stream keys,
+``mlmc.pair_variances`` that there are two pairs, ``mlmc.build_schedule`` the
+schedule input, and ``mlmc.mlmc_estimate`` the ``--functional`` name, which it
+takes as given, before the first chunk runs and before ``--out`` is created.
 
 Every output CSV starts with ``#``-prefixed metadata lines recording the
 artifact version, the config hash, and the seed. Given identical config and
@@ -267,6 +268,9 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     for mode in cfg.modes:
         if cfg.modes.count(mode) > 1:
             raise UsageError(f"--mode names {mode!r} more than once")
+    existing = next(p for p in (cfg.out, *cfg.out.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise UsageError(f"--out {cfg.out}: {existing} is not a directory")
     reference_points(cfg.m)
     if command == "compare":
         cfg.modes = ("strong", "weak")

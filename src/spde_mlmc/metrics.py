@@ -10,8 +10,12 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
-from .grid import LevelGeometry, NodalField, prolong_to
+from .errors import CapacityError, UsageError
+from .grid import MAX_TASK_BYTES, LevelGeometry, NodalField, prolong_to
+
+#: Memory of ``rms_error`` per reference point, an upper bound: it peaks at 6.00
+#: doubles per point (tracemalloc, r = 16, 20 and 22), so the cap admits r <= 25.
+RMS_BYTES_PER_POINT = 7 * 8
 
 
 def exact_mean(t: float, level: LevelGeometry) -> NodalField:
@@ -26,10 +30,14 @@ def exact_mean_values(t: float, x: np.ndarray) -> np.ndarray:
 
 
 def reference_points(m: int) -> int:
-    """Validate an evaluation grid size m = 2**r + 1 and return r."""
+    """Validate an evaluation grid size m = 2**r + 1 and return r; a grid whose
+    ``rms_error`` would take more than ``MAX_TASK_BYTES`` is a CapacityError."""
     r = (m - 1).bit_length() - 1
     if m < 2 or 2**r + 1 != m:
         raise UsageError(f"evaluation grid size must be 2**r + 1, got {m}")
+    if RMS_BYTES_PER_POINT * m > MAX_TASK_BYTES:
+        raise CapacityError(f"a reference grid of m = {m} points needs about "
+                            f"{RMS_BYTES_PER_POINT * m} bytes, above the {MAX_TASK_BYTES} cap")
     return r
 
 

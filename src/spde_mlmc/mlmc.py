@@ -6,14 +6,12 @@ first level with a nonempty interior-node space), and each higher level
 contributes the mean of coupled fine/coarse differences driven by the same
 Wiener increments.
 
-Sample counts come from a-priori schedules: the rule ``N_0 = ceil(a_L**-2)``,
-``N_l = ceil(a_L**-2 * a_l**(2*eta) * l**(1+eps))`` for a decay sequence a_l
-and a variance order eta. "general" takes both as given; a named mode is one
-rate power p of ``RATE_POWERS``, with a_l = h_l**(p*gamma) and eta = 1/p
-("strong" p = 1, "weak" p = 2), and "singlelevel" runs ``ceil(a_L**-2)``
-samples of the top level alone. ``predict_work`` takes every multilevel
-complexity exponent from the one work bound of the MLMC theorem (Giles,
-Oper. Res. 56 (2008)) applied to the schedule's a_l and eta.
+Sample counts follow ``N_0 = ceil(a_L**-2)``, ``N_l = ceil(a_L**-2 *
+a_l**(2*eta) * l**(1+eps))``: "general" takes the decay sequence a_l and eta
+as given, a named mode of rate power p = ``RATE_POWERS[mode]`` sets a_l =
+h_l**(p*gamma) and eta = 1/p, and "singlelevel" runs ``ceil(a_L**-2)`` samples
+of the top level alone. ``predict_work`` takes every multilevel exponent from
+the one work bound of the MLMC theorem (Giles, Oper. Res. 56 (2008)).
 
 Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
 ``fem.StepOperator``: per path, the increments of each slab of ``SLAB_STEPS``
@@ -72,8 +70,11 @@ RATE_POWERS = {"singlelevel": 2.0, "strong": 1.0, "weak": 2.0}
 SCHEDULE_MODES = (*RATE_POWERS, "general")
 
 
-def _ceil_count(value: float) -> int:
-    """Ceiling with a guard against floating-point overshoot of integers."""
+def _ceil_count(value: float, level: int) -> int:
+    """The sample count of ``level``: the ceiling of ``value`` with a guard
+    against floating-point overshoot of integers."""
+    if not math.isfinite(value):
+        raise UsageError(f"the sample count of level {level} is not a finite float: {value}")
     c = math.ceil(value)
     if c - value > 1.0 - 1e-9:
         c -= 1
@@ -126,7 +127,8 @@ def build_schedule(
     """Sample counts for one estimator run.
 
     ``a`` and ``eta`` are only consumed in general mode; a named mode derives
-    them from ``gamma`` and its rate power.
+    them from ``gamma`` and its rate power. Fails on non-finite input and on
+    a count that is not a finite float, naming its level.
     """
     if mode not in SCHEDULE_MODES:
         raise UsageError(f"unknown schedule mode {mode!r}")
@@ -134,8 +136,8 @@ def build_schedule(
         raise UsageError("top level must be at least 1")
     if not 0.0 < gamma < 1.0:
         raise UsageError(f"gamma must lie in (0, 1), got {gamma}")
-    if eps < 0.0:
-        raise UsageError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise UsageError(f"eps must be finite and nonnegative, got {eps}")
     make_level(top_level)  # capacity check
 
     if mode == "general":
@@ -144,8 +146,8 @@ def build_schedule(
         seq = [float(v) for v in a]
         if len(seq) != top_level + 1:
             raise UsageError(f"decay sequence must have {top_level + 1} entries")
-        if any(v <= 0 for v in seq) or any(x < y for x, y in zip(seq, seq[1:])):
-            raise UsageError("decay sequence must be positive and nonincreasing")
+        if any(not 0.0 < v < math.inf for v in seq) or any(x < y for x, y in zip(seq, seq[1:])):
+            raise UsageError("decay sequence must be finite, positive and nonincreasing")
         if not 0.0 <= eta <= 1.0:
             raise UsageError(f"eta must lie in [0, 1], got {eta}")
         eta = float(eta)
@@ -155,13 +157,17 @@ def build_schedule(
         eta = 1.0 / power
     if mode == "singlelevel":
         # a_L**-2 as h_L**(-2*p*gamma), one rounding
-        n = _ceil_count((2.0 ** -top_level) ** (-2.0 * power * gamma))
+        n = _ceil_count((2.0 ** -top_level) ** (-2.0 * power * gamma), top_level)
         return SampleSchedule(top_level, (n,), mode, gamma, eps, eta)
 
-    base = seq[top_level] ** -2.0
-    counts = [_ceil_count(base)]
-    for l in range(1, top_level + 1):
-        counts.append(_ceil_count(base * seq[l] ** (2.0 * eta) * l ** (1.0 + eps)))
+    counts = []
+    for l in range(top_level + 1):
+        try:
+            n = seq[top_level] ** -2.0
+            n = n * seq[l] ** (2.0 * eta) * l ** (1.0 + eps) if l else n
+        except OverflowError:
+            n = math.inf
+        counts.append(_ceil_count(n, l))
     return SampleSchedule(top_level, tuple(counts), mode, gamma, eps, eta)
 
 

@@ -140,6 +140,16 @@ def test_reps_beyond_replicate_field_rejected_up_front(tmp_path, monkeypatch, ca
      "exceeds the top level"),
     (["run", "--functional", "squared_norm", "--L", "1..2"],
      "unknown functional 'squared_norm'"),
+    (["run", "--eps", "nan", "--L", "1..3"], "eps must be finite"),
+    (["run", "--eps", "inf", "--L", "1..3"], "eps must be finite"),
+    (["run", "--eps", "1e308", "--L", "1..3"], "sample count of level 2"),
+    (["run", "--eps", "1000", "--L", "1..3"], "sample count of level 3"),
+    (["compare", "--eps", "nan", "--L", "1..2"], "eps must be finite"),
+    (["run", "--mode", "general", "--L", "1..2", "--a-seq", "1,nan,0.25", "--eta", "1"],
+     "finite, positive and nonincreasing"),
+    (["run", "--mode", "general", "--L", "1..2", "--a-seq", "1,1e-200,1e-300", "--eta", "1"],
+     "sample count of level 0"),
+    (["run", "--L", "1..3", "--m", "67108865"], "m = 67108865 points"),
 ])
 def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsys,
                                                     argv, named):
@@ -180,6 +190,30 @@ def test_library_checks_exit_2_before_the_first_chunk(tmp_path, monkeypatch, cap
     assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("argv", [
+    ["det-conv", "--levels", "2..3"],
+    ["variance", "--levels", "2..3", "--pairs", "8"],
+    ["run", "--L", "1..3"],
+    ["compare", "--L", "1..2"],
+], ids=lambda argv: argv[0])
+def test_out_that_cannot_be_a_directory_rejected_before_any_work(tmp_path, monkeypatch,
+                                                                 capsys, argv, under):
+    from spde_mlmc import cli, mlmc
+
+    def no_work(*_args):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_work)
+    monkeypatch.setattr(cli, "run_deterministic", no_work)
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"kept")
+    out = blocker / "o" if under else blocker
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+    assert f"{blocker} is not a directory" in capsys.readouterr().err
+    assert blocker.read_bytes() == b"kept"
 
 
 def test_variance_zero_noise(tmp_path):
@@ -420,15 +454,23 @@ import benchstats, tracing, workloads
 from spde_mlmc import cli
 tracer = tracing.install(tracing.Tracer())
 out = sys.argv[1]
+root = tracer.open("cli.handler")
 codes = [
     cli.main(["variance", "--levels", "2..3", "--pairs", "70", "--seed", "1",
               "--workers", "2", "--out", out + "/v"]),
     cli.main(["run", "--L", "1..2", "--reps", "1", "--seed", "1", "--out", out + "/r"]),
+    cli.main(["compare", "--L", "1..2", "--strong-L", "1..3", "--reps", "1", "--seed", "1",
+              "--out", out + "/c"]),
 ]
-run_levels = workloads.read_csv(Path(out, "r", "run_levels.csv"))
+tracer.close(root)
 op_work = (benchstats.variance_op_work(range(2, 4), 70, 1)
-           + benchstats.level_rows_op_work(run_levels, 1))
-print(sum(span.items for span in tracer.spans if span.name == "fem.step"), op_work)
+           + benchstats.level_rows_op_work(workloads.read_csv(Path(out, "r", "run_levels.csv")), 1)
+           + benchstats.level_rows_op_work(
+               workloads.read_csv(Path(out, "c", "compare_levels.csv")), 1))
+layers = tracing.layer_metrics(tracer.spans, tracer.dispatch_s, tracing.span_cost())
+print(sum(span.items for span in tracer.spans if span.name == "fem.step"),
+      sum(span.op_work for span in tracer.spans if span.name == "mlmc.chunk"),
+      layers["fem.dof_steps"], layers["mlmc.chunk_op_work"], op_work)
 print(codes, sorted({span.name for span in tracer.spans}))
 """
 
@@ -442,10 +484,11 @@ def test_benchmark_trace_hooks_record_spans(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts, last = proc.stdout.strip().splitlines()[-2:]
-    assert last.startswith("[0, 0] ")
+    assert last.startswith("[0, 0, 0] ")
     for name in ("mlmc.task", "mlmc.chunk", "grid.prolong"):
         assert f"'{name}'" in last
     # the benchmark checks on traced runs that the increments the steps
-    # receive add up to the run's op_work, dofs x steps per simulated path
-    step_items, op_work = map(int, counts.split())
-    assert step_items == op_work
+    # receive, the chunks' op_work and the layer metrics of both add up to
+    # the runs' op_work, dofs x steps per simulated path
+    step_items, chunk_op_work, dof_steps, layer_op_work, op_work = map(int, counts.split())
+    assert step_items == chunk_op_work == dof_steps == layer_op_work == op_work

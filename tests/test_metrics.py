@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spde_mlmc import (
+    CapacityError,
     NodalField,
     UsageError,
     exact_mean,
@@ -51,6 +52,13 @@ def test_reference_points():
     for bad in (0, 1, 34, 10):
         with pytest.raises(UsageError):
             reference_points(bad)
+
+
+def test_reference_grid_over_the_memory_cap_rejected():
+    # rms_error peaks at 6 doubles per point; 2**26 + 1 points pass 2 GiB
+    assert reference_points(2**25 + 1) == 25
+    with pytest.raises(CapacityError, match=r"m = 67108865 points needs about \d+ bytes"):
+        reference_points(2**26 + 1)
 
 
 def test_rms_error_zero_for_exact_nodal_values_on_matching_grid():

@@ -90,6 +90,17 @@ def test_schedule_validation():
         build_schedule("general", 3, a=[1, 2, 1, 1], eta=0.5)  # not decreasing
     with pytest.raises(UsageError):
         build_schedule("nonsense", 3)
+    # non-finite input, and counts that overflow a float, name what is wrong
+    for eps in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="eps must be finite"):
+            build_schedule("weak", 3, eps=eps)
+    for eps, level in ((1e308, 2), (1000.0, 3)):
+        with pytest.raises(UsageError, match=f"sample count of level {level} is not a finite"):
+            build_schedule("weak", 3, eps=eps)
+    with pytest.raises(UsageError, match="finite, positive and nonincreasing"):
+        build_schedule("general", 2, a=[1.0, math.nan, 0.25], eta=1.0)
+    with pytest.raises(UsageError, match="sample count of level 0 is not a finite"):
+        build_schedule("general", 2, a=[1.0, 1e-200, 1e-300], eta=1.0)
 
 
 # ------------------------------------------------------------- mc_estimate
