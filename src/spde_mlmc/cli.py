@@ -310,7 +310,7 @@ def cmd_det_conv(cfg: RunConfig) -> int:
 def cmd_variance(cfg: RunConfig) -> int:
     levels = range(cfg.levels[0], cfg.levels[1] + 1)
     check_capacity([[(l, cfg.pairs) for l in levels]], cfg.lmin, cfg.seed, 1, cfg.kl_modes,
-                   cfg.workers)
+                   cfg.workers, increments=not cfg.zero_noise)
     rows, points, timing_rows = [], [], []
     for l in levels:
         started = time.perf_counter()
@@ -343,7 +343,7 @@ def _study(cfg: RunConfig, ranges):
                                 a=cfg.a_seq[: top + 1] if cfg.a_seq is not None else None)
                  for mode, lo, hi in ranges for top in range(lo, hi + 1)]
     check_capacity([schedule.level_counts(cfg.lmin) for schedule in schedules], cfg.lmin,
-                   cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers)
+                   cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers, increments=not cfg.zero_noise)
     rep_rows, level_rows, summary_rows, timing_rows = [], [], [], []
     for schedule in schedules:
         mode, top = schedule.mode, schedule.top_level

@@ -13,21 +13,20 @@ on its own. ``mode_factors`` alone forms the per-mode eigenvalues, load
 amplitudes and step factors, exact to rounding at every level, and each power
 rho^N of a step factor is exp(N log rho). Without drift a block of steps is
 one weighted sum over its increments, formed in two stages from two BLOCK x
-modes tables of those powers; a drift F is a plain callable on nodal values
-(None means F = 0), applied step by step. ``sine_transform``, an FFT, maps
+modes tables of those powers, which the operator holds; the module keeps no
+operator, so whoever builds one owns it. A drift F is a plain callable on
+nodal values (None means F = 0), applied step by step. ``sine_transform``, an FFT, maps
 modes to nodal values. ``mass_norm_sq`` forms the L2(0,1) norms x^T M x from
 the two diagonals. The nodal scheme, with assembled bands and a Thomas solve
 per step, lives in ``tests/reference.py`` as the oracle.
 """
 
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import UsageError
-from .grid import LevelGeometry, NodalField, make_level
-from .noise import kl_modes
+from .grid import LevelGeometry, NodalField
 
 
 def initial_field(level: LevelGeometry) -> NodalField:
@@ -158,16 +157,6 @@ class StepOperator:
             forcing = sine_transform(drift(sine_transform(coeffs)))
             coeffs = self._add_modes(rho * (coeffs + scale * forcing), beta * increments)
         return coeffs
-
-
-@lru_cache(maxsize=None)
-def _step_operator(level_index: int, modes: int) -> StepOperator:
-    return StepOperator(make_level(level_index), modes)
-
-
-def step_operator(level: LevelGeometry, modes: Optional[int] = None) -> StepOperator:
-    """Cached operator of ``level`` for ``modes`` KL modes (default dofs)."""
-    return _step_operator(level.level, kl_modes(level, modes))
 
 
 def run_deterministic(level: LevelGeometry) -> NodalField:

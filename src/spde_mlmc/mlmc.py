@@ -14,11 +14,13 @@ of the top level alone. ``predict_work`` takes every multilevel exponent from
 the one work bound of the MLMC theorem (Giles, Oper. Res. 56 (2008)).
 
 Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
-``fem.StepOperator``: per path, the increments of each slab of ``SLAB_STEPS``
-fine steps are drawn once, into one slab buffer that the chunk reuses, and
-enter the fine path, and summed in fours the coarse one, as one blocked
-weighted sum per sine mode (``StepOperator.decay`` alone without noise or
-drift); ``fem.sine_transform`` maps the coefficients at T = 1 to nodal values.
+``fem.StepOperator``. Each chunk builds its own fine and coarse operators and
+drops them when it returns, so worker threads share no mutable state. Per
+path, the increments of each slab of ``SLAB_STEPS`` fine steps are drawn once,
+into one slab buffer that the chunk reuses, and enter the fine path, and
+summed in fours the coarse one, as one blocked weighted sum per sine mode
+(``StepOperator.decay`` alone without noise or drift); ``fem.sine_transform``
+maps the coefficients at T = 1 to nodal values.
 The functional and the drift are plain values: the functional is
 ``"identity"``, ``"squared-norm"`` or a callable on a ``NodalField``, the
 drift None (F = 0) or a callable on nodal values.
@@ -27,8 +29,9 @@ All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
 ``check_capacity`` is the one admission of estimator work: ``mlmc_estimate``,
 ``pair_variances`` and ``sample_pair`` call it, and the CLI calls it on a whole
-study, before any path is simulated. A level's chunks are made and reduced as
-they run, with at most two per worker in flight.
+study, before any path is simulated; it admits a level if ``workers`` times
+``chunk_bytes``, all that one chunk holds, fits the memory cap. A level's
+chunks are made and reduced as they run, with at most two per worker in flight.
 """
 
 import math
@@ -43,7 +46,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalError, UsageError
-from .fem import BLOCK, SLAB_STEPS, mass_norm_sq, sine_transform, step_operator
+from .fem import BLOCK, SLAB_STEPS, StepOperator, mass_norm_sq, sine_transform
 from .grid import MAX_TASK_BYTES, LevelGeometry, NodalField, make_level, prolong_to, prolong_values
 from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_stream, stream_key
 
@@ -52,15 +55,17 @@ from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_
 CHUNK_SIZE = 64
 
 #: Doubles per dof and path that a chunk's states and terminal transforms
-#: take: over its slabs and tables, one cold 64-pair chunk at levels 5..8 with
-#: 1, 3, 19 or dofs KL modes, with and without a drift, peaked at up to 11.93
-#: (tracemalloc; level 5, one mode, a drift).
+#: take: over its slabs and the tables of its two operators, one 64-pair chunk
+#: at levels 5..8 with 1, 3, 19 or dofs KL modes, with and without a drift (to
+#: level 7), peaked at up to 12.03 (tracemalloc; level 5, one mode, a drift;
+#: ``CHUNK_OVERHEAD_BYTES`` covers the 496 bytes beyond 12).
 STATE_DOUBLES = 12
 
 #: Bytes a chunk holds whatever its size: its Philox streams and Python
-#: objects. Over its slabs, states and tables, one cold 64-pair chunk at
-#: levels 1..8 with 1, 3, 19 or dofs KL modes, with and without a drift,
-#: peaked at up to 43,640 bytes (tracemalloc; level 1, a drift).
+#: objects. Over its slabs, states and the tables of its two operators, one
+#: 64-pair chunk at levels 1..8 with 1, 3, 19 or dofs KL modes, with and
+#: without a drift (to level 7), peaked at up to 42,856 bytes (tracemalloc;
+#: level 1, a drift).
 CHUNK_OVERHEAD_BYTES = 2**16
 
 #: Rate power p of each named schedule mode: decay a_l = h_l**(p*gamma),
@@ -197,13 +202,13 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     fine = make_level(pair_level)
     has_coarse = pair_level > lmin
     jf = kl_modes(fine, kl_rule)
-    op_f = step_operator(fine, jf)
+    op_f = StepOperator(fine, jf)
     cf = np.zeros((fine.dofs, count))
     cf[0] = 1.0
     if has_coarse:
         coarse = make_level(pair_level - 1)
         jc = kl_modes(coarse, kl_rule)
-        op_c = step_operator(coarse, jc)
+        op_c = StepOperator(coarse, jc)
         cc = np.zeros((coarse.dofs, count))
         cc[0] = 1.0
 
@@ -248,38 +253,33 @@ def _check_finite(fine, coarse, pair_level, replicate, start, count):
             f"samples {start}..{start + count - 1}")
 
 
-def check_chunk_memory(levels, kl_rule, workers: int = 1):
-    """Fail before any simulation if the chunks of a level in ``levels``, on
-    ``workers`` threads, would need more than ``MAX_TASK_BYTES``. Each thread
-    holds 2 slabs of s*J doubles, J the KL modes and s = min(SLAB_STEPS,
-    CHUNK_SIZE*steps) (a drift chunk draws 16 steps of all its paths into
-    one slab), ``STATE_DOUBLES * dofs * CHUNK_SIZE`` doubles of states and
-    terminal transforms, and ``CHUNK_OVERHEAD_BYTES``; the threads share the
-    step tables, 2*BLOCK*J doubles for every level 1..l, so the bound of a
-    level does not depend on which levels ran before it.
+def chunk_bytes(pair_level: int, kl_rule, increments: bool = True) -> int:
+    """Bytes that one chunk of ``_simulate_chunk`` at ``pair_level`` holds on
+    its thread, all dropped when it returns: 2 slabs of s*J doubles, J the KL
+    modes and s = min(SLAB_STEPS, CHUNK_SIZE*steps) (a drift chunk draws 16
+    steps of all its paths into one slab), unless it steps no ``increments``;
+    ``STATE_DOUBLES * dofs * CHUNK_SIZE`` doubles of states and terminal
+    transforms; the 2*BLOCK*J doubles of tables of each of its two step
+    operators, fine and coarse; and ``CHUNK_OVERHEAD_BYTES``.
     """
-    if workers < 1:
-        raise UsageError(f"workers must be at least 1, got {workers}")
-    for level in sorted(levels):
-        fine = make_level(level)
-        per_thread = (2 * min(SLAB_STEPS, CHUNK_SIZE * fine.steps) * kl_modes(fine, kl_rule)
-                      + STATE_DOUBLES * fine.dofs * CHUNK_SIZE)
-        tables = 2 * BLOCK * sum(kl_modes(make_level(m), kl_rule) for m in range(1, level + 1))
-        need = 8 * (workers * per_thread + tables) + workers * CHUNK_OVERHEAD_BYTES
-        if need > MAX_TASK_BYTES:
-            raise CapacityError(f"level {level} chunks need about {need} bytes on {workers} "
-                                f"worker(s), above the {MAX_TASK_BYTES}-byte cap")
+    fine = make_level(pair_level)
+    jf, jc = kl_modes(fine, kl_rule), kl_modes(make_level(pair_level - 1), kl_rule)
+    slabs = 2 * min(SLAB_STEPS, CHUNK_SIZE * fine.steps) * jf if increments else 0
+    doubles = slabs + STATE_DOUBLES * fine.dofs * CHUNK_SIZE + 2 * BLOCK * (jf + jc)
+    return 8 * doubles + CHUNK_OVERHEAD_BYTES
 
 
-def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 1):
+def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 1,
+                   increments: bool = True):
     """Admit estimator work before any path is simulated: ``replicates``
     replicates of each run in ``runs``, a list of (level, samples) pairs in
     increasing level order, from the base level ``lmin``.
 
     Checks the base level and that no level of a run lies below it, the
-    replicates, the chunk memory of every level the runs share on ``workers``
-    threads, and the stream key of each level's last sample in the last
-    replicate.
+    replicates, that ``workers`` chunks of every level the runs share fit in
+    ``MAX_TASK_BYTES`` (``chunk_bytes`` each; ``increments`` is False for zero
+    noise without a drift, whose chunks draw nothing), and the stream key of
+    each level's last sample in the last replicate.
     """
     if lmin < 1:
         raise UsageError("the base level must be at least 1 (level 0 is empty)")
@@ -290,7 +290,13 @@ def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 
         if low < lmin:
             above = f", which exceeds the top level {top}" if lmin > top else ""
             raise UsageError(f"pair level {low} below the base level {lmin}{above}")
-    check_chunk_memory({level for run in runs for level, _ in run}, kl_rule, workers)
+    if workers < 1:
+        raise UsageError(f"workers must be at least 1, got {workers}")
+    for level in sorted({level for run in runs for level, _ in run}):
+        need = workers * chunk_bytes(level, kl_rule, increments)
+        if need > MAX_TASK_BYTES:
+            raise CapacityError(f"level {level} chunks need about {need} bytes on {workers} "
+                                f"worker(s), above the {MAX_TASK_BYTES}-byte cap")
     for level, n in (pair for run in runs for pair in run):
         try:
             stream_key(master_seed, KIND_PATH, level, replicates - 1, n - 1)
@@ -314,7 +320,8 @@ def sample_pair(
 
     Identical stream coordinates reproduce the pair bitwise.
     """
-    check_capacity([[(pair_level, sample + 1)]], lmin, master_seed, replicate + 1, kl_rule)
+    check_capacity([[(pair_level, sample + 1)]], lmin, master_seed, replicate + 1, kl_rule,
+                   increments=drift is not None or not zero_noise)
     xf, xc = _simulate_chunk(pair_level, lmin, sample, 1, replicate, master_seed,
                              kl_rule, drift, zero_noise)
     fine = NodalField(make_level(pair_level), xf[:, 0])
@@ -431,7 +438,8 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     """
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
-    check_capacity([[(pair_level, n)]], lmin, master_seed, 1, kl_rule, workers)
+    check_capacity([[(pair_level, n)]], lmin, master_seed, 1, kl_rule, workers,
+                   increments=not zero_noise)
     with _pool(workers) as run_map:
         (diff_sum, diff_sq, fine_sum, fine_sq), _wall = _level_sums(
             _pair_moment_task, run_map, pair_level, lmin, n,
@@ -507,12 +515,14 @@ def mlmc_estimate(
     Fails before any simulation on an unknown functional or what
     ``check_capacity`` rejects.
     """
-    if not (callable(functional) or functional in ("identity", "squared-norm")):
+    if not (callable(functional)
+            or isinstance(functional, str) and functional in ("identity", "squared-norm")):
         raise UsageError(f"unknown functional {functional!r}: expected 'identity', "
                          "'squared-norm' or a callable")
     top_level = schedule.top_level
     plan = schedule.level_counts(lmin)
-    check_capacity([plan], lmin, master_seed, replicate + 1, kl_rule, workers)
+    check_capacity([plan], lmin, master_seed, replicate + 1, kl_rule, workers,
+                   increments=drift is not None or not zero_noise)
     base = plan[0][0]
     identity = functional == "identity"
     t_total = time.perf_counter()

@@ -461,9 +461,12 @@ codes = [
     cli.main(["run", "--L", "1..2", "--reps", "1", "--seed", "1", "--out", out + "/r"]),
     cli.main(["compare", "--L", "1..2", "--strong-L", "1..3", "--reps", "1", "--seed", "1",
               "--out", out + "/c"]),
+    cli.main(["variance", "--levels", "6..6", "--pairs", "2", "--seed", "1",
+              "--out", out + "/v6"]),
 ]
 tracer.close(root)
 op_work = (benchstats.variance_op_work(range(2, 4), 70, 1)
+           + benchstats.variance_op_work(range(6, 7), 2, 1)
            + benchstats.level_rows_op_work(workloads.read_csv(Path(out, "r", "run_levels.csv")), 1)
            + benchstats.level_rows_op_work(
                workloads.read_csv(Path(out, "c", "compare_levels.csv")), 1))
@@ -477,14 +480,15 @@ print(codes, sorted({span.name for span in tracer.spans}))
 
 def test_benchmark_trace_hooks_record_spans(tmp_path):
     # the benchmark's trace mode rebinds module attributes of the package;
-    # a refactor that stops calling them must fail here
+    # a refactor that stops calling them must fail here; level 6 steps four
+    # slabs per path, as the benchmark's deepest levels step several
     src = Path(spde_mlmc.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "perfbench"), str(src)]))
     proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts, last = proc.stdout.strip().splitlines()[-2:]
-    assert last.startswith("[0, 0, 0] ")
+    assert last.startswith("[0, 0, 0, 0] ")
     for name in ("mlmc.task", "mlmc.chunk", "grid.prolong"):
         assert f"'{name}'" in last
     # the benchmark checks on traced runs that the increments the steps

@@ -14,7 +14,7 @@ from spde_mlmc import (
     run_deterministic,
 )
 from spde_mlmc import fem
-from spde_mlmc.fem import mass_norm_sq, sine_transform, step_operator
+from spde_mlmc.fem import StepOperator, mass_norm_sq, sine_transform
 from spde_mlmc.metrics import exact_mean, fit_slope
 
 from reference import (
@@ -252,7 +252,7 @@ def test_sine_transform_matches_sine_matrix(level_index):
 
 def test_norm_non_increasing_over_steps():
     level = make_level(3)
-    op = step_operator(level)
+    op = StepOperator(level)
     coeffs = np.zeros(level.dofs)
     coeffs[0] = 1.0  # the initial data sin(pi*x)
     rows = np.zeros((1, level.dofs))
@@ -280,7 +280,7 @@ def test_step_operator_matches_euler_step():
     # against nodal Euler steps driven by the projected loads
     level = make_level(4)
     mass, stiffness = assemble(level)
-    op = step_operator(level)
+    op = StepOperator(level)
     proj = projection_matrix(level, level.dofs).matrix
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal((level.dofs, 6))
@@ -299,7 +299,7 @@ def test_blocked_step_matches_direct_weights(n, kl_rule):
     # the two-stage sum against one multiply-then-sum over the direct table
     # of weights rho**(n-1-m) * beta, for one path and batched over three
     level = make_level(5)
-    op = step_operator(level, kl_rule)
+    op = StepOperator(level, kl_rule)
     rng = np.random.default_rng(n)
     for shape in ((), (3,)):
         coeffs = rng.standard_normal((level.dofs, *shape))
@@ -313,24 +313,23 @@ def test_blocked_step_matches_direct_weights(n, kl_rule):
 @pytest.mark.parametrize("n", [0, 48, 2048])
 def test_blocked_step_rejects_other_block_lengths(n):
     level = make_level(5)
-    op = step_operator(level)
+    op = StepOperator(level)
     with pytest.raises(UsageError, match=f"block of {n} steps"):
         op.step(np.zeros((n, op.modes)), np.zeros(level.dofs))
 
 
 def test_step_operators_hold_two_block_tables():
-    # with a fixed number of KL modes every level's operator stays cached for
-    # the life of the process; each holds two BLOCK x modes tables plus O(dofs)
+    # with a fixed number of KL modes an operator's size does not grow with
+    # the level's steps: it holds two BLOCK x modes tables plus O(dofs)
     modes = 300
-    fem._step_operator.cache_clear()
     tracemalloc.start()
     try:
         for level_index in range(5, 10):
             before, _ = tracemalloc.get_traced_memory()
-            op = step_operator(make_level(level_index), modes)
+            op = StepOperator(make_level(level_index), modes)
             held, _ = tracemalloc.get_traced_memory()
             assert op.inner.shape == op.outer.shape == (fem.BLOCK, modes)
             assert held - before <= 8 * (2 * fem.BLOCK * modes + 4 * (op.level.dofs + modes))
+            del op
     finally:
         tracemalloc.stop()
-        fem._step_operator.cache_clear()

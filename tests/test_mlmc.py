@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -206,10 +207,7 @@ def test_zero_noise_chunk_equals_the_deterministic_solution(level_index):
 def test_zero_noise_chunk_stays_exact_at_level_16():
     # 4**16 steps: a rounded rho raised to that power would be off by 7e-12
     level = make_level(16)
-    try:
-        fine, _ = sample_pair(16, 16, master_seed=0, sample=0, zero_noise=True)
-    finally:
-        fem._step_operator.cache_clear()
+    fine, _ = sample_pair(16, 16, master_seed=0, sample=0, zero_noise=True)
     det = run_deterministic(level).values
     assert np.max(np.abs(fine.values - det)) <= 1e-14 * np.max(np.abs(det))
     assert math.sqrt(mass_norm_sq(level, fine.values - exact_mean(1.0, level).values)) <= 1e-12
@@ -282,32 +280,51 @@ def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
 @pytest.mark.parametrize("kl_rule", [None, 1, 3, 19])
 @pytest.mark.parametrize("drift", [None, lambda v: -v], ids=["drift0", "drift1"])
 def test_chunk_memory_peak_within_budget(drift, kl_rule):
-    # one cold 64-pair chunk at levels 1..4 and 6 against what
-    # check_chunk_memory budgets on one worker: two slabs (one slab is
-    # min(SLAB_STEPS, CHUNK_SIZE * steps) * J doubles), STATE_DOUBLES doubles
-    # per dof and path for the states and their terminal transforms, the
-    # fixed CHUNK_OVERHEAD_BYTES, and the step tables of levels 1..l; with few
-    # KL modes the states outweigh the slabs, and below level 5 the overhead
-    # and a drift chunk's slab of 16 steps of every path do
-    from spde_mlmc import fem, mlmc
+    # one 64-pair chunk at levels 1..4 and 6 against what chunk_bytes budgets:
+    # two slabs, STATE_DOUBLES doubles per dof and path for the states and
+    # their terminal transforms, the tables of its two step operators and the
+    # fixed CHUNK_OVERHEAD_BYTES; with few KL modes the states outweigh the
+    # slabs, and below level 5 the overhead and a drift chunk's slab of 16
+    # steps of every path do
+    _assert_chunk_peaks_within_budget(kl_rule, drift, False)
+
+
+@pytest.mark.parametrize("kl_rule", [None, 1, 3, 19])
+def test_zero_noise_chunk_memory_peak_within_budget(kl_rule):
+    # without a drift a zero-noise chunk draws no increments and is budgeted no slab
+    _assert_chunk_peaks_within_budget(kl_rule, None, True)
+
+
+def _assert_chunk_peaks_within_budget(kl_rule, drift, zero_noise):
+    from spde_mlmc import mlmc
 
     fem.sine_transform(np.ones(3))  # numpy imports numpy.fft on first use, not per chunk
     for l in (1, 2, 3, 4, 6):
-        level = make_level(l)
-        slab_bytes = (8 * min(fem.SLAB_STEPS, mlmc.CHUNK_SIZE * level.steps)
-                      * kl_modes(level, kl_rule))
-        state_bytes = 8 * mlmc.STATE_DOUBLES * level.dofs * mlmc.CHUNK_SIZE
-        tables_bytes = 8 * 2 * fem.BLOCK * sum(kl_modes(make_level(m), kl_rule)
-                                               for m in range(1, l + 1))
-        fem._step_operator.cache_clear()
         tracemalloc.start()
         try:
-            mlmc._simulate_chunk(l, 1, 0, mlmc.CHUNK_SIZE, 0, 3, kl_rule, drift, False)
+            mlmc._simulate_chunk(l, 1, 0, mlmc.CHUNK_SIZE, 0, 3, kl_rule, drift, zero_noise)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        budget = 2 * slab_bytes + state_bytes + mlmc.CHUNK_OVERHEAD_BYTES + tables_bytes
+        budget = mlmc.chunk_bytes(l, kl_rule, increments=drift is not None or not zero_noise)
         assert peak <= budget, f"level {l}"
+
+
+def test_chunks_leave_nothing_behind():
+    # each chunk builds its step operators and drops them when it returns:
+    # 200 chunks with 200 different KL truncations hold nothing afterwards
+    from spde_mlmc import mlmc
+
+    mlmc._simulate_chunk(3, 1, 0, 1, 0, 0, None, None, False)  # first-use imports
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for kl_rule in range(1, 201):
+            mlmc._simulate_chunk(3, 1, 0, 1, 0, 0, kl_rule, None, False)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - before <= 2**20
 
 
 def test_non_finite_state_names_its_stream_coordinates():
@@ -379,9 +396,8 @@ def test_callables_with_workers_match_inline():
 
 
 def test_thread_workers_on_cold_caches_match_inline():
-    # more threads than cores race to build the cached step operators,
-    # interleaved finely by a short switch interval
-    from spde_mlmc import fem
+    # more threads than cores build and step their own operators side by
+    # side, interleaved finely by a short switch interval
     from spde_mlmc.mlmc import pair_variances
 
     serial = pair_variances(4, 1, 300, 5)
@@ -389,7 +405,6 @@ def test_thread_workers_on_cold_caches_match_inline():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        fem._step_operator.cache_clear()
         runner = threading.Thread(
             target=lambda: out.append(pair_variances(4, 1, 300, 5, workers=4)), daemon=True)
         runner.start()
@@ -417,7 +432,8 @@ def test_stream_capacity_checked_before_simulation(monkeypatch):
         mlmc.pair_variances(3, 1, 2**32 + 1, 0)
 
 
-@pytest.mark.parametrize("functional", ["squared_norm", "custom", None])
+@pytest.mark.parametrize("functional", ["squared_norm", "custom", None,
+                                        pytest.param(np.array([1.0, 2.0]), id="array")])
 def test_unknown_functional_rejected_before_the_first_chunk(monkeypatch, functional):
     from spde_mlmc import mlmc
 
@@ -426,8 +442,9 @@ def test_unknown_functional_rejected_before_the_first_chunk(monkeypatch, functio
 
     monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
     schedule = build_schedule("weak", 2, gamma=0.5, eps=1.0)
-    with pytest.raises(UsageError, match=f"unknown functional {functional!r}: expected "
-                                         "'identity', 'squared-norm' or a callable"):
+    with pytest.raises(UsageError, match=re.escape(
+            f"unknown functional {functional!r}: expected 'identity', 'squared-norm' "
+            "or a callable")):
         mlmc_estimate(schedule, 1, functional=functional, master_seed=0)
 
 
@@ -490,7 +507,7 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
         mlmc.pair_variances(2, 0, 4, 0)
     for workers in (0, -3):
         with pytest.raises(UsageError, match="workers must be at least 1"):
-            mlmc.check_chunk_memory([20], None, workers=workers)
+            mlmc.check_capacity([[(20, 1)]], 1, 0, 1, None, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
             mlmc.pair_variances(2, 1, 4, 0, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
@@ -514,12 +531,37 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
     # a drift holds one slab of increments, as a run without one does: both
     # pass the check at level 16 on one worker and fail it at 17
     drift = lambda v: -v
-    mlmc.check_chunk_memory(range(1, 17), None)
+    mlmc.check_capacity([[(l, 1) for l in range(1, 17)]], 1, 0, 1, None)
     with pytest.raises(AssertionError, match="a chunk ran"):
         mlmc_estimate(build_schedule("strong", 16), 1, drift=drift)
     for kwargs in ({}, {"drift": drift}):
         with pytest.raises(CapacityError, match="level 17 chunks"):
             mlmc_estimate(build_schedule("strong", 17), 1, **kwargs)
+
+
+def test_admitted_levels_follow_the_chunk_budget():
+    # the deepest level admitted on 1..20 workers at J = dofs: noisy chunks
+    # hold two slabs, zero-noise chunks without a drift none; a fixed J of
+    # 1,000 admits 18 levels on one worker, where the states reach the cap
+    from spde_mlmc import mlmc
+    from spde_mlmc.errors import CapacityError
+
+    def deepest(workers, increments, kl_rule=None):
+        level = 1
+        while True:
+            try:
+                mlmc.check_capacity([[(level + 1, 1)]], 1, 0, 1, kl_rule, workers,
+                                    increments=increments)
+            except CapacityError:
+                return level
+            level += 1
+
+    workers = range(1, 21)
+    noisy = [16, 15] + [14] * 3 + [13] * 6 + [12] * 9
+    zero_noise = [18, 17, 16, 16] + [15] * 5 + [14] * 9 + [13] * 2
+    assert [deepest(w, True) for w in workers] == noisy
+    assert [deepest(w, False) for w in workers] == zero_noise
+    assert deepest(1, True, 1000) == 18
 
 
 def test_sample_pair_admitted_before_simulation(monkeypatch):
@@ -533,6 +575,11 @@ def test_sample_pair_admitted_before_simulation(monkeypatch):
     monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
     with pytest.raises(CapacityError, match="level 17 chunks"):
         mlmc.sample_pair(17, 1, 0, 0)
+    with pytest.raises(CapacityError, match="level 17 chunks"):
+        mlmc.sample_pair(17, 17, 0, 0)
+    # without noise or a drift a chunk draws nothing and is budgeted no slab
+    with pytest.raises(AssertionError, match="a chunk ran"):
+        mlmc.sample_pair(17, 17, 0, 0, zero_noise=True)
     with pytest.raises(UsageError, match="16 bits"):
         mlmc.sample_pair(2, 1, 0, 0, replicate=2**16)
 
