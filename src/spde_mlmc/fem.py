@@ -11,11 +11,13 @@ takes that step in sine-mode coordinates: the sine vectors diagonalise M and
 K and are the nodal rows of the Karhunen-Loeve loads, so every mode evolves
 on its own. ``mode_factors`` alone forms the per-mode eigenvalues, load
 amplitudes and step factors, exact to rounding at every level, and each power
-rho^N of a step factor is exp(N log rho). Without drift a block of steps is
-one weighted sum over its increments, formed in two stages from two BLOCK x
-modes tables of those powers, which the operator holds; the module keeps no
-operator, so whoever builds one owns it. A drift F is a plain callable on
-nodal values (None means F = 0), applied step by step. ``sine_transform``, an FFT, maps
+rho^N of a step factor is exp(N log rho). ``decay`` forms rho^N c for the
+operator and for states that take neither noise nor drift, which need no
+operator. Without drift a block of steps is one weighted sum over its
+increments, formed in two stages from two BLOCK x modes tables of those
+powers, which the operator holds; the module keeps no operator, so whoever
+builds one owns it. A drift F is a plain callable on nodal values (None means
+F = 0), applied step by step. ``sine_transform``, an FFT, maps
 modes to nodal values. ``mass_norm_sq`` forms the L2(0,1) norms x^T M x from
 the two diagonals. The nodal scheme, with assembled bands and a Thomas solve
 per step, lives in ``tests/reference.py`` as the oracle.
@@ -84,6 +86,12 @@ def mode_factors(level: LevelGeometry, count: int, modes: int):
     return np.log1p(-damping / denom), target, sign * amplitude / denom[target]
 
 
+def decay(log_rho: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """rho**n c, as exp(n log rho) c: coefficients (dofs,) or (dofs, b) after
+    ``n`` steps without noise or drift, ``log_rho`` from ``mode_factors``."""
+    return np.exp(n * log_rho).reshape(-1, *(1,) * (coeffs.ndim - 1)) * coeffs
+
+
 class StepOperator:
     """Semi-implicit Euler-Maruyama steps of a level in sine-mode coordinates.
 
@@ -120,10 +128,6 @@ class StepOperator:
             np.add.at(coeffs, self.fold, per_mode)
         return coeffs
 
-    def decay(self, coeffs: np.ndarray, n: int) -> np.ndarray:
-        """rho**n c: coefficients (dofs,) or (dofs, b) after ``n`` steps without noise or drift."""
-        return np.exp(n * self.log_rho).reshape(-1, *(1,) * (coeffs.ndim - 1)) * coeffs
-
     def step(self, rows: np.ndarray, coeffs: np.ndarray,
              drift: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
         """Advance modal coefficients over ``n`` steps of KL increments.
@@ -149,7 +153,7 @@ class StepOperator:
             partial = np.einsum("kij...,ij->kj...", rows.reshape(k, b, *rows.shape[1:]),
                                 self.inner[BLOCK - b:])
             weighted = np.einsum("kj...,kj->j...", partial, self.outer[BLOCK - k:])
-            return self._add_modes(self.decay(coeffs, n), weighted)
+            return self._add_modes(decay(self.log_rho, coeffs, n), weighted)
         tail = (1,) * (coeffs.ndim - 1)
         rho, beta = np.exp(self.log_rho).reshape(-1, *tail), self.beta.reshape(-1, *tail)
         scale = 2.0 * self.level.time_step / (self.level.dofs + 1)

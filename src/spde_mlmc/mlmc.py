@@ -14,13 +14,15 @@ of the top level alone. ``predict_work`` takes every multilevel exponent from
 the one work bound of the MLMC theorem (Giles, Oper. Res. 56 (2008)).
 
 Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
-``fem.StepOperator``. Each chunk builds its own fine and coarse operators and
-drops them when it returns, so worker threads share no mutable state. Per
-path, the increments of each slab of ``SLAB_STEPS`` fine steps are drawn once,
-into one slab buffer that the chunk reuses, and enter the fine path, and
-summed in fours the coarse one, as one blocked weighted sum per sine mode
-(``StepOperator.decay`` alone without noise or drift); ``fem.sine_transform``
-maps the coefficients at T = 1 to nodal values.
+``fem.StepOperator``, in one stepping loop over groups of paths: one path at
+a time through slabs of ``SLAB_STEPS`` fine steps without a drift, all the
+chunk's paths together through blocks of 16 steps with one. Each block's
+increments are drawn once, into one buffer that the chunk reuses, and enter
+the fine paths, and summed in fours the coarse ones. Each stepping chunk
+builds its own fine and coarse operators and drops them when it returns, so
+worker threads share no mutable state; without noise or drift a chunk builds
+none and forms rho**steps times the initial data (``fem.decay``).
+``fem.sine_transform`` maps the coefficients at T = 1 to nodal values.
 The functional and the drift are plain values: the functional is
 ``"identity"``, ``"squared-norm"`` or a callable on a ``NodalField``, the
 drift None (F = 0) or a callable on nodal values.
@@ -29,9 +31,10 @@ All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
 ``check_capacity`` is the one admission of estimator work: ``mlmc_estimate``,
 ``pair_variances`` and ``sample_pair`` call it, and the CLI calls it on a whole
-study, before any path is simulated; it admits a level if ``workers`` times
-``chunk_bytes``, all that one chunk holds, fits the memory cap. A level's
-chunks are made and reduced as they run, with at most two per worker in flight.
+study, before any path is simulated; it admits a level if ``chunk_bytes``,
+all that one chunk holds, times the chunks that can run at once, the fewer of
+``workers`` and the level's chunks, fits the memory cap. A level's chunks are
+made and reduced as they run, with at most two per worker in flight.
 """
 
 import math
@@ -46,7 +49,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalError, UsageError
-from .fem import BLOCK, SLAB_STEPS, StepOperator, mass_norm_sq, sine_transform
+from .fem import BLOCK, SLAB_STEPS, StepOperator, decay, mass_norm_sq, mode_factors, sine_transform
 from .grid import MAX_TASK_BYTES, LevelGeometry, NodalField, make_level, prolong_to, prolong_values
 from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_stream, stream_key
 
@@ -193,79 +196,66 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     Returns (fine, coarse) nodal state matrices at T = 1 with one column per
     path; coarse is None at the base level. Paths run in sine-mode
     coordinates (see ``StepOperator``) from the initial data sin(pi*x), the
-    first sine vector. Without drift each path takes one weighted sum per slab
-    of its increments, drawn into one slab buffer that the chunk reuses. A
-    drift is stepped batched over the chunk in blocks of
-    SLAB_STEPS // CHUNK_SIZE = 16 steps, each path's rows drawn into its part
-    of one (count, 16, J) buffer, which also fills one slab.
+    first sine vector. Without noise or drift a path is rho**steps times it
+    (``fem.decay``), and no step operator is built. Otherwise one loop steps
+    groups of paths: one path through slabs of SLAB_STEPS steps without a
+    drift, all ``count`` paths through blocks of SLAB_STEPS // CHUNK_SIZE = 16
+    steps with one. Each path draws a block into its row of one (group, block,
+    J) buffer, one slab that the chunk reuses; each operator steps the group
+    once per block, and the group's columns are then checked to be finite.
     """
     fine = make_level(pair_level)
-    has_coarse = pair_level > lmin
-    jf = kl_modes(fine, kl_rule)
-    op_f = StepOperator(fine, jf)
-    cf = np.zeros((fine.dofs, count))
-    cf[0] = 1.0
-    if has_coarse:
-        coarse = make_level(pair_level - 1)
-        jc = kl_modes(coarse, kl_rule)
-        op_c = StepOperator(coarse, jc)
-        cc = np.zeros((coarse.dofs, count))
-        cc[0] = 1.0
-
-    dt = fine.time_step
-    size = SLAB_STEPS if drift is None else SLAB_STEPS // CHUNK_SIZE
-    blocks = [min(size, fine.steps - done) for done in range(0, fine.steps, size)]
+    levels = [fine] + ([make_level(pair_level - 1)] if pair_level > lmin else [])
+    states = [np.zeros((level.dofs, count)) for level in levels]
+    for state in states:
+        state[0] = 1.0
     if drift is None and zero_noise:
-        cf = op_f.decay(cf, fine.steps)
-        if has_coarse:
-            cc = op_c.decay(cc, coarse.steps)
-    elif drift is None:
-        buffer = np.empty((blocks[0], jf))
-        for b in range(count):
-            stream = path_stream(master_seed, pair_level, replicate, start + b)
-            for nsteps in blocks:
-                rows = draw_increment_rows(stream, nsteps, jf, dt, out=buffer[:nsteps])
-                cf[:, b] = op_f.step(rows, cf[:, b])
-                if has_coarse:
-                    cc[:, b] = op_c.step(coarsen_rows(rows, jc), cc[:, b])
+        states = [decay(mode_factors(level, level.dofs, 1)[0], state, level.steps)
+                  for level, state in zip(levels, states)]  # no KL factors: O(dofs), not O(J)
     else:
-        streams = [] if zero_noise else [
-            path_stream(master_seed, pair_level, replicate, start + b) for b in range(count)]
-        buffer = np.zeros((count, blocks[0], jf))  # stays zero without noise
-        for nsteps in blocks:
-            for b, stream in enumerate(streams):
-                draw_increment_rows(stream, nsteps, jf, dt, out=buffer[b, :nsteps])
-            rows = buffer[:, :nsteps].transpose(1, 2, 0)
-            cf = op_f.step(rows, cf, drift)
-            if has_coarse:
-                cc = op_c.step(coarsen_rows(rows, jc), cc, drift)
-            _check_finite(cf, cc if has_coarse else None, pair_level, replicate, start, count)
-    xf = sine_transform(cf)
-    xc = sine_transform(cc) if has_coarse else None
-    _check_finite(xf, xc, pair_level, replicate, start, count)
-    return xf, xc
+        ops = [StepOperator(level, kl_modes(level, kl_rule)) for level in levels]
+        size, group = (SLAB_STEPS, 1) if drift is None else (SLAB_STEPS // CHUNK_SIZE, count)
+        blocks = [min(size, fine.steps - done) for done in range(0, fine.steps, size)]
+        buffer = np.zeros((group, blocks[0], ops[0].modes))  # stays zero without noise
+        for first in range(0, count, group):
+            columns = [state[:, first:first + group] for state in states]
+            streams = [path_stream(master_seed, pair_level, replicate, start + b)
+                       for b in range(first, first + group) if not zero_noise]
+            for nsteps in blocks:
+                for row, stream in enumerate(streams):
+                    draw_increment_rows(stream, nsteps, ops[0].modes, fine.time_step,
+                                        out=buffer[row, :nsteps])
+                rows = buffer[:, :nsteps].transpose(1, 2, 0)
+                for k, (op, column) in enumerate(zip(ops, columns)):
+                    block = coarsen_rows(rows, op.modes) if k else rows
+                    column[...] = op.step(block, column, drift)
+                _check_finite(columns, pair_level, replicate, start + first, group)
+    nodal = [sine_transform(state) for state in states]
+    _check_finite(nodal, pair_level, replicate, start, count)
+    return nodal[0], nodal[1] if len(nodal) > 1 else None
 
 
-def _check_finite(fine, coarse, pair_level, replicate, start, count):
-    if not np.isfinite(fine).all() or (coarse is not None and not np.isfinite(coarse).all()):
-        raise NumericalError(
-            f"non-finite state at level {pair_level}, replicate {replicate}, "
-            f"samples {start}..{start + count - 1}")
+def _check_finite(states, pair_level, replicate, start, count):
+    for state in states:
+        if not np.isfinite(state).all():
+            raise NumericalError(f"non-finite state at level {pair_level}, replicate "
+                                 f"{replicate}, samples {start}..{start + count - 1}")
 
 
 def chunk_bytes(pair_level: int, kl_rule, increments: bool = True) -> int:
     """Bytes that one chunk of ``_simulate_chunk`` at ``pair_level`` holds on
-    its thread, all dropped when it returns: 2 slabs of s*J doubles, J the KL
-    modes and s = min(SLAB_STEPS, CHUNK_SIZE*steps) (a drift chunk draws 16
-    steps of all its paths into one slab), unless it steps no ``increments``;
-    ``STATE_DOUBLES * dofs * CHUNK_SIZE`` doubles of states and terminal
-    transforms; the 2*BLOCK*J doubles of tables of each of its two step
-    operators, fine and coarse; and ``CHUNK_OVERHEAD_BYTES``.
+    its thread, all dropped when it returns: ``STATE_DOUBLES * dofs *
+    CHUNK_SIZE`` doubles of states and terminal transforms and
+    ``CHUNK_OVERHEAD_BYTES``; and, unless it steps no ``increments`` (zero
+    noise without a drift), 2 slabs of s*J doubles, J the KL modes and s =
+    min(SLAB_STEPS, CHUNK_SIZE*steps) (a drift chunk draws 16 steps of all its
+    paths into one slab), and the 2*BLOCK*J doubles of tables of each of its
+    two step operators, fine and coarse.
     """
     fine = make_level(pair_level)
     jf, jc = kl_modes(fine, kl_rule), kl_modes(make_level(pair_level - 1), kl_rule)
-    slabs = 2 * min(SLAB_STEPS, CHUNK_SIZE * fine.steps) * jf if increments else 0
-    doubles = slabs + STATE_DOUBLES * fine.dofs * CHUNK_SIZE + 2 * BLOCK * (jf + jc)
+    stepping = 2 * min(SLAB_STEPS, CHUNK_SIZE * fine.steps) * jf + 2 * BLOCK * (jf + jc)
+    doubles = STATE_DOUBLES * fine.dofs * CHUNK_SIZE + (stepping if increments else 0)
     return 8 * doubles + CHUNK_OVERHEAD_BYTES
 
 
@@ -276,10 +266,12 @@ def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 
     increasing level order, from the base level ``lmin``.
 
     Checks the base level and that no level of a run lies below it, the
-    replicates, that ``workers`` chunks of every level the runs share fit in
-    ``MAX_TASK_BYTES`` (``chunk_bytes`` each; ``increments`` is False for zero
-    noise without a drift, whose chunks draw nothing), and the stream key of
-    each level's last sample in the last replicate.
+    replicates, that the chunks of every level that can be in flight at once,
+    min(``workers``, ceil(n / CHUNK_SIZE)) for the level's largest sample count
+    n in the runs, fit in ``MAX_TASK_BYTES`` (``chunk_bytes`` each;
+    ``increments`` is False for zero noise without a drift, whose chunks
+    neither draw nor step), and the stream key of each level's last sample in
+    the last replicate.
     """
     if lmin < 1:
         raise UsageError("the base level must be at least 1 (level 0 is empty)")
@@ -292,12 +284,14 @@ def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 
             raise UsageError(f"pair level {low} below the base level {lmin}{above}")
     if workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
-    for level in sorted({level for run in runs for level, _ in run}):
-        need = workers * chunk_bytes(level, kl_rule, increments)
+    largest = dict(sorted(pair for run in runs for pair in run))  # level: its largest n
+    for level, n in largest.items():
+        chunks = min(workers, -(-n // CHUNK_SIZE))
+        need = chunks * chunk_bytes(level, kl_rule, increments)
         if need > MAX_TASK_BYTES:
-            raise CapacityError(f"level {level} chunks need about {need} bytes on {workers} "
-                                f"worker(s), above the {MAX_TASK_BYTES}-byte cap")
-    for level, n in (pair for run in runs for pair in run):
+            raise CapacityError(f"level {level} chunks need about {need} bytes, {chunks} on "
+                                f"{workers} worker(s), above the {MAX_TASK_BYTES}-byte cap")
+    for level, n in largest.items():
         try:
             stream_key(master_seed, KIND_PATH, level, replicates - 1, n - 1)
         except UsageError as exc:

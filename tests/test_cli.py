@@ -88,12 +88,12 @@ def test_det_conv_holds_no_memory_after_the_run(tmp_path):
 
 
 @pytest.mark.parametrize("argv,level", [
-    (["variance", "--levels", "16..16", "--pairs", "2", "--workers", "2"], 16),
+    (["variance", "--levels", "16..16", "--pairs", "128", "--workers", "2"], 16),
     (["variance", "--levels", "3..3", "--pairs", "2", "--kl-modes", "100000000"], 3),
-    (["variance", "--levels", "2..16", "--pairs", "2", "--workers", "3"], 15),
+    (["variance", "--levels", "2..16", "--pairs", "192", "--workers", "3"], 15),
     (["run", "--L", "1..16", "--reps", "1", "--workers", "2"], 16),
     (["compare", "--L", "1..2", "--strong-L", "1..16", "--reps", "1", "--workers", "2"], 16),
-    (["variance", "--levels", "2..16", "--pairs", "2", "--workers", "4"], 15),
+    (["variance", "--levels", "2..16", "--pairs", "256", "--workers", "4"], 15),
     (["variance", "--levels", "2..17", "--pairs", "2"], 17),
     (["run", "--L", "1..17", "--reps", "1"], 17),
     (["compare", "--L", "1..2", "--strong-L", "1..17", "--reps", "1"], 17),
@@ -108,6 +108,23 @@ def test_estimator_chunks_over_memory_cap_rejected_up_front(tmp_path, monkeypatc
     monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
     assert main(argv + ["--seed", "1", "--out", str(tmp_path / "o")]) == 2
     assert f"level {level} chunks need about" in capsys.readouterr().err
+
+
+def test_level_with_fewer_chunks_than_workers_admitted(tmp_path, monkeypatch):
+    # two pairs are one chunk, which runs on one thread whatever --workers is:
+    # level 16 is charged one chunk, which fits the cap
+    from spde_mlmc import mlmc
+
+    class Admitted(Exception):
+        pass
+
+    def sentinel(*_args):
+        raise Admitted
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", sentinel)
+    with pytest.raises(Admitted):
+        main(["variance", "--levels", "16..16", "--pairs", "2", "--workers", "2",
+              "--seed", "1", "--out", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize("argv", [["run", "--L", "1..1"],

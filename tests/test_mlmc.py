@@ -213,6 +213,21 @@ def test_zero_noise_chunk_stays_exact_at_level_16():
     assert math.sqrt(mass_norm_sq(level, fine.values - exact_mean(1.0, level).values)) <= 1e-12
 
 
+def test_zero_noise_chunk_builds_no_step_operator(monkeypatch):
+    # without noise or a drift a path is rho**steps times the initial data;
+    # the chunk forms it from the step factors alone, holding no step tables
+    from spde_mlmc import mlmc
+
+    def no_operator(*_args):
+        raise AssertionError("a zero-noise chunk built a step operator")
+
+    monkeypatch.setattr(mlmc, "StepOperator", no_operator)
+    fine, coarse = sample_pair(8, 1, 0, 0, zero_noise=True)
+    for field in (fine, coarse):
+        det = run_deterministic(field.level).values
+        assert np.max(np.abs(field.values - det)) <= 1e-14 * np.max(np.abs(det))
+
+
 def test_sample_pair_below_base_rejected():
     with pytest.raises(UsageError):
         sample_pair(1, 2, master_seed=0, sample=0)
@@ -265,8 +280,9 @@ def test_sample_pair_kl_truncation_matches_stepwise_reconstruction(kl_rule):
 
 @pytest.mark.parametrize("level,kl_rule", [(5, None), (3, 2 * 7 + 5)])
 def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
-    # the drift branch steps blocks of SLAB_STEPS // CHUNK_SIZE = 16 steps;
-    # with CHUNK_SIZE 1 the block is a whole slab, one block per path here
+    # with a drift the stepping loop takes all paths of a chunk through blocks
+    # of SLAB_STEPS // CHUNK_SIZE = 16 steps; with CHUNK_SIZE 1 the block is a
+    # whole slab, one block per path here
     from spde_mlmc import mlmc
 
     drift = lambda v: -v + np.sin(v)
@@ -275,6 +291,29 @@ def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
     whole = sample_pair(level, 1, master_seed=67, sample=1, kl_rule=kl_rule, drift=drift)
     for a, b in zip(blocked, whole):
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("kl_rule", [None, 3, 19])  # 19 KL modes alias below level 5
+@pytest.mark.parametrize("level,drift", [
+    pytest.param(level, drift, id=f"L{level}-{name}")
+    for level in range(1, 6)
+    for name, drift in (("drift0", None), ("drift1", lambda v: -v + np.sin(v)))
+    if level < 5 or drift is None])  # a level-5 drift chunk takes seconds
+def test_chunk_width_never_changes_a_path(level, drift, kl_rule):
+    # a chunk steps one path per group without a drift and all its paths
+    # together with one; either way column b of a 64-path chunk is the path
+    # that sample b gives alone, with and without noise
+    from spde_mlmc import mlmc
+
+    for zero_noise in (False, True):
+        xf, xc = mlmc._simulate_chunk(level, 1, 0, mlmc.CHUNK_SIZE, 0, 68, kl_rule, drift,
+                                      zero_noise)
+        for b in range(mlmc.CHUNK_SIZE):
+            fine, coarse = sample_pair(level, 1, 68, b, kl_rule=kl_rule, drift=drift,
+                                       zero_noise=zero_noise)
+            assert np.array_equal(xf[:, b], fine.values), (zero_noise, b)
+            assert (xc is None) == (coarse is None)
+            assert xc is None or np.array_equal(xc[:, b], coarse.values), (zero_noise, b)
 
 
 @pytest.mark.parametrize("kl_rule", [None, 1, 3, 19])
@@ -289,9 +328,10 @@ def test_chunk_memory_peak_within_budget(drift, kl_rule):
     _assert_chunk_peaks_within_budget(kl_rule, drift, False)
 
 
-@pytest.mark.parametrize("kl_rule", [None, 1, 3, 19])
+@pytest.mark.parametrize("kl_rule", [None, 1, 3, 19, 10**6])
 def test_zero_noise_chunk_memory_peak_within_budget(kl_rule):
-    # without a drift a zero-noise chunk draws no increments and is budgeted no slab
+    # without a drift a zero-noise chunk neither draws nor steps and is
+    # budgeted no slab and no step table, whatever its KL modes
     _assert_chunk_peaks_within_budget(kl_rule, None, True)
 
 
@@ -540,9 +580,11 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
 
 
 def test_admitted_levels_follow_the_chunk_budget():
-    # the deepest level admitted on 1..20 workers at J = dofs: noisy chunks
-    # hold two slabs, zero-noise chunks without a drift none; a fixed J of
-    # 1,000 admits 18 levels on one worker, where the states reach the cap
+    # the deepest level admitted on 1..20 workers at J = dofs, with enough
+    # samples that every worker runs a chunk: noisy chunks hold two slabs and
+    # their operators' tables, zero-noise chunks without a drift neither; a
+    # fixed J of 1,000 admits 18 levels on one worker, where the states reach
+    # the cap
     from spde_mlmc import mlmc
     from spde_mlmc.errors import CapacityError
 
@@ -550,15 +592,15 @@ def test_admitted_levels_follow_the_chunk_budget():
         level = 1
         while True:
             try:
-                mlmc.check_capacity([[(level + 1, 1)]], 1, 0, 1, kl_rule, workers,
-                                    increments=increments)
+                mlmc.check_capacity([[(level + 1, workers * mlmc.CHUNK_SIZE)]], 1, 0, 1,
+                                    kl_rule, workers, increments=increments)
             except CapacityError:
                 return level
             level += 1
 
     workers = range(1, 21)
     noisy = [16, 15] + [14] * 3 + [13] * 6 + [12] * 9
-    zero_noise = [18, 17, 16, 16] + [15] * 5 + [14] * 9 + [13] * 2
+    zero_noise = [18, 17, 16, 16, 16] + [15] * 5 + [14] * 10
     assert [deepest(w, True) for w in workers] == noisy
     assert [deepest(w, False) for w in workers] == zero_noise
     assert deepest(1, True, 1000) == 18
