@@ -132,7 +132,7 @@ def write_csv(path: Path, columns, rows, cfg: RunConfig, notes=()):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_timings(path: Path, rows, cfg: RunConfig):
+def write_timings(path: Path, rows):
     lines = [
         f"# spde-mlmc {__version__} schema={SCHEMA_VERSION}",
         "# machine-dependent wall-clock seconds; excluded from the determinism contract",
@@ -320,7 +320,7 @@ def cmd_variance(cfg: RunConfig) -> int:
         )
         timing_rows.append((f"variance level={l}", time.perf_counter() - started))
         rows.append((l, var_diff, var_fine))
-        if var_diff > 1e-18:  # zero-noise runs leave only cancellation residue
+        if var_diff > 0.0:  # zero-noise variances are exact zeros
             points.append((l, np.log2(var_diff)))
     if len(points) == len(rows) and len(points) >= 2:
         rows.append(("slope", fit_slope(points), None))
@@ -328,7 +328,7 @@ def cmd_variance(cfg: RunConfig) -> int:
     write_csv(cfg.out / "variance.csv",
               ("level", "var_difference", "var_level"), rows, cfg,
               notes=(f"pairs={cfg.pairs}", "recommended: at least 100 pairs"))
-    write_timings(cfg.out / "timings.csv", timing_rows, cfg)
+    write_timings(cfg.out / "timings.csv", timing_rows)
     return 0
 
 
@@ -412,7 +412,7 @@ def cmd_run(cfg: RunConfig) -> int:
               ("mode", "L", "rms_error_agg", "op_work_total", "replicates",
                "outside_theory"), summary_rows, cfg, notes)
     (cfg.out / "plot_run.gp").write_text(_PLOT_SCRIPT, encoding="utf-8")
-    write_timings(cfg.out / "timings.csv", timing_rows, cfg)
+    write_timings(cfg.out / "timings.csv", timing_rows)
     return 0
 
 
@@ -440,7 +440,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                "strong_op_work", "work_ratio"), matched_rows, cfg,
               notes=("matched accuracy: smallest strong L whose aggregate RMS "
                      "is at most the weak one",))
-    write_timings(cfg.out / "timings.csv", timing_rows, cfg)
+    write_timings(cfg.out / "timings.csv", timing_rows)
     return 0
 
 

@@ -33,17 +33,17 @@ chunk-major), so results are bitwise independent of the worker count.
 ``pair_variances`` and ``sample_pair`` call it, and the CLI calls it on a whole
 study, before any path is simulated; it admits a level if ``chunk_bytes``,
 all that one chunk holds, times the chunks that can run at once, the fewer of
-``workers`` and the level's chunks, fits the memory cap. A level's chunks are
-made and reduced as they run, with at most two per worker in flight.
+``workers`` and the level's chunks, fits the memory cap. One runner,
+``_level_moments``, runs each level's chunks, at most two per worker in
+flight, and forms every level mean and variance from their partial sums.
 """
 
 import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -242,20 +242,20 @@ def _check_finite(states, pair_level, replicate, start, count):
                                  f"{replicate}, samples {start}..{start + count - 1}")
 
 
-def chunk_bytes(pair_level: int, kl_rule, increments: bool = True) -> int:
-    """Bytes that one chunk of ``_simulate_chunk`` at ``pair_level`` holds on
-    its thread, all dropped when it returns: ``STATE_DOUBLES * dofs *
-    CHUNK_SIZE`` doubles of states and terminal transforms and
-    ``CHUNK_OVERHEAD_BYTES``; and, unless it steps no ``increments`` (zero
-    noise without a drift), 2 slabs of s*J doubles, J the KL modes and s =
-    min(SLAB_STEPS, CHUNK_SIZE*steps) (a drift chunk draws 16 steps of all its
-    paths into one slab), and the 2*BLOCK*J doubles of tables of each of its
-    two step operators, fine and coarse.
+def chunk_bytes(pair_level: int, kl_rule, increments: bool = True, paths=CHUNK_SIZE) -> int:
+    """Bytes that one chunk of ``_simulate_chunk`` of ``paths`` paths at
+    ``pair_level`` holds on its thread, all dropped when it returns:
+    ``STATE_DOUBLES * dofs * paths`` doubles of states and terminal
+    transforms and ``CHUNK_OVERHEAD_BYTES``; and, unless it steps no
+    ``increments`` (zero noise without a drift), 2 slabs of s*J doubles, J the
+    KL modes and s = min(SLAB_STEPS, paths*steps) (one path's slab without a
+    drift, 16 steps of all its paths with one), and the 2*BLOCK*J doubles of
+    tables of each of its two step operators, fine and coarse.
     """
     fine = make_level(pair_level)
     jf, jc = kl_modes(fine, kl_rule), kl_modes(make_level(pair_level - 1), kl_rule)
-    stepping = 2 * min(SLAB_STEPS, CHUNK_SIZE * fine.steps) * jf + 2 * BLOCK * (jf + jc)
-    doubles = STATE_DOUBLES * fine.dofs * CHUNK_SIZE + (stepping if increments else 0)
+    stepping = 2 * min(SLAB_STEPS, paths * fine.steps) * jf + 2 * BLOCK * (jf + jc)
+    doubles = STATE_DOUBLES * fine.dofs * paths + (stepping if increments else 0)
     return 8 * doubles + CHUNK_OVERHEAD_BYTES
 
 
@@ -287,7 +287,7 @@ def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 
     largest = dict(sorted(pair for run in runs for pair in run))  # level: its largest n
     for level, n in largest.items():
         chunks = min(workers, -(-n // CHUNK_SIZE))
-        need = chunks * chunk_bytes(level, kl_rule, increments)
+        need = chunks * chunk_bytes(level, kl_rule, increments, min(n, CHUNK_SIZE))
         if need > MAX_TASK_BYTES:
             raise CapacityError(f"level {level} chunks need about {need} bytes, {chunks} on "
                                 f"{workers} worker(s), above the {MAX_TASK_BYTES}-byte cap")
@@ -361,23 +361,6 @@ def _pair_moment_task(args):
     return _moments(_level_values("identity", args[0], xf, xc), fine) + _moments(xf, fine)
 
 
-@contextmanager
-def _pool(workers: int):
-    """A map of a chunk task over an iterable of task tuples, results in
-    order: on a thread pool for more than one worker, keeping at most two
-    chunks per worker in flight; the builtin ``map`` runs them inline.
-
-    Threads draw and step in parallel because Philox fills and numpy array
-    arithmetic release the GIL; Python callables (a custom functional, a
-    drift) run one at a time.
-    """
-    if workers < 2:
-        yield map
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield partial(_window_map, pool, 2 * workers)
-
-
 def _window_map(pool, window: int, task, tasks):
     """Yield ``task`` of each tuple in ``tasks``, in order, with at most
     ``window`` of them submitted to ``pool`` and not yet yielded."""
@@ -394,29 +377,38 @@ def _window_map(pool, window: int, task, tasks):
             future.cancel()
 
 
-def _level_sums(task, run_map, level: int, lmin: int, n: int, *args):
-    """Run ``task`` over the chunks of ``n`` samples at ``level`` with
-    ``run_map`` (from ``_pool``) and add up the partial sums it returns in
-    chunk order, as they arrive.
+def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args):
+    """Run ``task`` over the chunks of ``n`` samples at ``level``, each from
+    the task tuple (level, lmin, start, count, *args), and form its moments.
 
-    A chunk's task tuple is (level, lmin, start, count, *args), made when the
-    map asks for it. Returns the list of sums and the wall time of the level.
+    One worker runs the chunks inline; more run them on a thread pool opened
+    for this level, at most two chunks per worker in flight. Threads draw and
+    step in parallel because Philox fills and numpy arithmetic release the
+    GIL; Python callables (a custom functional, a drift) run one at a time.
+    Partial sums are added in chunk order as they arrive.
+
+    Returns the (mean, variance) of each (sum, sum of squared norms) pair that
+    ``task`` returns, L2 on ``level`` for states, and the level's wall time.
+    The variance is (sq - n |mean|**2) / (n - 1), or 0.0 for one sample or a
+    difference within the sums' rounding, n * eps * sq (identical samples).
     """
     tasks = ((level, lmin, s, min(CHUNK_SIZE, n - s), *args) for s in range(0, n, CHUNK_SIZE))
     started = time.perf_counter()
     sums = None
-    for partial_sums in run_map(task, tasks):
-        sums = [total + value for total, value in zip(sums or [0.0] * len(partial_sums),
-                                                      partial_sums)]
-    return sums, time.perf_counter() - started
-
-
-def _mean_and_variance(total, sq, n: int, level: LevelGeometry):
-    """Sample mean and unbiased variance of ``n`` samples from their sum and
-    the sum of their squared norms (L2 on ``level`` for states)."""
-    mean = total / n
-    norm_sq = mass_norm_sq(level, mean) if np.ndim(mean) else mean * mean
-    return mean, 0.0 if n < 2 else max(0.0, (sq - n * norm_sq) / (n - 1))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for partial_sums in (_window_map(pool, 2 * workers, task, tasks) if pool
+                             else map(task, tasks)):
+            sums = [total + value for total, value in zip(sums or [0.0] * len(partial_sums),
+                                                          partial_sums)]
+    wall = time.perf_counter() - started
+    geometry = make_level(level)
+    moments = []
+    for total, sq in zip(sums[::2], sums[1::2]):
+        mean = total / n
+        spread = sq - n * (mass_norm_sq(geometry, mean) if np.ndim(mean) else mean * mean)
+        rounding = n * np.finfo(float).eps * sq  # all that identical samples leave
+        moments.append((mean, 0.0 if n < 2 or spread <= rounding else spread / (n - 1)))
+    return moments, wall
 
 
 def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
@@ -434,13 +426,10 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
         raise UsageError("variance estimation needs at least two pairs")
     check_capacity([[(pair_level, n)]], lmin, master_seed, 1, kl_rule, workers,
                    increments=not zero_noise)
-    with _pool(workers) as run_map:
-        (diff_sum, diff_sq, fine_sum, fine_sq), _wall = _level_sums(
-            _pair_moment_task, run_map, pair_level, lmin, n,
-            0, master_seed, kl_rule, None, zero_noise)
-    fine = make_level(pair_level)
-    return (_mean_and_variance(diff_sum, diff_sq, n, fine)[1],
-            _mean_and_variance(fine_sum, fine_sq, n, fine)[1])
+    ((_, var_diff), (_, var_fine)), _wall = _level_moments(
+        _pair_moment_task, workers, pair_level, lmin, n, 0, master_seed, kl_rule, None,
+        zero_noise)
+    return var_diff, var_fine
 
 
 def pair_op_work(pair_level: int, lmin: int) -> int:
@@ -522,24 +511,21 @@ def mlmc_estimate(
     t_total = time.perf_counter()
     stats = []
     estimate = 0.0
-    with _pool(workers) as run_map:
-        for level, n in plan:
-            (total, sq), wall = _level_sums(_level_task, run_map, level, base, n, replicate,
-                                            master_seed, kl_rule, drift, zero_noise,
-                                            functional)
-            geometry = make_level(level)
-            mean, variance = _mean_and_variance(total, sq, n, geometry)
-            stats.append(LevelStat(
-                level=level,
-                samples=n,
-                mean_contribution=mean,
-                variance=variance,
-                op_work=n * pair_op_work(level, base),
-                wall_seconds=wall,
-            ))
-            if identity:
-                mean = prolong_to(NodalField(geometry, mean), top_level).values
-            estimate = estimate + mean
+    for level, n in plan:
+        [(mean, variance)], wall = _level_moments(_level_task, workers, level, base, n,
+                                                  replicate, master_seed, kl_rule, drift,
+                                                  zero_noise, functional)
+        stats.append(LevelStat(
+            level=level,
+            samples=n,
+            mean_contribution=mean,
+            variance=variance,
+            op_work=n * pair_op_work(level, base),
+            wall_seconds=wall,
+        ))
+        if identity:
+            mean = prolong_to(NodalField(make_level(level), mean), top_level).values
+        estimate = estimate + mean
 
     top = make_level(top_level)
     # Summing the per-level means on the top grid touches dofs(L) entries per level.

@@ -239,9 +239,19 @@ def test_variance_zero_noise(tmp_path):
                  "--out", str(out), "--zero-noise"]) == 0
     _, rows = read_rows(out / "variance.csv")
     assert [r[0] for r in rows] == ["2", "3"]  # no slope row for zero variances
-    # identical samples leave only the cancellation residual of the
-    # streaming sum-of-squares formula
-    assert all(float(r[1]) <= 1e-18 and float(r[2]) <= 1e-18 for r in rows)
+    # identical samples leave a one-pass variance within rounding, written as 0
+    assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows)
+
+
+def test_variance_zero_noise_cells_are_exact_zeros(tmp_path):
+    # the one-pass form left residue of up to 4e-24 in some of these cells
+    # (level 3's difference read 4.26e-24); every cell is now 0
+    out = tmp_path / "v"
+    assert main(["variance", "--levels", "2..6", "--pairs", "200", "--seed", "7",
+                 "--out", str(out), "--zero-noise"]) == 0
+    _, rows = read_rows(out / "variance.csv")
+    assert [r[0] for r in rows] == ["2", "3", "4", "5", "6"]
+    assert [float(cell) for r in rows for cell in r[1:]] == [0.0] * 10
 
 
 def test_variance_output_and_determinism(tmp_path):

@@ -228,6 +228,14 @@ def test_zero_noise_chunk_builds_no_step_operator(monkeypatch):
         assert np.max(np.abs(field.values - det)) <= 1e-14 * np.max(np.abs(det))
 
 
+def test_one_zero_noise_path_at_level_19_is_admitted():
+    # the budget counts the paths a chunk holds: one path at level 19 holds
+    # about 50 MB of states where a 64-path chunk would hold 3.2 GB
+    fine, _ = sample_pair(19, 19, 0, 0, zero_noise=True)
+    det = run_deterministic(fine.level).values
+    assert np.max(np.abs(fine.values - det)) <= 1e-14 * np.max(np.abs(det))
+
+
 def test_sample_pair_below_base_rejected():
     with pytest.raises(UsageError):
         sample_pair(1, 2, master_seed=0, sample=0)
@@ -331,23 +339,28 @@ def test_chunk_memory_peak_within_budget(drift, kl_rule):
 @pytest.mark.parametrize("kl_rule", [None, 1, 3, 19, 10**6])
 def test_zero_noise_chunk_memory_peak_within_budget(kl_rule):
     # without a drift a zero-noise chunk neither draws nor steps and is
-    # budgeted no slab and no step table, whatever its KL modes
+    # budgeted no slab and no step table, whatever its KL modes; one path of
+    # it runs at levels where 64 would not fit the cap
     _assert_chunk_peaks_within_budget(kl_rule, None, True)
+    _assert_chunk_peaks_within_budget(kl_rule, None, True, levels=(12, 16, 19), widths=(1,))
 
 
-def _assert_chunk_peaks_within_budget(kl_rule, drift, zero_noise):
+def _assert_chunk_peaks_within_budget(kl_rule, drift, zero_noise, levels=(1, 2, 3, 4, 6),
+                                      widths=(1, 64)):
+    # a chunk of one path is budgeted one path's states and slab rows
     from spde_mlmc import mlmc
 
     fem.sine_transform(np.ones(3))  # numpy imports numpy.fft on first use, not per chunk
-    for l in (1, 2, 3, 4, 6):
-        tracemalloc.start()
-        try:
-            mlmc._simulate_chunk(l, 1, 0, mlmc.CHUNK_SIZE, 0, 3, kl_rule, drift, zero_noise)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        budget = mlmc.chunk_bytes(l, kl_rule, increments=drift is not None or not zero_noise)
-        assert peak <= budget, f"level {l}"
+    for l in levels:
+        for paths in widths:
+            tracemalloc.start()
+            try:
+                mlmc._simulate_chunk(l, 1, 0, paths, 0, 3, kl_rule, drift, zero_noise)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            budget = mlmc.chunk_bytes(l, kl_rule, drift is not None or not zero_noise, paths)
+            assert peak <= budget, f"level {l}, {paths} path(s)"
 
 
 def test_chunks_leave_nothing_behind():
@@ -630,21 +643,36 @@ def test_sample_pair_admitted_before_simulation(monkeypatch):
 def test_level_runner_bookkeeping_does_not_grow_with_samples(workers):
     # 2**22 samples are 65,536 chunks: the runner makes their task tuples as
     # it goes and folds each partial sum as it arrives, with at most two
-    # chunks per worker in flight; the sums show that each chunk ran once
+    # chunks per worker in flight; the means show that each chunk ran once:
+    # the first averages the chunk starts, the second counts samples
     from spde_mlmc import mlmc
 
     def stub(args):
-        return np.full(3, float(args[2])), 1.0
+        return np.full(3, float(args[2])), 1.0, float(args[3]), float(args[3])
 
-    with mlmc._pool(workers) as run_map:
-        tracemalloc.start()
-        try:
-            (total, sq), _wall = mlmc._level_sums(stub, run_map, 2, 1, 2**22)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert np.array_equal(total, np.full(3, 64.0 * 65535 * 65536 / 2)) and sq == 65536.0
+    n = 2**22
+    tracemalloc.start()
+    try:
+        [(starts, _), (count, variance)], _wall = mlmc._level_moments(stub, workers, 2, 1, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(starts, np.full(3, 64.0 * 65535 * 65536 / 2 / n))
+    assert count == 1.0 and variance == 0.0
     assert peak <= 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimator_and_pair_variances_share_level_moments(workers):
+    # mlmc_estimate and pair_variances form their level variances in the one
+    # runner, so the identity level variances of a run equal pair_variances'
+    # difference variances bitwise
+    from spde_mlmc import mlmc
+
+    result = mlmc_estimate(build_schedule("weak", 4), 1, master_seed=3, workers=workers)
+    for stat in result.level_stats:
+        assert stat.variance == mlmc.pair_variances(stat.level, 1, stat.samples, 3,
+                                                    workers=workers)[0], stat.level
 
 
 def test_level_law_invariant_across_roles():
