@@ -34,8 +34,9 @@ chunk-major), so results are bitwise independent of the worker count.
 study, before any path is simulated; it admits a level if ``chunk_bytes``,
 all that one chunk holds, times the chunks that can run at once, the fewer of
 ``workers`` and the level's chunks, fits the memory cap. One runner,
-``_level_moments``, runs each level's chunks, at most two per worker in
-flight, and forms every level mean and variance from their partial sums.
+``_level_moments``, runs each level's chunks of the one chunk task,
+``_level_task``, at most two per worker in flight, and forms every mean and
+variance from their sums of a functional's level differences and fine values.
 """
 
 import math
@@ -202,7 +203,8 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     drift, all ``count`` paths through blocks of SLAB_STEPS // CHUNK_SIZE = 16
     steps with one. Each path draws a block into its row of one (group, block,
     J) buffer, one slab that the chunk reuses; each operator steps the group
-    once per block, and the group's columns are then checked to be finite.
+    once per block. Only the states at T = 1 are checked to be finite: a
+    non-finite coefficient stays so through later steps and the transform.
     """
     fine = make_level(pair_level)
     levels = [fine] + ([make_level(pair_level - 1)] if pair_level > lmin else [])
@@ -229,17 +231,11 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
                 for k, (op, column) in enumerate(zip(ops, columns)):
                     block = coarsen_rows(rows, op.modes) if k else rows
                     column[...] = op.step(block, column, drift)
-                _check_finite(columns, pair_level, replicate, start + first, group)
     nodal = [sine_transform(state) for state in states]
-    _check_finite(nodal, pair_level, replicate, start, count)
+    if not all(np.isfinite(state).all() for state in nodal):
+        raise NumericalError(f"non-finite state at level {pair_level}, replicate "
+                             f"{replicate}, samples {start}..{start + count - 1}")
     return nodal[0], nodal[1] if len(nodal) > 1 else None
-
-
-def _check_finite(states, pair_level, replicate, start, count):
-    for state in states:
-        if not np.isfinite(state).all():
-            raise NumericalError(f"non-finite state at level {pair_level}, replicate "
-                                 f"{replicate}, samples {start}..{start + count - 1}")
 
 
 def chunk_bytes(pair_level: int, kl_rule, increments: bool = True, paths=CHUNK_SIZE) -> int:
@@ -312,26 +308,18 @@ def sample_pair(
     """One coupled sample: the fine path at ``pair_level`` and, above the base
     level, the coarse path driven by the aggregated fine increments.
 
-    Identical stream coordinates reproduce the pair bitwise.
+    Identical stream coordinates reproduce the pair bitwise. Admitted as the
+    one path it simulates, whatever its sample index.
     """
-    check_capacity([[(pair_level, sample + 1)]], lmin, master_seed, replicate + 1, kl_rule,
+    check_capacity([[(pair_level, 1)]], lmin, master_seed, replicate + 1, kl_rule,
                    increments=drift is not None or not zero_noise)
+    stream_key(master_seed, KIND_PATH, pair_level, replicate, sample)
     xf, xc = _simulate_chunk(pair_level, lmin, sample, 1, replicate, master_seed,
                              kl_rule, drift, zero_noise)
     fine = NodalField(make_level(pair_level), xf[:, 0])
     if xc is None:
         return fine, None
     return fine, NodalField(make_level(pair_level - 1), xc[:, 0])
-
-
-def _level_values(functional, pair_level: int, xf, xc):
-    """Functional of the fine paths less that of their coarse partners, states
-    prolonged to the fine grid first; the fine values alone at the base level."""
-    fine = _functional_values(functional, make_level(pair_level), xf)
-    if xc is None:
-        return fine
-    coarse = _functional_values(functional, make_level(pair_level - 1), xc)
-    return fine - (prolong_values(coarse) if coarse.ndim == 2 else coarse)
 
 
 def _moments(values: np.ndarray, level: LevelGeometry):
@@ -343,22 +331,25 @@ def _moments(values: np.ndarray, level: LevelGeometry):
 
 
 def _level_task(args):
-    """Chunk partial sums of a functional's level differences.
+    """The one chunk task: ``_moments`` of a functional's level differences,
+    fine values less coarse ones (states prolonged to the fine grid first; the
+    fine values alone at the base level), then ``_moments`` of the fine values.
 
     ``args`` holds the arguments of ``_simulate_chunk`` followed by the
     functional.
     """
     *chunk, functional = args
     xf, xc = _simulate_chunk(*chunk)
-    return _moments(_level_values(functional, chunk[0], xf, xc), make_level(chunk[0]))
+    level = make_level(chunk[0])
+    difference = fine = _functional_values(functional, level, xf)
+    if xc is not None:
+        coarse = _functional_values(functional, make_level(chunk[0] - 1), xc)
+        difference = fine - (prolong_values(coarse) if coarse.ndim == 2 else coarse)
+    return _moments(difference, level) + _moments(fine, level)
 
 
-def _pair_moment_task(args):
-    """Chunk partial sums of the coupled differences and of the fine paths;
-    ``args`` holds the arguments of ``_simulate_chunk``."""
-    xf, xc = _simulate_chunk(*args)
-    fine = make_level(args[0])
-    return _moments(_level_values("identity", args[0], xf, xc), fine) + _moments(xf, fine)
+# the benchmark's tracer (perfbench/tracing.py) rebinds this name too
+_pair_moment_task = _level_task
 
 
 def _window_map(pool, window: int, task, tasks):
@@ -388,7 +379,8 @@ def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args):
     Partial sums are added in chunk order as they arrive.
 
     Returns the (mean, variance) of each (sum, sum of squared norms) pair that
-    ``task`` returns, L2 on ``level`` for states, and the level's wall time.
+    ``task`` returns (``_level_task``: of the level differences, then of the
+    fine values), L2 on ``level`` for states, and the level's wall time.
     The variance is (sq - n |mean|**2) / (n - 1), or 0.0 for one sample or a
     difference within the sums' rounding, n * eps * sq (identical samples).
     """
@@ -427,8 +419,8 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     check_capacity([[(pair_level, n)]], lmin, master_seed, 1, kl_rule, workers,
                    increments=not zero_noise)
     ((_, var_diff), (_, var_fine)), _wall = _level_moments(
-        _pair_moment_task, workers, pair_level, lmin, n, 0, master_seed, kl_rule, None,
-        zero_noise)
+        _level_task, workers, pair_level, lmin, n, 0, master_seed, kl_rule, None,
+        zero_noise, "identity")
     return var_diff, var_fine
 
 
@@ -512,9 +504,9 @@ def mlmc_estimate(
     stats = []
     estimate = 0.0
     for level, n in plan:
-        [(mean, variance)], wall = _level_moments(_level_task, workers, level, base, n,
-                                                  replicate, master_seed, kl_rule, drift,
-                                                  zero_noise, functional)
+        [(mean, variance), _fine], wall = _level_moments(_level_task, workers, level, base,
+                                                         n, replicate, master_seed, kl_rule,
+                                                         drift, zero_noise, functional)
         stats.append(LevelStat(
             level=level,
             samples=n,

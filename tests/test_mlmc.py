@@ -228,10 +228,12 @@ def test_zero_noise_chunk_builds_no_step_operator(monkeypatch):
         assert np.max(np.abs(field.values - det)) <= 1e-14 * np.max(np.abs(det))
 
 
-def test_one_zero_noise_path_at_level_19_is_admitted():
+@pytest.mark.parametrize("sample", [0, 63])
+def test_one_zero_noise_path_at_level_19_is_admitted(sample):
     # the budget counts the paths a chunk holds: one path at level 19 holds
-    # about 50 MB of states where a 64-path chunk would hold 3.2 GB
-    fine, _ = sample_pair(19, 19, 0, 0, zero_noise=True)
+    # about 50 MB of states where a 64-path chunk would hold 3.2 GB; a pair
+    # is one path at any sample index
+    fine, _ = sample_pair(19, 19, 0, sample, zero_noise=True)
     det = run_deterministic(fine.level).values
     assert np.max(np.abs(fine.values - det)) <= 1e-14 * np.max(np.abs(det))
 
@@ -381,10 +383,17 @@ def test_chunks_leave_nothing_behind():
 
 
 def test_non_finite_state_names_its_stream_coordinates():
+    # only the states at T = 1 are checked; a drift steps the whole chunk as
+    # one group, so a blow-up names all its samples
+    from spde_mlmc import mlmc
+
     blowup = lambda v: np.full_like(v, np.inf)
     with np.errstate(all="ignore"), \
             pytest.raises(NumericalError, match=r"level 2, replicate 3, samples 5\.\.5"):
         sample_pair(2, 1, master_seed=1, sample=5, replicate=3, drift=blowup)
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericalError, match=r"level 2, replicate 3, samples 0\.\.63$"):
+        mlmc._simulate_chunk(2, 1, 0, 64, 3, 1, None, blowup, False)
 
 
 # ------------------------------------------------------------ mlmc_estimate
@@ -637,6 +646,8 @@ def test_sample_pair_admitted_before_simulation(monkeypatch):
         mlmc.sample_pair(17, 17, 0, 0, zero_noise=True)
     with pytest.raises(UsageError, match="16 bits"):
         mlmc.sample_pair(2, 1, 0, 0, replicate=2**16)
+    with pytest.raises(UsageError, match="32 bits"):
+        mlmc.sample_pair(2, 1, 0, 2**32)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -673,6 +684,23 @@ def test_estimator_and_pair_variances_share_level_moments(workers):
     for stat in result.level_stats:
         assert stat.variance == mlmc.pair_variances(stat.level, 1, stat.samples, 3,
                                                     workers=workers)[0], stat.level
+
+
+def test_level_task_sums_the_fine_values_of_a_scalar_functional():
+    # the second pair of the one chunk task is the fine paths' functional:
+    # its mean and ddof=1 variance over 130 pairs (three chunks, the last of
+    # two) match those of the squared norms of sample_pair's fine fields
+    from spde_mlmc import mlmc
+
+    n = 130
+    norms = np.array([mass_norm_sq(make_level(3), sample_pair(3, 1, 5, s)[0].values)
+                      for s in range(n)])
+    runs = [mlmc._level_moments(mlmc._level_task, workers, 3, 1, n, 0, 5, None, None, False,
+                                "squared-norm")[0] for workers in (1, 2)]
+    assert runs[0] == runs[1]
+    mean, variance = runs[0][1]
+    assert mean == pytest.approx(norms.mean(), rel=1e-12)
+    assert variance == pytest.approx(norms.var(ddof=1), rel=1e-12)
 
 
 def test_level_law_invariant_across_roles():
