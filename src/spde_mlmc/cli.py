@@ -7,12 +7,17 @@ weak schedules at matched accuracy). ``run`` and ``compare`` share one study
 path: it builds every schedule and admits the whole study before the first
 chunk runs; ``variance`` admits its whole level range the same way.
 
-Each option is declared once, in ``_OPTIONS``. The CLI checks only what it
-alone knows: that ``--seed`` and ``--out`` are given, the seed range, that
-``--mode`` names at least one mode and none twice, the parsing of each value,
-that ``--out`` is or can be made a directory, and ``--m`` with its memory. The
-library's one admission function, ``mlmc.check_capacity``, checks base level,
-pair level, workers, replicates, chunk memory and stream keys,
+Each option is declared once, in its ``_OPTIONS`` row, default included:
+``make_config`` fills a ``RunConfig`` from the rows' defaults and the parsed
+values. ``run`` and ``compare`` share the level and summary CSV schemas,
+``LEVEL_COLUMNS`` and ``SUMMARY_COLUMNS``; the CSV writers create ``--out``,
+and each subcommand runs in its handler ``cmd_<name>`` ('_' for '-').
+The CLI checks only what it alone knows: that ``--seed`` and ``--out`` are
+given, the seed range, that ``--mode`` names at least one mode and none twice,
+the parsing of each value, that ``--out`` is or can be made a directory, and
+``--m`` with its memory. The library's one admission function,
+``mlmc.check_capacity``, checks base level, pair level, workers (at most
+``mlmc.MAX_WORKERS``), replicates, chunk memory and stream keys,
 ``mlmc.pair_variances`` that there are two pairs, ``mlmc.build_schedule`` the
 schedule input, and ``mlmc.mlmc_estimate`` the ``--functional`` name, which it
 takes as given, before the first chunk runs and before ``--out`` is created.
@@ -28,9 +33,8 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,13 +42,7 @@ from . import __version__
 from .errors import CapacityError, NumericalError, UsageError
 from .fem import mass_norm_sq, run_deterministic
 from .grid import MAX_TASK_BYTES, make_level
-from .metrics import (
-    exact_mean,
-    fit_slope,
-    reference_points,
-    rms_aggregate,
-    rms_error,
-)
+from .metrics import exact_mean, fit_slope, reference_points, rms_aggregate, rms_error
 from .mlmc import build_schedule, check_capacity, mlmc_estimate, pair_variances
 
 SCHEMA_VERSION = 1
@@ -79,39 +77,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
-class RunConfig:
-    """Validated configuration of one subcommand invocation.
-
-    Each field but ``command`` and ``modes`` (filled by ``--mode``) is named
-    after an option in ``_OPTIONS``; its default here is the option's.
-    """
-
-    command: str
-    seed: int
-    out: Path
-    levels: Optional[tuple] = None
-    pairs: int = 1000
-    L: Optional[tuple] = None
-    strong_L: Optional[tuple] = None
-    lmin: int = 1
-    gamma: float = 0.5
-    eps: float = 1.0
-    reps: int = 10
-    modes: tuple = ("weak",)
-    functional: str = "identity"
-    kl_modes: Optional[int] = None
-    m: int = 2**5 + 1
-    a_seq: Optional[tuple] = None
-    eta: Optional[float] = None
-    zero_noise: bool = False
-    workers: int = 1
+class RunConfig(SimpleNamespace):
+    """Validated configuration of one subcommand invocation: its ``command``
+    and one attribute per option in ``_OPTIONS`` but ``config``, set by
+    ``make_config`` (``--mode`` fills ``modes``)."""
 
     def config_hash(self) -> str:
-        """Hash of every field that can change the numbers, keyed by its name:
-        all but the output directory and the worker count, less those left
-        None. A new field therefore changes every hash unless it defaults to
-        None."""
+        """Hash of every attribute that can change the numbers, keyed by its
+        name: all but the output directory and the worker count, less those
+        left None. A new option therefore changes every hash unless it
+        defaults to None."""
         items = {k: v for k, v in vars(self).items()
                  if v is not None and k not in ("out", "workers")}
         items["modes"] = ",".join(self.modes)
@@ -119,28 +94,26 @@ class RunConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def write_csv(path: Path, columns, rows, cfg: RunConfig, notes=()):
-    lines = [f"# spde-mlmc {__version__} schema={SCHEMA_VERSION}"]
-    lines.append(f"# command={cfg.command}")
-    lines.append(f"# config_hash={cfg.config_hash()}")
-    lines.append(f"# seed={cfg.seed}")
-    for note in notes:
-        lines.append(f"# {note}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_lines(path: Path, notes, columns, rows):
+    """Write a CSV of text cells under the version line and a ``#`` line per
+    note, creating the directories of ``path``."""
+    lines = [f"# spde-mlmc {__version__} schema={SCHEMA_VERSION}",
+             *(f"# {note}" for note in notes), ",".join(columns),
+             *(",".join(row) for row in rows)]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_csv(path: Path, columns, rows, cfg: RunConfig, notes=()):
+    _write_lines(path, (f"command={cfg.command}", f"config_hash={cfg.config_hash()}",
+                        f"seed={cfg.seed}", *notes),
+                 columns, ((_fmt(v) for v in row) for row in rows))
 
 
 def write_timings(path: Path, rows):
-    lines = [
-        f"# spde-mlmc {__version__} schema={SCHEMA_VERSION}",
-        "# machine-dependent wall-clock seconds; excluded from the determinism contract",
-        "label,seconds",
-    ]
-    for label, seconds in rows:
-        lines.append(f"{label},{seconds:.6f}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, ("machine-dependent wall-clock seconds; excluded from the "
+                        "determinism contract",),
+                 ("label", "seconds"), ((label, f"{seconds:.6f}") for label, seconds in rows))
 
 
 def _load_config_file(path: str) -> dict:
@@ -148,6 +121,8 @@ def _load_config_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path!r} is not UTF-8 text: {exc.reason}") from exc
     values = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -180,37 +155,39 @@ def _floats(text: str) -> tuple:
 _ALL = "det-conv variance run compare"
 _ESTIMATORS = "variance run compare"
 
-#: The options: name -> (converter, subcommands, help). The name is the
-#: option's only one: ``--name`` with '-' for '_' is its flag, and the name is
-#: its argparse dest, config-file key, ``RunConfig`` field and hash key
-#: (``mode`` fills the field ``modes``). The converter runs once, on the flag
-#: text or the config-file text; the default is the ``RunConfig`` field's.
+#: The options: name -> (converter, default, subcommands, help). The name is
+#: the option's only one: ``--name`` with '-' for '_' is its flag, and the name
+#: is its argparse dest, config-file key, ``RunConfig`` attribute and hash key
+#: (``mode`` fills the attribute ``modes``). The converter runs once, on the
+#: flag text or the config-file text; the default is not converted.
 _OPTIONS = {
-    "levels": (parse_range, "det-conv variance", "level range a..b (variance: pair levels)"),
-    "L": (parse_range, "run compare", "top-level range a..b (compare: the weak schedule's)"),
-    "strong_L": (parse_range, "compare",
+    "levels": (parse_range, None, "det-conv variance",
+               "level range a..b (variance: pair levels)"),
+    "L": (parse_range, None, "run compare",
+          "top-level range a..b (compare: the weak schedule's)"),
+    "strong_L": (parse_range, None, "compare",
                  "top-level range for the strong schedule (default: --L)"),
-    "mode": (_names, "run", "schedule mode(s), comma separated"),
-    "pairs": (int, "variance", "coupled pairs per level"),
-    "gamma": (float, _ESTIMATORS, "rate parameter in (0,1) (variance: recorded only)"),
-    "eps": (float, "run compare", "schedule exponent offset (0 is outside the theory)"),
-    "reps": (int, "run compare", "independent replicates"),
-    "functional": (str, "run", "identity or squared-norm"),
-    "m": (int, "run compare", "reference grid size 2**r+1 (raised to match L)"),
-    "a_seq": (_floats, "run", "decay sequence a_0,a_1,... for general mode"),
-    "eta": (float, "run", "variance order for general mode"),
-    "zero_noise": (_flag_word, "variance run", "diagnostic: zero all increments"),
-    "seed": (int, _ALL, "master seed (required; no entropy default)"),
-    "out": (Path, _ALL, "output directory (required)"),
-    "config": (str, _ALL, "key=value file; flags override it"),
-    "workers": (int, _ESTIMATORS, "worker threads (never changes results)"),
-    "lmin": (int, _ESTIMATORS, "base level of the hierarchy"),
-    "kl_modes": (int, _ESTIMATORS, "fixed KL truncation (default: dofs per level)"),
+    "mode": (_names, ("weak",), "run", "schedule mode(s), comma separated"),
+    "pairs": (int, 1000, "variance", "coupled pairs per level"),
+    "gamma": (float, 0.5, _ESTIMATORS, "rate parameter in (0,1) (variance: recorded only)"),
+    "eps": (float, 1.0, "run compare", "schedule exponent offset (0 is outside the theory)"),
+    "reps": (int, 10, "run compare", "independent replicates"),
+    "functional": (str, "identity", "run", "identity or squared-norm"),
+    "m": (int, 2**5 + 1, "run compare", "reference grid size 2**r+1 (raised to match L)"),
+    "a_seq": (_floats, None, "run", "decay sequence a_0,a_1,... for general mode"),
+    "eta": (float, None, "run", "variance order for general mode"),
+    "zero_noise": (_flag_word, False, "variance run", "diagnostic: zero all increments"),
+    "seed": (int, None, _ALL, "master seed (required; no entropy default)"),
+    "out": (Path, None, _ALL, "output directory (required)"),
+    "config": (str, None, _ALL, "key=value file; flags override it"),
+    "workers": (int, 1, _ESTIMATORS, "worker threads (never changes results)"),
+    "lmin": (int, 1, _ESTIMATORS, "base level of the hierarchy"),
+    "kl_modes": (int, None, _ESTIMATORS, "fixed KL truncation (default: dofs per level)"),
 }
 
 
 def _options(command: str) -> list:
-    return [name for name, (_conv, commands, _help) in _OPTIONS.items()
+    return [name for name, (*_row, commands, _help) in _OPTIONS.items()
             if command in commands.split()]
 
 
@@ -223,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command in _ALL.split():
         p = sub.add_parser(command)
         for name in _options(command):
-            conv, _commands, help_text = _OPTIONS[name]
+            conv, *_row, help_text = _OPTIONS[name]
             flag = "--" + name.replace("_", "-")
             if conv is _flag_word:
                 p.add_argument(flag, dest=name, action="store_const", const="yes",
@@ -234,15 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve each option from its flag, else the config file, else the
-    ``RunConfig`` default, and check what only the CLI can check."""
+    """Resolve each option from its flag, else the config file, else its
+    ``_OPTIONS`` default, and check what only the CLI can check. Options of
+    other subcommands keep their defaults, which enter the config hash too."""
     command = args.command
     names = [name for name in _options(command) if name != "config"]
     file_texts = _load_config_file(args.config) if args.config else {}
     for key in file_texts:
         if key not in names:
             raise UsageError(f"unknown config key {key!r} for {command}")
-    values = {}
+    values = {name: row[1] for name, row in _OPTIONS.items() if name != "config"}
     for name in names:
         text, source = getattr(args, name), "--" + name.replace("_", "-")
         if text is None and name in file_texts:
@@ -256,11 +234,9 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise UsageError(f"bad value {text!r} for {source}") from exc
     for name in ("seed", "out", "levels" if "levels" in names else "L"):
-        if name not in values:
+        if values[name] is None:
             raise UsageError(f"--{name} is required")
-    if "mode" in values:
-        values["modes"] = values.pop("mode")
-    cfg = RunConfig(command=command, **values)
+    cfg = RunConfig(command=command, modes=values.pop("mode"), **values)
     if not 0 <= cfg.seed < 2**64:
         raise UsageError("seed must fit in 64 bits")
     if not cfg.modes:
@@ -302,7 +278,6 @@ def cmd_det_conv(cfg: RunConfig) -> int:
         points.append((l, np.log2(err)))
     if len(points) >= 2:
         rows.append(("slope", None, None, fit_slope(points)))
-    cfg.out.mkdir(parents=True, exist_ok=True)
     write_csv(cfg.out / "det_conv.csv", ("level", "h", "dt", "l2_error"), rows, cfg)
     return 0
 
@@ -310,7 +285,7 @@ def cmd_det_conv(cfg: RunConfig) -> int:
 def cmd_variance(cfg: RunConfig) -> int:
     levels = range(cfg.levels[0], cfg.levels[1] + 1)
     check_capacity([[(l, cfg.pairs) for l in levels]], cfg.lmin, cfg.seed, 1, cfg.kl_modes,
-                   cfg.workers, increments=not cfg.zero_noise)
+                   cfg.workers, zero_noise=cfg.zero_noise)
     rows, points, timing_rows = [], [], []
     for l in levels:
         started = time.perf_counter()
@@ -324,12 +299,18 @@ def cmd_variance(cfg: RunConfig) -> int:
             points.append((l, np.log2(var_diff)))
     if len(points) == len(rows) and len(points) >= 2:
         rows.append(("slope", fit_slope(points), None))
-    cfg.out.mkdir(parents=True, exist_ok=True)
     write_csv(cfg.out / "variance.csv",
               ("level", "var_difference", "var_level"), rows, cfg,
               notes=(f"pairs={cfg.pairs}", "recommended: at least 100 pairs"))
     write_timings(cfg.out / "timings.csv", timing_rows)
     return 0
+
+
+#: Columns of the level and summary rows of ``_study``, the CSV schemas that
+#: ``run`` and ``compare`` share.
+LEVEL_COLUMNS = ("mode", "L", "level", "samples", "op_work", "var_difference")
+SUMMARY_COLUMNS = ("mode", "L", "rms_error_agg", "op_work_total", "replicates",
+                   "outside_theory")
 
 
 def _study(cfg: RunConfig, ranges):
@@ -343,7 +324,7 @@ def _study(cfg: RunConfig, ranges):
                                 a=cfg.a_seq[: top + 1] if cfg.a_seq is not None else None)
                  for mode, lo, hi in ranges for top in range(lo, hi + 1)]
     check_capacity([schedule.level_counts(cfg.lmin) for schedule in schedules], cfg.lmin,
-                   cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers, increments=not cfg.zero_noise)
+                   cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers, zero_noise=cfg.zero_noise)
     rep_rows, level_rows, summary_rows, timing_rows = [], [], [], []
     for schedule in schedules:
         mode, top = schedule.mode, schedule.top_level
@@ -402,15 +383,10 @@ def cmd_run(cfg: RunConfig) -> int:
     notes = []
     if cfg.eps == 0.0:
         notes.append("warning: eps=0 is the border case outside the theory")
-    cfg.out.mkdir(parents=True, exist_ok=True)
     write_csv(cfg.out / "run_replicates.csv",
               ("mode", "L", "replicate", "rms_error", "value"), rep_rows, cfg, notes)
-    write_csv(cfg.out / "run_levels.csv",
-              ("mode", "L", "level", "samples", "op_work", "var_difference"),
-              level_rows, cfg, notes)
-    write_csv(cfg.out / "run_summary.csv",
-              ("mode", "L", "rms_error_agg", "op_work_total", "replicates",
-               "outside_theory"), summary_rows, cfg, notes)
+    write_csv(cfg.out / "run_levels.csv", LEVEL_COLUMNS, level_rows, cfg, notes)
+    write_csv(cfg.out / "run_summary.csv", SUMMARY_COLUMNS, summary_rows, cfg, notes)
     (cfg.out / "plot_run.gp").write_text(_PLOT_SCRIPT, encoding="utf-8")
     write_timings(cfg.out / "timings.csv", timing_rows)
     return 0
@@ -428,13 +404,8 @@ def cmd_compare(cfg: RunConfig) -> int:
             _, strong_l, strong_rms, strong_work, *_ = partner
             matched_rows.append((weak_l, strong_l, weak_rms, strong_rms, weak_work,
                                  strong_work, strong_work / weak_work))
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    write_csv(cfg.out / "compare.csv",
-              ("mode", "L", "rms_error_agg", "op_work_total", "replicates",
-               "outside_theory"), summary_rows, cfg)
-    write_csv(cfg.out / "compare_levels.csv",
-              ("mode", "L", "level", "samples", "op_work", "var_difference"),
-              level_rows, cfg)
+    write_csv(cfg.out / "compare.csv", SUMMARY_COLUMNS, summary_rows, cfg)
+    write_csv(cfg.out / "compare_levels.csv", LEVEL_COLUMNS, level_rows, cfg)
     write_csv(cfg.out / "compare_matched.csv",
               ("weak_L", "strong_L", "weak_rms", "strong_rms", "weak_op_work",
                "strong_op_work", "work_ratio"), matched_rows, cfg,
@@ -442,14 +413,6 @@ def cmd_compare(cfg: RunConfig) -> int:
                      "is at most the weak one",))
     write_timings(cfg.out / "timings.csv", timing_rows)
     return 0
-
-
-_HANDLERS = {
-    "det-conv": cmd_det_conv,
-    "variance": cmd_variance,
-    "run": cmd_run,
-    "compare": cmd_compare,
-}
 
 
 def main(argv=None) -> int:
@@ -461,7 +424,7 @@ def main(argv=None) -> int:
     try:
         cfg = make_config(args)
         started = time.perf_counter()
-        code = _HANDLERS[cfg.command](cfg)
+        code = globals()["cmd_" + cfg.command.replace("-", "_")](cfg)
         print(f"{cfg.command}: wrote {cfg.out} "
               f"({time.perf_counter() - started:.1f}s)")
         return code

@@ -72,6 +72,12 @@ STATE_DOUBLES = 12
 #: level 1, a drift).
 CHUNK_OVERHEAD_BYTES = 2**16
 
+#: Worker threads at most. A level's pool starts one OS thread per worker;
+#: the memory admission counts no thread stack, and threads beyond the cores
+#: add no speed. 256 exceeds the cores of common machines, and a count such as
+#: 5,000 is rejected before it asks the OS for thousands of threads.
+MAX_WORKERS = 256
+
 #: Rate power p of each named schedule mode: decay a_l = h_l**(p*gamma),
 #: variance order eta = 1/p and default kappa = (d+2)/(p*gamma).
 RATE_POWERS = {"singlelevel": 2.0, "strong": 1.0, "weak": 2.0}
@@ -238,25 +244,27 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     return nodal[0], nodal[1] if len(nodal) > 1 else None
 
 
-def chunk_bytes(pair_level: int, kl_rule, increments: bool = True, paths=CHUNK_SIZE) -> int:
+def chunk_bytes(pair_level: int, kl_rule, zero_noise: bool = False, drift=None,
+                paths=CHUNK_SIZE) -> int:
     """Bytes that one chunk of ``_simulate_chunk`` of ``paths`` paths at
     ``pair_level`` holds on its thread, all dropped when it returns:
     ``STATE_DOUBLES * dofs * paths`` doubles of states and terminal
-    transforms and ``CHUNK_OVERHEAD_BYTES``; and, unless it steps no
-    ``increments`` (zero noise without a drift), 2 slabs of s*J doubles, J the
-    KL modes and s = min(SLAB_STEPS, paths*steps) (one path's slab without a
-    drift, 16 steps of all its paths with one), and the 2*BLOCK*J doubles of
-    tables of each of its two step operators, fine and coarse.
+    transforms and ``CHUNK_OVERHEAD_BYTES``; and, as it steps unless it has
+    ``zero_noise`` and no ``drift``, 2 slabs of s*J doubles, J the KL modes
+    and s = min(SLAB_STEPS, paths*steps) (one path's slab without a drift, 16
+    steps of all its paths with one), and the 2*BLOCK*J doubles of tables of
+    each of its two step operators, fine and coarse.
     """
     fine = make_level(pair_level)
     jf, jc = kl_modes(fine, kl_rule), kl_modes(make_level(pair_level - 1), kl_rule)
-    stepping = 2 * min(SLAB_STEPS, paths * fine.steps) * jf + 2 * BLOCK * (jf + jc)
-    doubles = STATE_DOUBLES * fine.dofs * paths + (stepping if increments else 0)
+    doubles = STATE_DOUBLES * fine.dofs * paths
+    if drift is not None or not zero_noise:
+        doubles += 2 * min(SLAB_STEPS, paths * fine.steps) * jf + 2 * BLOCK * (jf + jc)
     return 8 * doubles + CHUNK_OVERHEAD_BYTES
 
 
 def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 1,
-                   increments: bool = True):
+                   zero_noise: bool = False, drift=None):
     """Admit estimator work before any path is simulated: ``replicates``
     replicates of each run in ``runs``, a list of (level, samples) pairs in
     increasing level order, from the base level ``lmin``.
@@ -264,9 +272,9 @@ def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 
     Checks the base level and that no level of a run lies below it, the
     replicates, that the chunks of every level that can be in flight at once,
     min(``workers``, ceil(n / CHUNK_SIZE)) for the level's largest sample count
-    n in the runs, fit in ``MAX_TASK_BYTES`` (``chunk_bytes`` each;
-    ``increments`` is False for zero noise without a drift, whose chunks
-    neither draw nor step), and the stream key of each level's last sample in
+    n in the runs, fit in ``MAX_TASK_BYTES`` (``chunk_bytes`` each, of
+    chunks with the given ``zero_noise`` and ``drift``), at most
+    ``MAX_WORKERS`` workers, and the stream key of each level's last sample in
     the last replicate.
     """
     if lmin < 1:
@@ -280,10 +288,12 @@ def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 
             raise UsageError(f"pair level {low} below the base level {lmin}{above}")
     if workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise UsageError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     largest = dict(sorted(pair for run in runs for pair in run))  # level: its largest n
     for level, n in largest.items():
         chunks = min(workers, -(-n // CHUNK_SIZE))
-        need = chunks * chunk_bytes(level, kl_rule, increments, min(n, CHUNK_SIZE))
+        need = chunks * chunk_bytes(level, kl_rule, zero_noise, drift, min(n, CHUNK_SIZE))
         if need > MAX_TASK_BYTES:
             raise CapacityError(f"level {level} chunks need about {need} bytes, {chunks} on "
                                 f"{workers} worker(s), above the {MAX_TASK_BYTES}-byte cap")
@@ -312,7 +322,7 @@ def sample_pair(
     one path it simulates, whatever its sample index.
     """
     check_capacity([[(pair_level, 1)]], lmin, master_seed, replicate + 1, kl_rule,
-                   increments=drift is not None or not zero_noise)
+                   zero_noise=zero_noise, drift=drift)
     stream_key(master_seed, KIND_PATH, pair_level, replicate, sample)
     xf, xc = _simulate_chunk(pair_level, lmin, sample, 1, replicate, master_seed,
                              kl_rule, drift, zero_noise)
@@ -416,8 +426,7 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     """
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
-    check_capacity([[(pair_level, n)]], lmin, master_seed, 1, kl_rule, workers,
-                   increments=not zero_noise)
+    check_capacity([[(pair_level, n)]], lmin, master_seed, 1, kl_rule, workers, zero_noise)
     ((_, var_diff), (_, var_fine)), _wall = _level_moments(
         _level_task, workers, pair_level, lmin, n, 0, master_seed, kl_rule, None,
         zero_noise, "identity")
@@ -496,8 +505,7 @@ def mlmc_estimate(
                          "'squared-norm' or a callable")
     top_level = schedule.top_level
     plan = schedule.level_counts(lmin)
-    check_capacity([plan], lmin, master_seed, replicate + 1, kl_rule, workers,
-                   increments=drift is not None or not zero_noise)
+    check_capacity([plan], lmin, master_seed, replicate + 1, kl_rule, workers, zero_noise, drift)
     base = plan[0][0]
     identity = functional == "identity"
     t_total = time.perf_counter()

@@ -193,6 +193,8 @@ def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsy
     (["compare", "--L", "1..2", "--workers", "0"], "workers"),
     (["compare", "--L", "1..2", "--lmin", "0"], "base level"),
     (["variance", "--levels", "2..17", "--pairs", "8"], "level 17 chunks"),
+    (["variance", "--levels", "2..2", "--pairs", "320000", "--workers", "5000"],
+     "workers must be at most"),
 ])
 def test_library_checks_exit_2_before_the_first_chunk(tmp_path, monkeypatch, capsys,
                                                       argv, named):
@@ -424,6 +426,41 @@ def test_config_hash_is_pinned(tmp_path, argv, config_text, config_hash):
         assert f"# config_hash={config_hash}\n" in path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command,required", [
+    ("det-conv", "levels"), ("variance", "levels"), ("run", "L"), ("compare", "L"),
+])
+def test_options_default_to_their_declaration(tmp_path, command, required):
+    # a config from the required flags alone holds the command, the modes and
+    # every other option of any subcommand, each at its _OPTIONS default
+    from spde_mlmc import cli
+
+    out = tmp_path / "o"
+    cfg = cli.make_config(cli.build_parser().parse_args(
+        [command, "--" + required, "2..3", "--seed", "4", "--out", str(out)]))
+    names = set(cli._OPTIONS) - {"config", "mode"}
+    assert set(vars(cfg)) == {"command", "modes"} | names
+    expected = {name: cli._OPTIONS[name][1] for name in names}
+    expected.update(command=command, modes=cli._OPTIONS["mode"][1], seed=4, out=out)
+    expected[required] = (2, 3)
+    if command == "compare":
+        expected.update(modes=("strong", "weak"), strong_L=(2, 3))
+    assert vars(cfg) == expected
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["det-conv", "--levels", "1..2"], ["det_conv.csv"]),
+    (["variance", "--levels", "2..2", "--pairs", "4"], ["timings.csv", "variance.csv"]),
+    (["run", "--L", "1..1", "--reps", "1"],
+     ["plot_run.gp", "run_levels.csv", "run_replicates.csv", "run_summary.csv", "timings.csv"]),
+    (["compare", "--L", "1..1", "--reps", "1"],
+     ["compare.csv", "compare_levels.csv", "compare_matched.csv", "timings.csv"]),
+], ids=["det-conv", "variance", "run", "compare"])
+def test_missing_nested_out_is_created(tmp_path, argv, written):
+    out = tmp_path / "a" / "b"
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == written
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("bogus=1\n", encoding="utf-8")
@@ -442,6 +479,7 @@ def test_zero_workers_or_base_level_is_usage_error(tmp_path, flag):
     ("bad-value", "pairs"),
     ("bad-flag", "zero_noise"),
     ("bad-a-seq", "--a-seq"),
+    ("not-utf8", "cfg.txt"),
 ])
 def test_bad_config_input_is_usage_error(tmp_path, capsys, case, named):
     out = str(tmp_path / "o")
@@ -458,6 +496,10 @@ def test_bad_config_input_is_usage_error(tmp_path, capsys, case, named):
         cfg.write_text("zero_noise=ture\n", encoding="utf-8")
         argv = ["variance", "--levels", "2..3", "--pairs", "8", "--seed", "1", "--out", out,
                 "--config", str(cfg)]
+    elif case == "not-utf8":
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"seed=\xff\xfe1\n")
+        argv = ["det-conv", "--levels", "1..2", "--out", out, "--config", str(cfg)]
     else:
         argv = ["run", "--mode", "general", "--L", "1..2", "--reps", "1", "--seed", "1",
                 "--a-seq", "1,x,0.5", "--eta", "0.5", "--out", out]

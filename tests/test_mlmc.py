@@ -361,7 +361,7 @@ def _assert_chunk_peaks_within_budget(kl_rule, drift, zero_noise, levels=(1, 2, 
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            budget = mlmc.chunk_bytes(l, kl_rule, drift is not None or not zero_noise, paths)
+            budget = mlmc.chunk_bytes(l, kl_rule, zero_noise=zero_noise, drift=drift, paths=paths)
             assert peak <= budget, f"level {l}, {paths} path(s)"
 
 
@@ -574,6 +574,12 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
             mlmc.pair_variances(2, 1, 4, 0, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
             mlmc_estimate(build_schedule("weak", 2), 1, workers=workers)
+    # more workers than the bound are rejected before a pool asks for threads
+    too_many = f"workers must be at most {mlmc.MAX_WORKERS}, got 5000"
+    with pytest.raises(UsageError, match=too_many):
+        mlmc.pair_variances(2, 1, 320000, 0, workers=5000)
+    with pytest.raises(UsageError, match=too_many):
+        mlmc_estimate(build_schedule("weak", 2), 1, workers=5000)
     with pytest.raises(UsageError, match="at least one replicate, got 0"):
         mlmc.check_capacity([build_schedule("weak", 2).level_counts(1)], 1, 0, 0, None)
 
@@ -610,12 +616,12 @@ def test_admitted_levels_follow_the_chunk_budget():
     from spde_mlmc import mlmc
     from spde_mlmc.errors import CapacityError
 
-    def deepest(workers, increments, kl_rule=None):
+    def deepest(workers, zero_noise, kl_rule=None):
         level = 1
         while True:
             try:
                 mlmc.check_capacity([[(level + 1, workers * mlmc.CHUNK_SIZE)]], 1, 0, 1,
-                                    kl_rule, workers, increments=increments)
+                                    kl_rule, workers, zero_noise=zero_noise)
             except CapacityError:
                 return level
             level += 1
@@ -623,9 +629,9 @@ def test_admitted_levels_follow_the_chunk_budget():
     workers = range(1, 21)
     noisy = [16, 15] + [14] * 3 + [13] * 6 + [12] * 9
     zero_noise = [18, 17, 16, 16, 16] + [15] * 5 + [14] * 10
-    assert [deepest(w, True) for w in workers] == noisy
-    assert [deepest(w, False) for w in workers] == zero_noise
-    assert deepest(1, True, 1000) == 18
+    assert [deepest(w, False) for w in workers] == noisy
+    assert [deepest(w, True) for w in workers] == zero_noise
+    assert deepest(1, False, 1000) == 18
 
 
 def test_sample_pair_admitted_before_simulation(monkeypatch):
