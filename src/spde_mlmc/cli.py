@@ -14,10 +14,10 @@ values. ``run`` and ``compare`` share the level and summary CSV schemas,
 and each subcommand runs in its handler ``cmd_<name>`` ('_' for '-').
 The CLI checks only what it alone knows: that ``--seed`` and ``--out`` are
 given, the seed range, that ``--mode`` names at least one mode and none twice,
-the parsing of each value, that ``--out`` is or can be made a directory, and
-``--m`` with its memory. The library's one admission function,
+that each value is nonempty and parses, that ``--out`` is or can be made a
+directory, and ``--m`` with its memory. The library's one admission function,
 ``mlmc.check_capacity``, checks base level, pair level, workers (at most
-``mlmc.MAX_WORKERS``), replicates, chunk memory and stream keys,
+``mlmc.MAX_WORKERS``), replicates, sample counts, chunk memory and stream keys,
 ``mlmc.pair_variances`` that there are two pairs, ``mlmc.build_schedule`` the
 schedule input, and ``mlmc.mlmc_estimate`` the ``--functional`` name, which it
 takes as given, before the first chunk runs and before ``--out`` is created.
@@ -31,6 +31,7 @@ wall-clock measurements are machine-dependent and therefore go to a separate
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -228,6 +229,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         if text is None:
             continue
         try:
+            if not text:  # never valid; an empty --out would be the working directory
+                raise ValueError(text)
             values[name] = _OPTIONS[name][0](text)
         except UsageError:
             raise
@@ -244,9 +247,15 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     for mode in cfg.modes:
         if cfg.modes.count(mode) > 1:
             raise UsageError(f"--mode names {mode!r} more than once")
-    existing = next(p for p in (cfg.out, *cfg.out.parents) if p.exists() or p.is_symlink())
-    if not existing.is_dir():
-        raise UsageError(f"--out {cfg.out}: {existing} is not a directory")
+    try:  # the file system's errors, e.g. ENAMETOOLONG, are usage errors too
+        existing = next(p for p in (cfg.out, *cfg.out.parents) if p.exists() or p.is_symlink())
+        if not existing.is_dir():
+            raise UsageError(f"--out {cfg.out}: {existing} is not a directory")
+        name_max = os.pathconf(existing, "PC_NAME_MAX")
+    except OSError as exc:
+        raise UsageError(f"--out {cfg.out}: {exc.strerror}") from exc
+    if any(len(os.fsencode(name)) > name_max for name in cfg.out.relative_to(existing).parts):
+        raise UsageError(f"--out {cfg.out}: a directory name is longer than {name_max} bytes")
     reference_points(cfg.m)
     if command == "compare":
         cfg.modes = ("strong", "weak")

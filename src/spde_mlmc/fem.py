@@ -9,18 +9,17 @@ semi-implicit Euler-Maruyama step solves
 The package assembles neither matrix. The path engine, ``StepOperator``,
 takes that step in sine-mode coordinates: the sine vectors diagonalise M and
 K and are the nodal rows of the Karhunen-Loeve loads, so every mode evolves
-on its own. ``mode_factors`` alone forms the per-mode eigenvalues, load
-amplitudes and step factors, exact to rounding at every level, and each power
-rho^N of a step factor is exp(N log rho). ``decay`` forms rho^N c for the
-operator and for states that take neither noise nor drift, which need no
-operator. Without drift a block of steps is one weighted sum over its
-increments, formed in two stages from two BLOCK x modes tables of those
-powers, which the operator holds; the module keeps no operator, so whoever
-builds one owns it. A drift F is a plain callable on nodal values (None means
-F = 0), applied step by step. ``sine_transform``, an FFT, maps
-modes to nodal values. ``mass_norm_sq`` forms the L2(0,1) norms x^T M x from
-the two diagonals. The nodal scheme, with assembled bands and a Thomas solve
-per step, lives in ``tests/reference.py`` as the oracle.
+on its own, driven by one standard normal per step. ``mode_factors`` alone
+forms the per-mode eigenvalues, load amplitudes and step factors, the
+increments' deviation h included, exact to rounding at every level; each
+power rho^N is exp(N log rho), and ``decay`` forms rho^N c. Without drift a
+block of steps is one weighted sum, formed in two stages from two BLOCK x
+modes tables of those powers, which the operator holds; whoever builds one
+owns it. A drift F is a plain callable on nodal values (None means F = 0),
+applied step by step. ``sine_transform``, an FFT, maps modes to nodal values;
+``mass_norm_sq`` forms the L2(0,1) norms x^T M x from the two diagonals. The
+nodal scheme, with assembled bands and a Thomas solve per step, lives in
+``tests/reference.py`` as the oracle.
 """
 
 from typing import Callable, Optional
@@ -69,8 +68,9 @@ def mode_factors(level: LevelGeometry, count: int, modes: int):
     relative error grows as 1/h^2 (8e-6 for mode 1 at level 19). With lm_j =
     h(1 - v_j/3) and lk_j = 2 v_j/h the eigenvalues of M and K, d_j = lm_j + dt lk_j
     and a_j = 2 sqrt(2) v_j/(j^2 pi^2 h) the load amplitude of KL mode j: rho_j =
-    lm_j/d_j, log rho_j = log1p(-dt lk_j/d_j) and beta_j = a_j/d_j. Every rho^N,
-    N = 1 to 4**level, is exp(N log rho): rho^N multiplies rho's rounding error by N.
+    lm_j/d_j, log rho_j = log1p(-dt lk_j/d_j) and beta_j = a_j h/d_j: h = sqrt(dt),
+    the deviation of the increments, enters here alone. Every rho^N, N = 1 to
+    4**level, is exp(N log rho): rho^N multiplies rho's rounding error by N.
     """
     h, dt, n = level.mesh_width, level.time_step, level.dofs
     j = np.arange(1, max(count, modes) + 1)
@@ -82,8 +82,8 @@ def mode_factors(level: LevelGeometry, count: int, modes: int):
     sign[(r == 0) | (r == n + 1)] = 0.0
     target = np.where(r <= n, r, 2 * (n + 1) - r) - 1
     target[sign == 0.0] = 0
-    amplitude = np.sqrt(2.0) * 2.0 * v[:modes] / (j[:modes] ** 2 * np.pi**2 * h)
-    return np.log1p(-damping / denom), target, sign * amplitude / denom[target]
+    amplitude_h = np.sqrt(2.0) * 2.0 * v[:modes] / (j[:modes] ** 2 * np.pi**2)  # a_j h
+    return np.log1p(-damping / denom), target, sign * amplitude_h / denom[target]
 
 
 def decay(log_rho: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -98,9 +98,9 @@ class StepOperator:
     A state is the coefficient vector c of the nodal values x = S c
     (``sine_transform``). The sine vectors diagonalise M and K and are the nodal
     rows of the KL loads, so without drift mode j follows c_j <- rho_j c_j +
-    beta_j dW_j, with the factors of ``mode_factors``. KL modes beyond dofs
-    alias onto sine vector |r| (or vanish), r = j mod 2(dofs+1) folded into
-    -dofs..dofs, with the sign of r.
+    beta_j z_j, z_j a standard normal; beta_j carries h (``mode_factors``). KL
+    modes beyond dofs alias onto sine vector |r| (or vanish), r = j mod
+    2(dofs+1) folded into -dofs..dofs, with the sign of r.
     """
 
     def __init__(self, level: LevelGeometry, modes: Optional[int] = None):
@@ -119,7 +119,7 @@ class StepOperator:
         #: of n is inner[-b:][i] * outer[-n//b:][k] (see ``step``).
         self.inner = np.exp(exponents)
         self.outer = np.exp(BLOCK * exponents) * self.beta
-        self.outer[np.abs(self.outer) < 1e-300] = 0.0  # keep denormals out of the sums
+        self.outer[np.abs(self.outer) < 1e-300] = 0.0  # no denormals in the sums (with h)
 
     def _add_modes(self, coeffs: np.ndarray, per_mode: np.ndarray) -> np.ndarray:
         if self.fold is None:
@@ -130,17 +130,17 @@ class StepOperator:
 
     def step(self, rows: np.ndarray, coeffs: np.ndarray,
              drift: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
-        """Advance modal coefficients over ``n`` steps of KL increments.
+        """Advance modal coefficients over ``n`` steps of standard normal rows z.
 
         ``rows`` has shape (n, modes) for one path with ``coeffs`` (dofs,), or
         (n, modes, b) for b paths with ``coeffs`` (dofs, b). Without drift the
-        block is one weighted sum, rho**n c + sum_m rho**(n-1-m) beta dW_m, taken
+        block is one weighted sum, rho**n c + sum_m rho**(n-1-m) beta z_m, taken
         in two stages: the k = n/b groups of b = min(BLOCK, n) rows are summed
         with ``inner``, then the k group sums with ``outer``; n is 1..BLOCK or a
         multiple of BLOCK up to BLOCK**2 = SLAB_STEPS. A drift F, None for F = 0,
         maps nodal values of shape (dofs,) or (dofs, b) to values of the same
         shape; it must be vectorised and globally Lipschitz (documented, not
-        checked). It enters step by step as c <- rho (c + dt f) + beta dW with
+        checked). It enters step by step as c <- rho (c + dt f) + beta z with
         f = (2/(dofs+1)) S F(S c), two ``sine_transform`` calls per step.
         """
         if drift is None:

@@ -14,15 +14,11 @@ of the top level alone. ``predict_work`` takes every multilevel exponent from
 the one work bound of the MLMC theorem (Giles, Oper. Res. 56 (2008)).
 
 Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
-``fem.StepOperator``, in one stepping loop over groups of paths: one path at
-a time through slabs of ``SLAB_STEPS`` fine steps without a drift, all the
-chunk's paths together through blocks of 16 steps with one. Each block's
-increments are drawn once, into one buffer that the chunk reuses, and enter
-the fine paths, and summed in fours the coarse ones. Each stepping chunk
-builds its own fine and coarse operators and drops them when it returns, so
-worker threads share no mutable state; without noise or drift a chunk builds
-none and forms rho**steps times the initial data (``fem.decay``).
-``fem.sine_transform`` maps the coefficients at T = 1 to nodal values.
+``fem.StepOperator``, in the one stepping loop of ``_simulate_chunk``. Rows of
+standard normals, drawn once per block, drive the fine paths and their halved
+sums of four the coarse ones: c_j <- rho_j c_j + beta_j z_j, z_j a standard
+normal; beta_j carries h. A chunk builds its own operators and drops them when
+it returns, so worker threads share no mutable state.
 The functional and the drift are plain values: the functional is
 ``"identity"``, ``"squared-norm"`` or a callable on a ``NodalField``, the
 drift None (F = 0) or a callable on nodal values.
@@ -31,12 +27,9 @@ All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
 ``check_capacity`` is the one admission of estimator work: ``mlmc_estimate``,
 ``pair_variances`` and ``sample_pair`` call it, and the CLI calls it on a whole
-study, before any path is simulated; it admits a level if ``chunk_bytes``,
-all that one chunk holds, times the chunks that can run at once, the fewer of
-``workers`` and the level's chunks, fits the memory cap. One runner,
-``_level_moments``, runs each level's chunks of the one chunk task,
-``_level_task``, at most two per worker in flight, and forms every mean and
-variance from their sums of a functional's level differences and fine values.
+study, before any path is simulated. One runner, ``_level_moments``, runs each
+level's chunks of the one chunk task, ``_level_task``, at most two per worker
+in flight, and forms every mean and variance from their sums.
 """
 
 import math
@@ -231,8 +224,7 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
                        for b in range(first, first + group) if not zero_noise]
             for nsteps in blocks:
                 for row, stream in enumerate(streams):
-                    draw_increment_rows(stream, nsteps, ops[0].modes, fine.time_step,
-                                        out=buffer[row, :nsteps])
+                    draw_increment_rows(stream, nsteps, ops[0].modes, out=buffer[row, :nsteps])
                 rows = buffer[:, :nsteps].transpose(1, 2, 0)
                 for k, (op, column) in enumerate(zip(ops, columns)):
                     block = coarsen_rows(rows, op.modes) if k else rows
@@ -270,12 +262,12 @@ def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 
     increasing level order, from the base level ``lmin``.
 
     Checks the base level and that no level of a run lies below it, the
-    replicates, that the chunks of every level that can be in flight at once,
-    min(``workers``, ceil(n / CHUNK_SIZE)) for the level's largest sample count
-    n in the runs, fit in ``MAX_TASK_BYTES`` (``chunk_bytes`` each, of
-    chunks with the given ``zero_noise`` and ``drift``), at most
-    ``MAX_WORKERS`` workers, and the stream key of each level's last sample in
-    the last replicate.
+    replicates, that each level has a sample and that the chunks of every level
+    that can be in flight at once, min(``workers``, ceil(n / CHUNK_SIZE)) for the
+    level's largest sample count n in the runs, fit in ``MAX_TASK_BYTES``
+    (``chunk_bytes`` each, of chunks with the given ``zero_noise`` and ``drift``),
+    at most ``MAX_WORKERS`` workers, and the stream key of each level's last
+    sample in the last replicate.
     """
     if lmin < 1:
         raise UsageError("the base level must be at least 1 (level 0 is empty)")
@@ -292,6 +284,8 @@ def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 
         raise UsageError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     largest = dict(sorted(pair for run in runs for pair in run))  # level: its largest n
     for level, n in largest.items():
+        if n < 1:
+            raise UsageError(f"level {level} has {n} samples; it needs at least one")
         chunks = min(workers, -(-n // CHUNK_SIZE))
         need = chunks * chunk_bytes(level, kl_rule, zero_noise, drift, min(n, CHUNK_SIZE))
         if need > MAX_TASK_BYTES:
@@ -326,10 +320,8 @@ def sample_pair(
     stream_key(master_seed, KIND_PATH, pair_level, replicate, sample)
     xf, xc = _simulate_chunk(pair_level, lmin, sample, 1, replicate, master_seed,
                              kl_rule, drift, zero_noise)
-    fine = NodalField(make_level(pair_level), xf[:, 0])
-    if xc is None:
-        return fine, None
-    return fine, NodalField(make_level(pair_level - 1), xc[:, 0])
+    coarse = None if xc is None else NodalField(make_level(pair_level - 1), xc[:, 0])
+    return NodalField(make_level(pair_level), xf[:, 0]), coarse
 
 
 def _moments(values: np.ndarray, level: LevelGeometry):
@@ -435,12 +427,8 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
 
 def pair_op_work(pair_level: int, lmin: int) -> int:
     """Abstract per-sample cost: dofs*steps for every path simulated."""
-    fine = make_level(pair_level)
-    w = fine.dofs * fine.steps
-    if pair_level > lmin:
-        coarse = make_level(pair_level - 1)
-        w += coarse.dofs * coarse.steps
-    return w
+    levels = [pair_level] + ([pair_level - 1] if pair_level > lmin else [])
+    return sum(level.dofs * level.steps for level in map(make_level, levels))
 
 
 @dataclass(frozen=True)

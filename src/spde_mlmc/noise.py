@@ -2,16 +2,16 @@
 
 The noise is white in space: the expansion runs over the Dirichlet
 eigenbasis e_j(x) = sqrt(2) sin(j*pi*x) with unit mode variances, truncated
-at J(l) modes; ``fem.mode_factors`` forms the loads of the modes on the P1
-basis. By default J(l) = 2**l - 1 matches the spatial resolution, so the
-truncation is a function of the level alone and level differences telescope
-without bias.
+at J(l) modes. By default J(l) = 2**l - 1 matches the spatial resolution, so
+the truncation is a function of the level alone and level differences
+telescope without bias. Rows hold standard normals at every level, a coarse
+row the halved sum of its four fine rows: c_j <- rho_j c_j + beta_j z_j, z_j a
+standard normal; beta_j carries h, formed with the loads by ``fem.mode_factors``.
 
 Streams are counter-based: each sample path owns a Philox generator keyed by
 (master_seed, stream kind, level, replicate, sample index), so any path can
-be regenerated on any worker with identical output. Within a path the block
-of increments is drawn in step-major order, which makes slab-wise streaming
-of long paths produce bit-identical values to one monolithic draw.
+be regenerated on any worker with identical output, in slabs or in one draw
+(its rows are drawn in step-major order).
 """
 
 import numpy as np
@@ -56,8 +56,8 @@ def kl_modes(level: LevelGeometry, rule: int | None = None) -> int:
 
 
 def draw_increment_rows(stream: np.random.Generator, nsteps: int, modes: int,
-                        time_step: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Draw ``nsteps`` consecutive increment rows of shape (nsteps, modes).
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Draw ``nsteps`` consecutive rows of standard normals, shape (nsteps, modes).
 
     Consecutive calls on the same stream continue the same block, so slabbed
     generation reproduces a single full draw bit for bit. ``out``, a
@@ -67,18 +67,18 @@ def draw_increment_rows(stream: np.random.Generator, nsteps: int, modes: int,
     if out is None:
         out = np.empty((nsteps, modes))
     stream.standard_normal(out=out)
-    out *= np.sqrt(time_step)
     return out
 
 
 def coarsen_rows(rows: np.ndarray, modes: int) -> np.ndarray:
-    """Sum groups of four consecutive step rows, truncated to ``modes`` columns.
+    """Halved sums of four consecutive step rows, truncated to ``modes`` columns.
 
-    The additions run in ascending step order so the result is reproducible
-    bit for bit; they accumulate in the one output array.
+    The additions run in ascending step order and halving is exact, so the result
+    is reproducible bit for bit; they accumulate in the one output array.
     """
     r = rows[:, :modes]
     coarse = r[0::4] + r[1::4]
     coarse += r[2::4]
     coarse += r[3::4]
+    coarse *= 0.5
     return coarse

@@ -207,8 +207,9 @@ class KLBlock:
 
 
 def sample_kl_block(stream: np.random.Generator, level: LevelGeometry, modes: int) -> KLBlock:
-    """Sample the full increment block of a path at ``level``."""
-    rows = draw_increment_rows(stream, level.steps, modes, level.time_step)
+    """Sample the full increment block of a path at ``level``: the engine's
+    standard normal rows times the increments' standard deviation h."""
+    rows = draw_increment_rows(stream, level.steps, modes) * level.mesh_width
     return KLBlock(level, np.ascontiguousarray(rows.T))
 
 
@@ -216,7 +217,8 @@ def coarsen_block(fine: KLBlock, modes: int) -> KLBlock:
     """Exactly coupled increments of the next coarser level.
 
     Each coarse increment is the sum of the four fine increments it spans,
-    restricted to the coarse truncation, so its law is N(0, dt_coarse).
+    restricted to the coarse truncation, so its law is N(0, dt_coarse): twice
+    ``coarsen_rows``, which halves that sum to keep unit rows unit.
     """
     if modes > fine.modes:
         raise UsageError(f"coarse truncation {modes} exceeds fine modes {fine.modes}")
@@ -224,7 +226,7 @@ def coarsen_block(fine: KLBlock, modes: int) -> KLBlock:
         raise UsageError("fine step count must be divisible by 4")
     coarse_level = make_level(fine.level.level - 1)
     rows = np.ascontiguousarray(fine.increments.T)
-    coarse_rows = coarsen_rows(rows, modes)
+    coarse_rows = 2.0 * coarsen_rows(rows, modes)
     return KLBlock(coarse_level, np.ascontiguousarray(coarse_rows.T))
 
 

@@ -195,6 +195,8 @@ def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsy
     (["variance", "--levels", "2..17", "--pairs", "8"], "level 17 chunks"),
     (["variance", "--levels", "2..2", "--pairs", "320000", "--workers", "5000"],
      "workers must be at most"),
+    (["variance", "--levels", "2..3", "--pairs", "0"], "level 2 has 0 samples"),
+    (["variance", "--levels", "2..3", "--pairs", "-3"], "level 2 has -3 samples"),
 ])
 def test_library_checks_exit_2_before_the_first_chunk(tmp_path, monkeypatch, capsys,
                                                       argv, named):
@@ -233,6 +235,25 @@ def test_out_that_cannot_be_a_directory_rejected_before_any_work(tmp_path, monke
     assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
     assert f"{blocker} is not a directory" in capsys.readouterr().err
     assert blocker.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("name", ["a" * 300, "missing/" + "a" * 300, ""],
+                         ids=["long", "long-under-missing", "empty"])
+def test_out_with_a_long_or_empty_name_rejected_before_any_work(tmp_path, monkeypatch,
+                                                                 capsys, name):
+    # a name beyond the file system's limit is a usage error, not an OSError
+    # traceback; an empty one would be the working directory
+    from spde_mlmc import cli
+
+    def no_work(*_args):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_deterministic", no_work)
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / name) if name else name
+    assert main(["det-conv", "--levels", "1..2", "--seed", "1", "--out", out]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_variance_zero_noise(tmp_path):

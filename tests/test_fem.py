@@ -277,7 +277,8 @@ def test_symmetric_loads_preserve_symmetry():
 
 def test_step_operator_matches_euler_step():
     # one weighted sum over a block of increment rows, batched over paths,
-    # against nodal Euler steps driven by the projected loads
+    # against nodal Euler steps driven by the projected loads; the engine
+    # takes the increments over h, its unit rows
     level = make_level(4)
     mass, stiffness = assemble(level)
     op = StepOperator(level)
@@ -285,7 +286,7 @@ def test_step_operator_matches_euler_step():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal((level.dofs, 6))
     rows = rng.standard_normal((5, level.dofs, 6))
-    batched = sine_transform(op.step(rows, coeffs))
+    batched = sine_transform(op.step(rows / level.mesh_width, coeffs))
     for b in range(6):
         single = NodalField(level, sine_transform(coeffs[:, b]))
         for row in rows[:, :, b]:
@@ -303,7 +304,7 @@ def test_blocked_step_matches_direct_weights(n, kl_rule):
     rng = np.random.default_rng(n)
     for shape in ((), (3,)):
         coeffs = rng.standard_normal((level.dofs, *shape))
-        rows = rng.standard_normal((n, op.modes, *shape)) * math.sqrt(level.time_step)
+        rows = rng.standard_normal((n, op.modes, *shape))
         expected = direct_block_step(op, rows, coeffs)
         actual = op.step(rows, coeffs.copy())
         assert actual.shape == expected.shape
@@ -316,6 +317,27 @@ def test_blocked_step_rejects_other_block_lengths(n):
     op = StepOperator(level)
     with pytest.raises(UsageError, match=f"block of {n} steps"):
         op.step(np.zeros((n, op.modes)), np.zeros(level.dofs))
+
+
+@pytest.mark.parametrize("level_index", [1, 7, 20])
+def test_beta_is_the_unscaled_beta_times_h_bitwise(level_index):
+    # beta_j = a_j h / d_j steps standard normal rows. The unscaled a_j / d_j,
+    # formed here as mode_factors formed it when the rows were increments of
+    # deviation h, times the power of two h gives the same bits, so every
+    # product with a row rounds as before.
+    level = make_level(level_index)
+    h, dt, n = level.mesh_width, level.time_step, level.dofs
+    for modes in (n, 2 * n + 5):  # the second folds KL modes beyond dofs
+        j = np.arange(1, modes + 1)
+        v = 2.0 * np.sin(j * np.pi * h / 2.0) ** 2
+        denom = h * (1.0 - v[:n] / 3.0) + dt * (2.0 / h) * v[:n]
+        r = j % (2 * (n + 1))
+        sign = np.where(r <= n, 1.0, -1.0)
+        sign[(r == 0) | (r == n + 1)] = 0.0
+        _, target, beta = fem.mode_factors(level, n, modes)
+        amplitude = np.sqrt(2.0) * 2.0 * v / (j**2 * np.pi**2 * h)
+        unscaled = sign * amplitude / denom[target]
+        assert beta.tobytes() == (unscaled * h).tobytes()
 
 
 def test_step_operators_hold_two_block_tables():

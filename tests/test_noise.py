@@ -79,17 +79,30 @@ def test_block_moments():
 
 def test_slabbed_draws_match_full_block():
     level = make_level(4)
-    full = draw_increment_rows(path_stream(1, 4, 0, 0), level.steps, 15, level.time_step)
+    full = draw_increment_rows(path_stream(1, 4, 0, 0), level.steps, 15)
     stream = path_stream(1, 4, 0, 0)
-    parts = [draw_increment_rows(stream, 64, 15, level.time_step)
-             for _ in range(level.steps // 64)]
+    parts = [draw_increment_rows(stream, 64, 15) for _ in range(level.steps // 64)]
     assert np.array_equal(full, np.vstack(parts))
     # drawn into one reused buffer, as a chunk does, the rows are the same bits
     stream = path_stream(1, 4, 0, 0)
     buffer = np.empty((64, 15))
     for part in parts:
-        assert draw_increment_rows(stream, 64, 15, level.time_step, out=buffer) is buffer
+        assert draw_increment_rows(stream, 64, 15, out=buffer) is buffer
         assert np.array_equal(buffer, part)
+
+
+def test_draw_is_a_bare_standard_normal_fill():
+    # increment rows are standard normals at every level: no time-step scaling
+    for level_index, modes in ((1, 1), (4, 15), (7, 40)):
+        steps = make_level(level_index).steps
+        expected = path_stream(3, level_index, 0, 2).standard_normal((steps, modes))
+        rows = draw_increment_rows(path_stream(3, level_index, 0, 2), steps, modes)
+        assert rows.tobytes() == expected.tobytes()
+
+
+def test_coarsen_rows_of_ones_is_two():
+    # half the four-step sum: four unit normals sum to variance 4, halved to 1
+    np.testing.assert_array_equal(coarsen_rows(np.ones((8, 3)), 2), np.full((2, 2), 2.0))
 
 
 def test_coarsen_all_ones():
@@ -114,11 +127,12 @@ def test_coarsen_is_exact_four_step_sum():
     expected = ((f[:, 0::4] + f[:, 1::4]) + f[:, 2::4]) + f[:, 3::4]
     assert np.array_equal(coarse.increments, expected)
     # the drift branch coarsens a (steps, modes, paths) view of a
-    # (paths, steps, modes) buffer; one mode leaves the step axis innermost
+    # (paths, steps, modes) buffer; one mode leaves the step axis innermost.
+    # coarsen_rows halves the sum, keeping unit rows unit; the halving is exact
     paths = np.random.default_rng(3).standard_normal((5, 16, 7))
     for modes in (1, 3, 7):
         r = paths.transpose(1, 2, 0)[:, :modes]
-        expected = ((r[0::4] + r[1::4]) + r[2::4]) + r[3::4]
+        expected = 0.5 * (((r[0::4] + r[1::4]) + r[2::4]) + r[3::4])
         assert np.array_equal(coarsen_rows(r, modes), expected)
 
 
