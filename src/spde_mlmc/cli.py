@@ -295,23 +295,18 @@ def cmd_variance(cfg: RunConfig) -> int:
     levels = range(cfg.levels[0], cfg.levels[1] + 1)
     check_capacity([[(l, cfg.pairs) for l in levels]], cfg.lmin, cfg.seed, 1, cfg.kl_modes,
                    cfg.workers, zero_noise=cfg.zero_noise)
-    rows, points, timing_rows = [], [], []
-    for l in levels:
-        started = time.perf_counter()
-        var_diff, var_fine = pair_variances(
-            l, cfg.lmin, cfg.pairs, cfg.seed, kl_rule=cfg.kl_modes,
-            zero_noise=cfg.zero_noise, workers=cfg.workers,
-        )
-        timing_rows.append((f"variance level={l}", time.perf_counter() - started))
-        rows.append((l, var_diff, var_fine))
-        if var_diff > 0.0:  # zero-noise variances are exact zeros
-            points.append((l, np.log2(var_diff)))
+    stats = [pair_variances(l, cfg.lmin, cfg.pairs, cfg.seed, kl_rule=cfg.kl_modes,
+                            zero_noise=cfg.zero_noise, workers=cfg.workers) for l in levels]
+    rows = [(stat.level, stat.variance, stat.level_variance) for stat in stats]
+    # zero-noise variances are exact zeros
+    points = [(stat.level, np.log2(stat.variance)) for stat in stats if stat.variance > 0.0]
     if len(points) == len(rows) and len(points) >= 2:
         rows.append(("slope", fit_slope(points), None))
     write_csv(cfg.out / "variance.csv",
               ("level", "var_difference", "var_level"), rows, cfg,
               notes=(f"pairs={cfg.pairs}", "recommended: at least 100 pairs"))
-    write_timings(cfg.out / "timings.csv", timing_rows)
+    write_timings(cfg.out / "timings.csv",
+                  [(f"variance level={stat.level}", stat.wall_seconds) for stat in stats])
     return 0
 
 

@@ -29,7 +29,8 @@ chunk-major), so results are bitwise independent of the worker count.
 ``pair_variances`` and ``sample_pair`` call it, and the CLI calls it on a whole
 study, before any path is simulated. One runner, ``_level_moments``, runs each
 level's chunks of the one chunk task, ``_level_task``, at most two per worker
-in flight, and forms every mean and variance from their sums.
+in flight, and forms every mean and variance from their sums into the level's
+``LevelStat``, the one per-level record that the estimators return.
 """
 
 import math
@@ -315,6 +316,8 @@ def sample_pair(
     Identical stream coordinates reproduce the pair bitwise. Admitted as the
     one path it simulates, whatever its sample index.
     """
+    if replicate < 0:
+        raise UsageError(f"replicate index must be nonnegative, got {replicate}")
     check_capacity([[(pair_level, 1)]], lmin, master_seed, replicate + 1, kl_rule,
                    zero_noise=zero_noise, drift=drift)
     stream_key(master_seed, KIND_PATH, pair_level, replicate, sample)
@@ -370,9 +373,30 @@ def _window_map(pool, window: int, task, tasks):
             future.cancel()
 
 
-def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args):
+def pair_op_work(pair_level: int, lmin: int) -> int:
+    """Abstract per-sample cost: dofs*steps for every path simulated."""
+    levels = [pair_level] + ([pair_level - 1] if pair_level > lmin else [])
+    return sum(level.dofs * level.steps for level in map(make_level, levels))
+
+
+@dataclass(frozen=True)
+class LevelStat:
+    """One level's record, built by ``_level_moments`` alone, which says what
+    each field holds."""
+
+    level: int
+    samples: int
+    mean_contribution: object  # ndarray at the level's dofs, or float
+    variance: float
+    level_variance: float
+    op_work: int
+    wall_seconds: float
+
+
+def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args) -> LevelStat:
     """Run ``task`` over the chunks of ``n`` samples at ``level``, each from
-    the task tuple (level, lmin, start, count, *args), and form its moments.
+    the task tuple (level, lmin, start, count, *args), and form the level's
+    ``LevelStat``.
 
     One worker runs the chunks inline; more run them on a thread pool opened
     for this level, at most two chunks per worker in flight. Threads draw and
@@ -380,10 +404,11 @@ def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args):
     GIL; Python callables (a custom functional, a drift) run one at a time.
     Partial sums are added in chunk order as they arrive.
 
-    Returns the (mean, variance) of each (sum, sum of squared norms) pair that
-    ``task`` returns (``_level_task``: of the level differences, then of the
-    fine values), L2 on ``level`` for states, and the level's wall time.
-    The variance is (sq - n |mean|**2) / (n - 1), or 0.0 for one sample or a
+    The record holds the mean and variance of the level differences and the
+    variance of the fine values (``level_variance``), from the two (sum, sum
+    of squared norms) pairs of ``_level_task``, L2 on ``level`` for states;
+    ``n * pair_op_work(level, lmin)``; and the wall time of the chunks. A
+    variance is (sq - n |mean|**2) / (n - 1), or 0.0 for one sample or a
     difference within the sums' rounding, n * eps * sq (identical samples).
     """
     tasks = ((level, lmin, s, min(CHUNK_SIZE, n - s), *args) for s in range(0, n, CHUNK_SIZE))
@@ -402,45 +427,25 @@ def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args):
         spread = sq - n * (mass_norm_sq(geometry, mean) if np.ndim(mean) else mean * mean)
         rounding = n * np.finfo(float).eps * sq  # all that identical samples leave
         moments.append((mean, 0.0 if n < 2 or spread <= rounding else spread / (n - 1)))
-    return moments, wall
+    (mean, variance), (_fine_mean, level_variance) = moments
+    return LevelStat(level, n, mean, variance, level_variance,
+                     n * pair_op_work(level, lmin), wall)
 
 
 def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
-                   zero_noise=False, workers=1):
-    """Sample variances of the coupled level difference and of the fine path.
-
-    Both are Hilbert-space variances (mean squared L2 distance from the
-    sample mean) estimated from ``n`` coupled pairs; the coarse member is
-    prolonged to the fine grid before differencing. At the base level the
-    difference degenerates to the path itself. Fails before any simulation
-    on fewer than two pairs or on what ``check_capacity`` rejects of ``n``
-    pairs at ``pair_level`` in replicate 0.
+                   zero_noise=False, workers=1) -> LevelStat:
+    """The ``LevelStat`` of ``n`` coupled pairs at ``pair_level``, replicate 0:
+    ``variance`` and ``level_variance`` are the Hilbert-space variances (mean
+    squared L2 distance from the sample mean) of the level difference, the
+    coarse member prolonged to the fine grid (the path itself at the base
+    level), and of the fine path. Fails before any simulation on fewer than
+    two pairs or on what ``check_capacity`` rejects of those pairs.
     """
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
     check_capacity([[(pair_level, n)]], lmin, master_seed, 1, kl_rule, workers, zero_noise)
-    ((_, var_diff), (_, var_fine)), _wall = _level_moments(
-        _level_task, workers, pair_level, lmin, n, 0, master_seed, kl_rule, None,
-        zero_noise, "identity")
-    return var_diff, var_fine
-
-
-def pair_op_work(pair_level: int, lmin: int) -> int:
-    """Abstract per-sample cost: dofs*steps for every path simulated."""
-    levels = [pair_level] + ([pair_level - 1] if pair_level > lmin else [])
-    return sum(level.dofs * level.steps for level in map(make_level, levels))
-
-
-@dataclass(frozen=True)
-class LevelStat:
-    """Per-level statistics of one estimator run."""
-
-    level: int
-    samples: int
-    mean_contribution: object  # ndarray at the level's dofs, or float
-    variance: float
-    op_work: int
-    wall_seconds: float
+    return _level_moments(_level_task, workers, pair_level, lmin, n, 0, master_seed, kl_rule,
+                          None, zero_noise, "identity")
 
 
 @dataclass(frozen=True)
@@ -484,8 +489,8 @@ def mlmc_estimate(
     workers : thread count for chunk simulation. Results do not depend on
         it; chunk boundaries and the reduction order are fixed.
 
-    Fails before any simulation on an unknown functional or what
-    ``check_capacity`` rejects.
+    Fails before any simulation on an unknown functional, a negative
+    ``replicate`` or what ``check_capacity`` rejects.
     """
     if not (callable(functional)
             or isinstance(functional, str) and functional in ("identity", "squared-norm")):
@@ -493,6 +498,8 @@ def mlmc_estimate(
                          "'squared-norm' or a callable")
     top_level = schedule.top_level
     plan = schedule.level_counts(lmin)
+    if replicate < 0:
+        raise UsageError(f"replicate index must be nonnegative, got {replicate}")
     check_capacity([plan], lmin, master_seed, replicate + 1, kl_rule, workers, zero_noise, drift)
     base = plan[0][0]
     identity = functional == "identity"
@@ -500,17 +507,9 @@ def mlmc_estimate(
     stats = []
     estimate = 0.0
     for level, n in plan:
-        [(mean, variance), _fine], wall = _level_moments(_level_task, workers, level, base,
-                                                         n, replicate, master_seed, kl_rule,
-                                                         drift, zero_noise, functional)
-        stats.append(LevelStat(
-            level=level,
-            samples=n,
-            mean_contribution=mean,
-            variance=variance,
-            op_work=n * pair_op_work(level, base),
-            wall_seconds=wall,
-        ))
+        stats.append(_level_moments(_level_task, workers, level, base, n, replicate,
+                                    master_seed, kl_rule, drift, zero_noise, functional))
+        mean = stats[-1].mean_contribution
         if identity:
             mean = prolong_to(NodalField(make_level(level), mean), top_level).values
         estimate = estimate + mean
@@ -555,11 +554,12 @@ def predict_work(
     with a log factor for kappa >= 2*eta (strong: -(d+2)/gamma, weak:
     -((d+2)/(2*gamma)+1)), else -max(2, delta). Plain Monte Carlo scales as
     eps**-(kappa+2), eps**-((d+2)/(2*gamma)+2) by default, with no log factor.
+    Fails on a negative or non-finite ``d``, ``delta`` or ``kappa``, or a zero ``kappa``.
     """
-    if d < 0:
-        raise UsageError("spatial work dimension d must be nonnegative")
-    if delta < 0.0:
-        raise UsageError("summation exponent delta must be nonnegative")
+    if not 0 <= d < math.inf:
+        raise UsageError(f"spatial work dimension d must be finite and nonnegative, got {d}")
+    if not 0.0 <= delta < math.inf:
+        raise UsageError(f"summation exponent delta must be finite and nonnegative, got {delta}")
     top = schedule.top_level
     h_top = 2.0 ** (-top)
 
@@ -574,8 +574,8 @@ def predict_work(
         if schedule.mode == "general":
             raise UsageError("general mode needs an explicit kappa")
         kappa = (d + 2) / (RATE_POWERS[schedule.mode] * schedule.gamma)
-    if kappa <= 0.0:
-        raise UsageError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise UsageError(f"kappa must be finite and positive, got {kappa}")
 
     eta = schedule.eta
     if kappa < 2.0 * eta:

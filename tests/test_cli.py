@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,9 +9,19 @@ from pathlib import Path
 import pytest
 
 import spde_mlmc
-from spde_mlmc.cli import main, parse_range
+from spde_mlmc.cli import build_parser, main, make_config, parse_range
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CONTRACT = _load_tool("contract_csvs")
 
 
 def read_rows(path):
@@ -526,6 +537,20 @@ def test_bad_config_input_is_usage_error(tmp_path, capsys, case, named):
                 "--a-seq", "1,x,0.5", "--eta", "0.5", "--out", out]
     assert main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(CONTRACT.STUDIES))
+def test_contract_studies_parse(tmp_path, name):
+    # tools/contract_csvs.py runs these studies to show that a refactor keeps
+    # every contract byte; an option it renames must fail here, in the tests,
+    # not first when the tool runs. Parsing runs no chunk.
+    args = CONTRACT.STUDIES[name].split()
+    argv = [*args, "--seed", str(CONTRACT.SEED), "--out", str(tmp_path / name)]
+    for workers in (1, 2):
+        extra = [] if args[0] == "det-conv" else ["--workers", str(workers)]
+        cfg = make_config(build_parser().parse_args(argv + extra))
+        assert (cfg.command, cfg.seed, cfg.workers) == (args[0], CONTRACT.SEED,
+                                                        workers if extra else 1)
 
 
 def test_variance_pool_is_byte_identical_to_inline(tmp_path):

@@ -45,6 +45,14 @@ from reference import (
 )
 
 
+def assert_same_level_stat(a, b):
+    """Two level records agree in every field but the wall time, the mean
+    bitwise."""
+    assert (a.level, a.samples, a.variance, a.level_variance, a.op_work) == \
+        (b.level, b.samples, b.variance, b.level_variance, b.op_work)
+    assert np.array_equal(a.mean_contribution, b.mean_contribution)
+
+
 # ---------------------------------------------------------------- schedules
 
 def test_schedule_strong_example():
@@ -474,7 +482,8 @@ def test_thread_workers_on_cold_caches_match_inline():
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
-    assert out == [serial]
+    assert len(out) == 1
+    assert_same_level_stat(out[0], serial)
 
 
 def test_stream_capacity_checked_before_simulation(monkeypatch):
@@ -541,9 +550,9 @@ def test_level_difference_variance_decays():
 
     points = []
     for level_index in range(2, 6):
-        var_diff, var_fine = pair_variances(level_index, 1, 400, 2024)
-        assert 0.0 < var_diff < var_fine
-        points.append((level_index, math.log2(var_diff)))
+        stat = pair_variances(level_index, 1, 400, 2024)
+        assert 0.0 < stat.variance < stat.level_variance
+        points.append((level_index, math.log2(stat.variance)))
     assert -1.8 <= fit_slope(points) <= -0.5
 
 
@@ -582,6 +591,14 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
         mlmc_estimate(build_schedule("weak", 2), 1, workers=5000)
     with pytest.raises(UsageError, match="at least one replicate, got 0"):
         mlmc.check_capacity([build_schedule("weak", 2).level_counts(1)], 1, 0, 0, None)
+    # the estimator and sample_pair admit replicates 0..replicate, so a
+    # negative index fails as itself, not as a study of no replicates
+    for replicate in (-1, -7):
+        message = f"replicate index must be nonnegative, got {replicate}$"
+        with pytest.raises(UsageError, match=message):
+            mlmc_estimate(build_schedule("weak", 2), 1, replicate=replicate)
+        with pytest.raises(UsageError, match=message):
+            mlmc.sample_pair(2, 1, 0, 0, replicate=replicate)
 
 
 def test_chunk_memory_checked_before_simulation(monkeypatch):
@@ -660,53 +677,60 @@ def test_sample_pair_admitted_before_simulation(monkeypatch):
 def test_level_runner_bookkeeping_does_not_grow_with_samples(workers):
     # 2**22 samples are 65,536 chunks: the runner makes their task tuples as
     # it goes and folds each partial sum as it arrives, with at most two
-    # chunks per worker in flight; the means show that each chunk ran once:
-    # the first averages the chunk starts, the second counts samples
+    # chunks per worker in flight; the record shows that each chunk ran once:
+    # its mean averages the chunk starts, and its level variance, with zero
+    # sums and the chunk sizes as sums of squares, is the samples run over
+    # n - 1 (the starts alone miss a repeated chunk 0)
     from spde_mlmc import mlmc
 
     def stub(args):
-        return np.full(3, float(args[2])), 1.0, float(args[3]), float(args[3])
+        return np.full(3, float(args[2])), 1.0, 0.0, float(args[3])
 
     n = 2**22
     tracemalloc.start()
     try:
-        [(starts, _), (count, variance)], _wall = mlmc._level_moments(stub, workers, 2, 1, n)
+        stat = mlmc._level_moments(stub, workers, 2, 1, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(starts, np.full(3, 64.0 * 65535 * 65536 / 2 / n))
-    assert count == 1.0 and variance == 0.0
+    assert np.array_equal(stat.mean_contribution, np.full(3, 64.0 * 65535 * 65536 / 2 / n))
+    assert stat.level_variance == n / (n - 1)
+    assert (stat.level, stat.samples, stat.op_work) == (2, n, n * pair_op_work(2, 1))
     assert peak <= 2**20
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_estimator_and_pair_variances_share_level_moments(workers):
-    # mlmc_estimate and pair_variances form their level variances in the one
-    # runner, so the identity level variances of a run equal pair_variances'
-    # difference variances bitwise
+    # mlmc_estimate and pair_variances return the one runner's records, so
+    # each level record of an identity run equals pair_variances' record of
+    # its level and samples in every field but the wall time, the mean bitwise
     from spde_mlmc import mlmc
 
     result = mlmc_estimate(build_schedule("weak", 4), 1, master_seed=3, workers=workers)
+    assert [stat.level for stat in result.level_stats] == [1, 2, 3, 4]
     for stat in result.level_stats:
-        assert stat.variance == mlmc.pair_variances(stat.level, 1, stat.samples, 3,
-                                                    workers=workers)[0], stat.level
+        assert_same_level_stat(stat, mlmc.pair_variances(stat.level, 1, stat.samples, 3,
+                                                         workers=workers))
 
 
 def test_level_task_sums_the_fine_values_of_a_scalar_functional():
     # the second pair of the one chunk task is the fine paths' functional:
-    # its mean and ddof=1 variance over 130 pairs (three chunks, the last of
-    # two) match those of the squared norms of sample_pair's fine fields
+    # over 130 pairs (three chunks, the last of two) its sums' mean and the
+    # record's level variance (ddof=1) match those of the squared norms of
+    # sample_pair's fine fields
     from spde_mlmc import mlmc
 
     n = 130
     norms = np.array([mass_norm_sq(make_level(3), sample_pair(3, 1, 5, s)[0].values)
                       for s in range(n)])
-    runs = [mlmc._level_moments(mlmc._level_task, workers, 3, 1, n, 0, 5, None, None, False,
-                                "squared-norm")[0] for workers in (1, 2)]
-    assert runs[0] == runs[1]
-    mean, variance = runs[0][1]
-    assert mean == pytest.approx(norms.mean(), rel=1e-12)
-    assert variance == pytest.approx(norms.var(ddof=1), rel=1e-12)
+    chunk = (0, 5, None, None, False, "squared-norm")
+    runs = [mlmc._level_moments(mlmc._level_task, workers, 3, 1, n, *chunk)
+            for workers in (1, 2)]
+    assert_same_level_stat(runs[0], runs[1])
+    fine_sum = sum(mlmc._level_task((3, 1, start, min(64, n - start), *chunk))[2]
+                   for start in range(0, n, 64))
+    assert fine_sum / n == pytest.approx(norms.mean(), rel=1e-12)
+    assert runs[0].level_variance == pytest.approx(norms.var(ddof=1), rel=1e-12)
 
 
 def test_level_law_invariant_across_roles():
@@ -821,6 +845,19 @@ def test_predict_work_branches():
     weak = predict_work(build_schedule("weak", 3, gamma=0.5), kappa=0.5)
     assert weak.accuracy_exponent == weak.bound_exponent == -2.0
     assert not weak.log_factor
+
+
+@pytest.mark.parametrize("name,value", [
+    ("d", math.nan), ("d", math.inf), ("d", -1),
+    ("kappa", math.nan), ("kappa", math.inf), ("kappa", -math.inf), ("kappa", 0.0),
+    ("delta", math.nan), ("delta", math.inf), ("delta", -1.0),
+])
+def test_predict_work_rejects_non_finite_model_inputs(name, value):
+    # a NaN or infinite d, kappa or delta gave a NaN or infinite exponent or
+    # total instead of failing
+    with pytest.raises(UsageError, match=re.escape(f"{name} must be finite and ") + ".*"
+                       + re.escape(f", got {value}") + "$"):
+        predict_work(build_schedule("weak", 3, gamma=0.5), **{name: value})
 
 
 def test_predict_work_zeta_constant():
