@@ -14,13 +14,15 @@ values. ``run`` and ``compare`` share the level and summary CSV schemas,
 and each subcommand runs in its handler ``cmd_<name>`` ('_' for '-').
 The CLI checks only what it alone knows: that ``--seed`` and ``--out`` are
 given, the seed range, that ``--mode`` names at least one mode and none twice,
-that each value is nonempty and parses, that ``--out`` is or can be made a
-directory, and ``--m`` with its memory. The library's one admission function,
-``mlmc.check_capacity``, checks base level, pair level, workers (at most
-``mlmc.MAX_WORKERS``), replicates, sample counts, chunk memory and stream keys,
+that ``--a-seq`` and ``--eta`` come only with ``general``, that each value is
+nonempty and parses, that ``--out`` is or can be made a directory, and ``--m``
+with its memory. The library's one admission function, ``mlmc.check_capacity``,
+checks base level, pair level, workers (at most ``mlmc.MAX_WORKERS``),
+replicates, sample counts, chunk memory and stream keys,
 ``mlmc.pair_variances`` that there are two pairs, ``mlmc.build_schedule`` the
-schedule input, and ``mlmc.mlmc_estimate`` the ``--functional`` name, which it
-takes as given, before the first chunk runs and before ``--out`` is created.
+schedule input, ``mlmc.mlmc_estimate`` the ``--functional`` name, which it
+takes as given, and ``fem.check_deterministic`` each ``det-conv`` level's
+memory, before the first chunk or level runs and before ``--out`` is created.
 
 Every output CSV starts with ``#``-prefixed metadata lines recording the
 artifact version, the config hash, and the seed. Given identical config and
@@ -40,19 +42,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .errors import CapacityError, NumericalError, UsageError
-from .fem import mass_norm_sq, run_deterministic
-from .grid import MAX_TASK_BYTES, make_level
+from .errors import NumericalError, UsageError
+from .fem import check_deterministic, mass_norm_sq, run_deterministic
+from .grid import make_level
 from .metrics import exact_mean, fit_slope, reference_points, rms_aggregate, rms_error
 from .mlmc import build_schedule, check_capacity, mlmc_estimate, pair_variances
 
 SCHEMA_VERSION = 1
-
-#: Memory of one ``det-conv`` level per dof, an upper bound: the solution, exact
-#: mean, error and mass product peak at 6.2 doubles per dof at level 7 and 5.0
-#: from level 12 up (tracemalloc, levels 7..18). Under ``MAX_TASK_BYTES`` it
-#: admits levels up to 24 and rejects the rest before any level runs.
-DET_CONV_BYTES_PER_DOF = 11 * 8
 
 
 def parse_range(text: str) -> tuple:
@@ -247,6 +243,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     for mode in cfg.modes:
         if cfg.modes.count(mode) > 1:
             raise UsageError(f"--mode names {mode!r} more than once")
+    if "general" not in cfg.modes and (cfg.a_seq, cfg.eta) != (None, None):
+        raise UsageError("--a-seq and --eta apply only with --mode general")
     try:  # the file system's errors, e.g. ENAMETOOLONG, are usage errors too
         existing = next(p for p in (cfg.out, *cfg.out.parents) if p.exists() or p.is_symlink())
         if not existing.is_dir():
@@ -271,11 +269,8 @@ def _eval_grid_size(cfg: RunConfig, top_level: int) -> int:
 
 def cmd_det_conv(cfg: RunConfig) -> int:
     lo, hi = cfg.levels
-    for l in range(lo, hi + 1):
-        need = DET_CONV_BYTES_PER_DOF * make_level(l).dofs
-        if need > MAX_TASK_BYTES:
-            raise CapacityError(f"det-conv level {l} needs about {need} bytes, above the "
-                                f"{MAX_TASK_BYTES}-byte cap; levels {l}..{hi} are rejected")
+    for l in range(lo, hi + 1):  # every level is admitted before the first runs
+        check_deterministic(make_level(l))
     rows = []
     points = []
     for l in range(lo, hi + 1):

@@ -531,12 +531,9 @@ class WorkPrediction:
     per_level: tuple           # N_l * h_l**-(d+2), schedule index order
     summation: float           # h_L**-delta
     total: float
-    accuracy_exponent: float   # work ~ accuracy**exponent: the bound's, or -(kappa+2)
-    log_factor: bool           # whether a |log2 accuracy| factor multiplies it
-    bound_exponent: float      # exponent of a_L in the schedule work bound
-    bound_poly_power: Optional[float]  # power of L multiplying the bound
+    accuracy_exponent: float   # work ~ accuracy**exponent * |log2 accuracy|**log_factor
+    log_factor: Optional[float]  # the power of that log factor, None without one
     error_constant: float      # C1 + sqrt(C3 + C2 * zeta(1 + eps)), unit C's
-    kappa: float
 
 
 def predict_work(
@@ -549,26 +546,21 @@ def predict_work(
 
     The per-sample cost at level l is ``h_l**-(d+2)`` (space times time), and
     adding up the level estimators costs ``h_L**-delta``. ``kappa`` defaults
-    to (d+2)/(p*gamma) for a named mode of rate power p. A multilevel
-    schedule's accuracy exponent is its work bound's: -(kappa + 2*(1-eta))
-    with a log factor for kappa >= 2*eta (strong: -(d+2)/gamma, weak:
-    -((d+2)/(2*gamma)+1)), else -max(2, delta). Plain Monte Carlo scales as
-    eps**-(kappa+2), eps**-((d+2)/(2*gamma)+2) by default, with no log factor.
+    to (d+2)/(p*gamma) for a named mode of rate power p. Work grows as
+    accuracy**``accuracy_exponent`` * |log2 accuracy|**``log_factor``: plain
+    Monte Carlo (singlelevel) as -(kappa+2) with no log factor; a multilevel
+    schedule as its work bound, -max(2, delta) with none for kappa < 2*eta,
+    else -(kappa + 2*(1-eta)) with the power 2+eps (strong: -(d+2)/gamma,
+    weak: -((d+2)/(2*gamma)+1)).
     Fails on a negative or non-finite ``d``, ``delta`` or ``kappa``, or a zero ``kappa``.
     """
     if not 0 <= d < math.inf:
         raise UsageError(f"spatial work dimension d must be finite and nonnegative, got {d}")
     if not 0.0 <= delta < math.inf:
         raise UsageError(f"summation exponent delta must be finite and nonnegative, got {delta}")
-    top = schedule.top_level
-    h_top = 2.0 ** (-top)
-
-    if schedule.mode == "singlelevel":
-        per_level = (schedule.counts[0] * h_top ** -(d + 2),)
-    else:
-        per_level = tuple(schedule.counts[l] * (2.0 ** (-l)) ** -(d + 2)
-                          for l in range(top + 1))
-    summation = h_top**-delta
+    # (l, N_l) of every schedule index 0..L, or of L alone for singlelevel
+    per_level = tuple(n * (2.0 ** (-l)) ** -(d + 2) for l, n in schedule.level_counts(0))
+    summation = (2.0 ** (-schedule.top_level)) ** -delta
 
     if kappa is None:
         if schedule.mode == "general":
@@ -577,18 +569,13 @@ def predict_work(
     if not 0.0 < kappa < math.inf:
         raise UsageError(f"kappa must be finite and positive, got {kappa}")
 
-    eta = schedule.eta
-    if kappa < 2.0 * eta:
-        bound_exponent = -max(2.0, delta)
-        bound_poly_power = None
-    else:
-        bound_exponent = -(kappa + 2.0 * (1.0 - eta))
-        bound_poly_power = 2.0 + schedule.eps
-
     if schedule.mode == "singlelevel":
-        accuracy_exponent, log_factor = -(kappa + 2.0), False
+        accuracy_exponent, log_factor = -(kappa + 2.0), None
+    elif kappa < 2.0 * schedule.eta:
+        accuracy_exponent, log_factor = -max(2.0, delta), None
     else:
-        accuracy_exponent, log_factor = bound_exponent, bound_poly_power is not None
+        accuracy_exponent = -(kappa + 2.0 * (1.0 - schedule.eta))
+        log_factor = 2.0 + schedule.eps
 
     # zeta(s): the terms k < n = 1000 and the Euler-Maclaurin tail, about 1e-15 relative
     s, n = 1.0 + schedule.eps, 1000.0
@@ -602,8 +589,5 @@ def predict_work(
         total=float(sum(per_level) + summation),
         accuracy_exponent=accuracy_exponent,
         log_factor=log_factor,
-        bound_exponent=bound_exponent,
-        bound_poly_power=bound_poly_power,
         error_constant=error_constant,
-        kappa=kappa,
     )

@@ -73,7 +73,7 @@ def test_det_conv_rerun_is_byte_identical(tmp_path):
 
 
 def test_det_conv_levels_over_memory_cap_rejected_up_front(tmp_path, monkeypatch, capsys):
-    from spde_mlmc import cli
+    from spde_mlmc import cli, fem
 
     def no_level(_level):
         raise AssertionError("a level ran before the memory check")
@@ -81,7 +81,7 @@ def test_det_conv_levels_over_memory_cap_rejected_up_front(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "run_deterministic", no_level)
     out = tmp_path / "d"
     assert main(["det-conv", "--levels", "1..40", "--seed", "1", "--out", str(out)]) == 2
-    need = cli.DET_CONV_BYTES_PER_DOF * (2**25 - 1)
+    need = fem.DETERMINISTIC_BYTES_PER_DOF * (2**25 - 1)
     assert f"level 25 needs about {need} bytes" in capsys.readouterr().err
     assert not out.exists()
 
@@ -178,6 +178,8 @@ def test_reps_beyond_replicate_field_rejected_up_front(tmp_path, monkeypatch, ca
     (["run", "--mode", "general", "--L", "1..2", "--a-seq", "1,1e-200,1e-300", "--eta", "1"],
      "sample count of level 0"),
     (["run", "--L", "1..3", "--m", "67108865"], "m = 67108865 points"),
+    (["run", "--mode", "weak", "--eta", "0.3", "--a-seq", "9", "--L", "1..2"],
+     "--a-seq and --eta apply only with --mode general"),
 ])
 def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsys,
                                                     argv, named):
@@ -551,6 +553,24 @@ def test_contract_studies_parse(tmp_path, name):
         cfg = make_config(build_parser().parse_args(argv + extra))
         assert (cfg.command, cfg.seed, cfg.workers) == (args[0], CONTRACT.SEED,
                                                         workers if extra else 1)
+
+
+def test_contract_comparison_names_differing_and_missing_files(tmp_path):
+    # differing() decides the tool's exit 1: every file but timings.csv that
+    # one side lacks or whose bytes differ
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        side.mkdir()
+        (side / "same.csv").write_bytes(b"1,2\n")
+        (side / "timings.csv").write_bytes(side.name.encode())
+    (a / "changed.csv").write_bytes(b"0.1\n")
+    (b / "changed.csv").write_bytes(b"0.2\n")
+    (a / "only_in_a.csv").write_bytes(b"x\n")
+    assert sorted(CONTRACT.differing(a, b)) == ["changed.csv", "only_in_a.csv"]
+    assert sorted(CONTRACT.differing(b, a)) == ["changed.csv", "only_in_a.csv"]
+    (b / "only_in_a.csv").write_bytes(b"x\n")
+    (b / "changed.csv").write_bytes(b"0.1\n")
+    assert CONTRACT.differing(a, b) == []
 
 
 def test_variance_pool_is_byte_identical_to_inline(tmp_path):

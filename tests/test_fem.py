@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from spde_mlmc import (
+    CapacityError,
     NodalField,
     NumericalError,
     UsageError,
@@ -219,6 +220,18 @@ def test_deterministic_run_memory_is_linear_in_dofs():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_deterministic_run_rejects_a_level_over_the_memory_cap(monkeypatch):
+    # level 25 needs 88 bytes per dof, above the 2 GiB cap: it fails before
+    # it allocates the initial field, as det-conv's up-front check does
+    def no_field(_level):
+        raise AssertionError("the level was allocated before the memory check")
+
+    monkeypatch.setattr(fem, "initial_field", no_field)
+    with pytest.raises(CapacityError, match="level 25 needs about 2952789928 bytes"):
+        run_deterministic(make_level(25))
+    fem.check_deterministic(make_level(24))
 
 
 def test_deterministic_convergence_order():

@@ -16,6 +16,7 @@ from spde_mlmc import (
     NodalField,
     NumericalError,
     UsageError,
+    WorkPrediction,
     build_schedule,
     initial_field,
     kl_modes,
@@ -805,11 +806,11 @@ def test_predict_work_table_exponents():
     strong = predict_work(build_schedule("strong", 3, gamma=0.999999, eps=1.0), d=1)
     weak = predict_work(build_schedule("weak", 3, gamma=0.999999, eps=1.0), d=1)
     assert sl.accuracy_exponent == pytest.approx(-3.5, abs=1e-5)
-    assert not sl.log_factor
+    assert sl.log_factor is None  # plain Monte Carlo: no MLMC bound, no log factor
     assert strong.accuracy_exponent == pytest.approx(-3.0, abs=1e-5)
-    assert strong.log_factor
+    assert strong.log_factor == 3.0  # 2 + eps
     assert weak.accuracy_exponent == pytest.approx(-2.5, abs=1e-5)
-    assert weak.log_factor
+    assert weak.log_factor == 3.0  # 2 + eps
 
 
 def test_predict_work_evaluation():
@@ -828,23 +829,32 @@ def test_predict_work_delta_zero_means_constant_summation():
 
 
 def test_predict_work_branches():
-    low_kappa = build_schedule("general", 3, gamma=0.5, eps=1.0,
+    # one statement of the complexity: work ~ accuracy**accuracy_exponent *
+    # |log2 accuracy|**log_factor, log_factor None without a log factor
+    assert [f.name for f in dataclasses.fields(WorkPrediction)] == [
+        "per_level", "summation", "total", "accuracy_exponent", "log_factor",
+        "error_constant"]
+    low_kappa = build_schedule("general", 3, gamma=0.5, eps=0.5,
                                a=[1.0, 0.5, 0.25, 0.125], eta=1.0)
-    pred = predict_work(low_kappa, d=1, kappa=0.5, delta=0.0)
-    assert pred.bound_exponent == -2.0  # kappa < 2 eta branch
-    assert pred.bound_poly_power is None
-    pred2 = predict_work(low_kappa, d=1, kappa=3.0, delta=0.0)
-    assert pred2.bound_exponent == pytest.approx(-(2.0 + 3.0 - 2.0))
-    assert pred2.bound_poly_power == pytest.approx(3.0)
-    # a general schedule's complexity is its bound, on both sides of 2 eta,
-    # with the bound's log factor
-    assert pred.accuracy_exponent == pred.bound_exponent
-    assert pred2.accuracy_exponent == pred2.bound_exponent
-    assert not pred.log_factor and pred2.log_factor
-    # so is a named mode's, also at a kappa other than its default
-    weak = predict_work(build_schedule("weak", 3, gamma=0.5), kappa=0.5)
-    assert weak.accuracy_exponent == weak.bound_exponent == -2.0
-    assert not weak.log_factor
+
+    def complexity(schedule, **model):
+        pred = predict_work(schedule, d=1, **model)
+        return pred.accuracy_exponent, pred.log_factor
+
+    # kappa < 2 eta: -max(2, delta), no log factor
+    assert complexity(low_kappa, kappa=0.5) == (-2.0, None)
+    assert complexity(low_kappa, kappa=0.5, delta=3.0) == (-3.0, None)
+    # kappa >= 2 eta: -(kappa + 2(1 - eta)) with the power 2 + eps
+    assert complexity(low_kappa, kappa=3.0) == (-3.0, 2.5)
+    # so is a named mode's, at its default kappa and at another
+    weak = build_schedule("weak", 4, gamma=0.5, eps=0.5)
+    assert complexity(weak) == (-4.0, 2.5)
+    assert complexity(weak, kappa=0.5) == (-2.0, None)
+    assert complexity(build_schedule("strong", 4, gamma=0.5, eps=0.5)) == (-6.0, 2.5)
+    # singlelevel: -(kappa + 2) on both sides of 2 eta, never a log factor
+    single = build_schedule("singlelevel", 4, gamma=0.5, eps=0.5)
+    assert complexity(single) == (-5.0, None)
+    assert complexity(single, kappa=0.5) == (-2.5, None)
 
 
 @pytest.mark.parametrize("name,value", [
