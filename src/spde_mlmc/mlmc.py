@@ -13,12 +13,12 @@ h_l**(p*gamma) and eta = 1/p, and "singlelevel" runs ``ceil(a_L**-2)`` samples
 of the top level alone. ``predict_work`` takes every multilevel exponent from
 the one work bound of the MLMC theorem (Giles, Oper. Res. 56 (2008)).
 
-Paths are simulated in chunks of ``CHUNK_SIZE`` by the modal engine of
-``fem.StepOperator``, in the one stepping loop of ``_simulate_chunk``. Rows of
-standard normals, drawn once per block, drive the fine paths and their halved
-sums of four the coarse ones: c_j <- rho_j c_j + beta_j z_j, z_j a standard
-normal; beta_j carries h. A chunk builds its own operators and drops them when
-it returns, so worker threads share no mutable state.
+Paths are simulated in chunks of ``CHUNK_SIZE`` by ``fem.StepOperator`` in
+the one stepping loop of ``_simulate_chunk``: one block length per chunk,
+groups of a slab's worth of paths. Rows of standard normals, drawn once per
+block, drive the fine paths and their halved sums of four the coarse ones:
+c_j <- rho_j c_j + beta_j z_j; beta_j carries h. A chunk builds its own
+operators and drops them on return, so worker threads share no mutable state.
 The functional and the drift are plain values: the functional is
 ``"identity"``, ``"squared-norm"`` or a callable on a ``NodalField``, the
 drift None (F = 0) or a callable on nodal values.
@@ -199,12 +199,12 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     coordinates (see ``StepOperator``) from the initial data sin(pi*x), the
     first sine vector. Without noise or drift a path is rho**steps times it
     (``fem.decay``), and no step operator is built. Otherwise one loop steps
-    groups of paths: one path through slabs of SLAB_STEPS steps without a
-    drift, all ``count`` paths through blocks of SLAB_STEPS // CHUNK_SIZE = 16
-    steps with one. Each path draws a block into its row of one (group, block,
-    J) buffer, one slab that the chunk reuses; each operator steps the group
-    once per block. Only the states at T = 1 are checked to be finite: a
-    non-finite coefficient stays so through later steps and the transform.
+    groups of min(count, SLAB_STEPS // block) paths, a slab's worth, through
+    blocks of min(steps, SLAB_STEPS) steps, min(steps, SLAB_STEPS // CHUNK_SIZE)
+    with a drift (powers of two: they divide the steps). Each path draws a block
+    into its row of one (group, block, J) buffer that the chunk reuses; each
+    operator steps the group once per block. Only the states at T = 1 are
+    checked to be finite, as a non-finite coefficient stays so to the end.
     """
     fine = make_level(pair_level)
     levels = [fine] + ([make_level(pair_level - 1)] if pair_level > lmin else [])
@@ -216,20 +216,20 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
                   for level, state in zip(levels, states)]  # no KL factors: O(dofs), not O(J)
     else:
         ops = [StepOperator(level, kl_modes(level, kl_rule)) for level in levels]
-        size, group = (SLAB_STEPS, 1) if drift is None else (SLAB_STEPS // CHUNK_SIZE, count)
-        blocks = [min(size, fine.steps - done) for done in range(0, fine.steps, size)]
-        buffer = np.zeros((group, blocks[0], ops[0].modes))  # stays zero without noise
+        block = min(fine.steps, SLAB_STEPS if drift is None else SLAB_STEPS // CHUNK_SIZE)
+        group = min(count, SLAB_STEPS // block)
+        buffer = np.zeros((group, block, ops[0].modes))  # stays zero without noise
         for first in range(0, count, group):
-            columns = [state[:, first:first + group] for state in states]
+            columns = [state[:, first:first + group] for state in states]  # last may be narrower
             streams = [path_stream(master_seed, pair_level, replicate, start + b)
-                       for b in range(first, first + group) if not zero_noise]
-            for nsteps in blocks:
-                for row, stream in enumerate(streams):
-                    draw_increment_rows(stream, nsteps, ops[0].modes, out=buffer[row, :nsteps])
-                rows = buffer[:, :nsteps].transpose(1, 2, 0)
+                       for b in range(first, min(first + group, count)) if not zero_noise]
+            rows = buffer[:columns[0].shape[1]].transpose(1, 2, 0)
+            for _ in range(fine.steps // block):
+                for stream, path_rows in zip(streams, buffer):
+                    draw_increment_rows(stream, block, ops[0].modes, out=path_rows)
                 for k, (op, column) in enumerate(zip(ops, columns)):
-                    block = coarsen_rows(rows, op.modes) if k else rows
-                    column[...] = op.step(block, column, drift)
+                    column[...] = op.step(coarsen_rows(rows, op.modes) if k else rows,
+                                          column, drift)
     nodal = [sine_transform(state) for state in states]
     if not all(np.isfinite(state).all() for state in nodal):
         raise NumericalError(f"non-finite state at level {pair_level}, replicate "
@@ -244,9 +244,9 @@ def chunk_bytes(pair_level: int, kl_rule, zero_noise: bool = False, drift=None,
     ``STATE_DOUBLES * dofs * paths`` doubles of states and terminal
     transforms and ``CHUNK_OVERHEAD_BYTES``; and, as it steps unless it has
     ``zero_noise`` and no ``drift``, 2 slabs of s*J doubles, J the KL modes
-    and s = min(SLAB_STEPS, paths*steps) (one path's slab without a drift, 16
-    steps of all its paths with one), and the 2*BLOCK*J doubles of tables of
-    each of its two step operators, fine and coarse.
+    and s = min(SLAB_STEPS, paths*steps) (a group's buffer, which holds s rows
+    without a drift and at most s with one), and the 2*BLOCK*J doubles of
+    tables of each of its two step operators, fine and coarse.
     """
     fine = make_level(pair_level)
     jf, jc = kl_modes(fine, kl_rule), kl_modes(make_level(pair_level - 1), kl_rule)

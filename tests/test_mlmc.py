@@ -299,9 +299,9 @@ def test_sample_pair_kl_truncation_matches_stepwise_reconstruction(kl_rule):
 
 @pytest.mark.parametrize("level,kl_rule", [(5, None), (3, 2 * 7 + 5)])
 def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
-    # with a drift the stepping loop takes all paths of a chunk through blocks
-    # of SLAB_STEPS // CHUNK_SIZE = 16 steps; with CHUNK_SIZE 1 the block is a
-    # whole slab, one block per path here
+    # with a drift a chunk's block is min(steps, SLAB_STEPS // CHUNK_SIZE), 16
+    # steps here, and its group the whole chunk; with CHUNK_SIZE 1 the block is
+    # min(steps, SLAB_STEPS), one block per path here
     from spde_mlmc import mlmc
 
     drift = lambda v: -v + np.sin(v)
@@ -319,20 +319,48 @@ def test_drift_blocks_match_one_block_bitwise(monkeypatch, level, kl_rule):
     for name, drift in (("drift0", None), ("drift1", lambda v: -v + np.sin(v)))
     if level < 5 or drift is None])  # a level-5 drift chunk takes seconds
 def test_chunk_width_never_changes_a_path(level, drift, kl_rule):
-    # a chunk steps one path per group without a drift and all its paths
-    # together with one; either way column b of a 64-path chunk is the path
-    # that sample b gives alone, with and without noise
+    # a chunk steps groups of a slab's worth of paths: 64 at levels 1-2, 16 at
+    # level 3, 4 at level 4 and 1 at level 5 without a drift, the whole chunk
+    # with one; 17 and 49 paths leave a narrower last group (1 after 16 at
+    # level 3, 1 after 12 x 4 at level 4). Either way column b of the chunk is
+    # the path that sample b gives alone, with and without noise
     from spde_mlmc import mlmc
 
     for zero_noise in (False, True):
-        xf, xc = mlmc._simulate_chunk(level, 1, 0, mlmc.CHUNK_SIZE, 0, 68, kl_rule, drift,
-                                      zero_noise)
-        for b in range(mlmc.CHUNK_SIZE):
-            fine, coarse = sample_pair(level, 1, 68, b, kl_rule=kl_rule, drift=drift,
-                                       zero_noise=zero_noise)
-            assert np.array_equal(xf[:, b], fine.values), (zero_noise, b)
-            assert (xc is None) == (coarse is None)
-            assert xc is None or np.array_equal(xc[:, b], coarse.values), (zero_noise, b)
+        pairs = [sample_pair(level, 1, 68, b, kl_rule=kl_rule, drift=drift,
+                             zero_noise=zero_noise) for b in range(mlmc.CHUNK_SIZE)]
+        for width in (17, 49, mlmc.CHUNK_SIZE):
+            xf, xc = mlmc._simulate_chunk(level, 1, 0, width, 0, 68, kl_rule, drift, zero_noise)
+            for b, (fine, coarse) in enumerate(pairs[:width]):
+                assert np.array_equal(xf[:, b], fine.values), (zero_noise, width, b)
+                assert (xc is None) == (coarse is None)
+                assert xc is None or np.array_equal(xc[:, b], coarse.values), (zero_noise,
+                                                                              width, b)
+
+
+@pytest.mark.parametrize("drift", [None, lambda v: -v], ids=["drift0", "drift1"])
+def test_step_calls_per_group(monkeypatch, drift):
+    # without a drift a group holds a slab's worth of paths, so a 64-path
+    # chunk steps each operator once per group: 1 call at levels 1-2, 4 at
+    # level 3, 16 at level 4 and 64 at level 5; with a drift the group is the
+    # whole chunk, stepped once per block of 16 steps
+    from spde_mlmc import mlmc
+
+    calls = []
+    step = fem.StepOperator.step
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.level.level)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(fem.StepOperator, "step", counted)
+    expected = ({1: 1, 2: 1, 3: 4, 4: 16, 5: 64} if drift is None
+                else {level: 4**level // 16 for level in (2, 3, 4)})
+    for level, per_operator in expected.items():
+        calls.clear()
+        mlmc._simulate_chunk(level, 1, 0, mlmc.CHUNK_SIZE, 0, 69, None, drift, False)
+        operators = [level] + ([level - 1] if level > 1 else [])
+        assert sorted(calls) == sorted(operators * per_operator), level
 
 
 @pytest.mark.parametrize("kl_rule", [None, 1, 3, 19])
@@ -357,8 +385,9 @@ def test_zero_noise_chunk_memory_peak_within_budget(kl_rule):
 
 
 def _assert_chunk_peaks_within_budget(kl_rule, drift, zero_noise, levels=(1, 2, 3, 4, 6),
-                                      widths=(1, 64)):
-    # a chunk of one path is budgeted one path's states and slab rows
+                                      widths=(1, 17, 64)):
+    # a chunk of one path is budgeted one path's states and slab rows; one of
+    # 17 has a narrower last group at levels 3 and 4
     from spde_mlmc import mlmc
 
     fem.sine_transform(np.ones(3))  # numpy imports numpy.fft on first use, not per chunk

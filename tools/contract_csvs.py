@@ -35,6 +35,7 @@ STUDIES = {
     "variance-kl3": "variance --levels 2..6 --pairs 512 --kl-modes 3",
     "variance-zero-noise": "variance --levels 2..6 --pairs 512 --zero-noise",
     "variance-lmin2": "variance --levels 2..6 --pairs 512 --lmin 2",
+    "variance-partial": "variance --levels 1..4 --pairs 100",  # partial chunks and groups
     "det-conv": "det-conv --levels 1..14",
 }
 
