@@ -20,7 +20,8 @@ with its memory. The library's one admission function, ``mlmc.check_capacity``,
 checks base level, pair level, workers (at most ``mlmc.MAX_WORKERS``),
 replicates, sample counts, chunk memory and stream keys,
 ``mlmc.pair_variances`` that there are two pairs, ``mlmc.build_schedule`` the
-schedule input, ``mlmc.mlmc_estimate`` the ``--functional`` name, which it
+schedule input, ``SampleSchedule.level_counts`` a base level above a
+schedule's top, ``mlmc.mlmc_estimate`` the ``--functional`` name, which it
 takes as given, and ``fem.check_deterministic`` each ``det-conv`` level's
 memory, before the first chunk or level runs and before ``--out`` is created.
 
@@ -288,7 +289,7 @@ def cmd_det_conv(cfg: RunConfig) -> int:
 
 def cmd_variance(cfg: RunConfig) -> int:
     levels = range(cfg.levels[0], cfg.levels[1] + 1)
-    check_capacity([[(l, cfg.pairs) for l in levels]], cfg.lmin, cfg.seed, 1, cfg.kl_modes,
+    check_capacity([(l, cfg.pairs) for l in levels], cfg.lmin, cfg.seed, 1, cfg.kl_modes,
                    cfg.workers, zero_noise=cfg.zero_noise)
     stats = [pair_variances(l, cfg.lmin, cfg.pairs, cfg.seed, kl_rule=cfg.kl_modes,
                             zero_noise=cfg.zero_noise, workers=cfg.workers) for l in levels]
@@ -322,8 +323,8 @@ def _study(cfg: RunConfig, ranges):
     schedules = [build_schedule(mode, top, gamma=cfg.gamma, eps=cfg.eps, eta=cfg.eta,
                                 a=cfg.a_seq[: top + 1] if cfg.a_seq is not None else None)
                  for mode, lo, hi in ranges for top in range(lo, hi + 1)]
-    check_capacity([schedule.level_counts(cfg.lmin) for schedule in schedules], cfg.lmin,
-                   cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers, zero_noise=cfg.zero_noise)
+    plan = [pair for schedule in schedules for pair in schedule.level_counts(cfg.lmin)]
+    check_capacity(plan, cfg.lmin, cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers, cfg.zero_noise)
     rep_rows, level_rows, summary_rows, timing_rows = [], [], [], []
     for schedule in schedules:
         mode, top = schedule.mode, schedule.top_level

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import operator
 
 
 class UsageError(ValueError):
@@ -12,3 +14,12 @@ class CapacityError(UsageError):
 
 class NumericalError(RuntimeError):
     """Numerical failure (singular solve, non-finite state). CLI exit code 3."""
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as an int if it is one (a numpy integer too); a float or any
+    other value is a ``UsageError`` that names ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None

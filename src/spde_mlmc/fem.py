@@ -12,11 +12,12 @@ K and are the nodal rows of the Karhunen-Loeve loads, so every mode evolves
 on its own, driven by one standard normal per step. ``mode_factors`` alone
 forms the per-mode eigenvalues, load amplitudes and step factors, the
 increments' deviation h included, exact to rounding at every level; each
-power rho^N is exp(N log rho), and ``decay`` forms rho^N c. Without drift a
-block of steps is one weighted sum, formed in two stages from two BLOCK x
-modes tables of those powers, which the operator holds; whoever builds one
-owns it. A drift F is a plain callable on nodal values (None means F = 0),
-applied step by step. ``sine_transform``, an FFT, maps modes to nodal values;
+power rho^N is exp(N log rho); ``initial_decay`` alone forms the noise-free
+rho_1^N. Without drift a block of steps is one weighted sum, formed in two
+stages from two BLOCK x modes tables of those powers, which the operator
+holds; whoever builds one owns it. A drift F is a plain callable on nodal
+values (None means F = 0), applied step by step; its values must keep their
+shape. ``sine_transform``, an FFT, maps modes to nodal values;
 ``mass_norm_sq`` forms the L2(0,1) norms x^T M x from the two diagonals. The
 nodal scheme, with assembled bands and a Thomas solve per step, lives in
 ``tests/reference.py`` as the oracle.
@@ -86,10 +87,11 @@ def mode_factors(level: LevelGeometry, count: int, modes: int):
     return np.log1p(-damping / denom), target, sign * amplitude_h / denom[target]
 
 
-def decay(log_rho: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
-    """rho**n c, as exp(n log rho) c: coefficients (dofs,) or (dofs, b) after
-    ``n`` steps without noise or drift, ``log_rho`` from ``mode_factors``."""
-    return np.exp(n * log_rho).reshape(-1, *(1,) * (coeffs.ndim - 1)) * coeffs
+def initial_decay(level: LevelGeometry, steps: int) -> float:
+    """rho_1**steps, as exp(steps log rho_1): the factor of the first sine vector,
+    the initial data sin(pi*x), after ``steps`` steps without noise or drift."""
+    log_rho, _, _ = mode_factors(level, 1, 1)
+    return float(np.exp(steps * log_rho[0]))
 
 
 class StepOperator:
@@ -139,10 +141,12 @@ class StepOperator:
         with ``inner``, then the k group sums with ``outer``; n is 1..BLOCK or a
         multiple of BLOCK up to BLOCK**2 = SLAB_STEPS. A drift F, None for F = 0,
         maps nodal values of shape (dofs,) or (dofs, b) to values of the same
-        shape; it must be vectorised and globally Lipschitz (documented, not
-        checked). It enters step by step as c <- rho (c + dt f) + beta z with
-        f = (2/(dofs+1)) S F(S c), two ``sine_transform`` calls per step.
+        shape, else a ``UsageError`` names both shapes; it must be vectorised and
+        globally Lipschitz (documented, not checked). It enters step by step as
+        c <- rho (c + dt f) + beta z with f = (2/(dofs+1)) S F(S c), two
+        ``sine_transform`` calls per step.
         """
+        tail = (1,) * (coeffs.ndim - 1)
         if drift is None:
             n = len(rows)
             b = min(BLOCK, n)
@@ -153,12 +157,16 @@ class StepOperator:
             partial = np.einsum("kij...,ij->kj...", rows.reshape(k, b, *rows.shape[1:]),
                                 self.inner[BLOCK - b:])
             weighted = np.einsum("kj...,kj->j...", partial, self.outer[BLOCK - k:])
-            return self._add_modes(decay(self.log_rho, coeffs, n), weighted)
-        tail = (1,) * (coeffs.ndim - 1)
+            return self._add_modes(np.exp(n * self.log_rho).reshape(-1, *tail) * coeffs, weighted)
         rho, beta = np.exp(self.log_rho).reshape(-1, *tail), self.beta.reshape(-1, *tail)
         scale = 2.0 * self.level.time_step / (self.level.dofs + 1)
         for increments in rows:
-            forcing = sine_transform(drift(sine_transform(coeffs)))
+            values = sine_transform(coeffs)
+            forced = drift(values)
+            if np.shape(forced) != values.shape:
+                raise UsageError(f"the drift maps nodal values of shape {values.shape} to "
+                                 f"shape {np.shape(forced)}")
+            forcing = sine_transform(forced)
             coeffs = self._add_modes(rho * (coeffs + scale * forcing), beta * increments)
         return coeffs
 
@@ -187,8 +195,7 @@ def run_deterministic(level: LevelGeometry) -> NodalField:
     CapacityError before it allocates (``check_deterministic``).
     """
     check_deterministic(level)
-    log_rho, _, _ = mode_factors(level, 1, 1)
-    return NodalField(level, np.exp(level.steps * log_rho[0]) * initial_field(level).values)
+    return NodalField(level, initial_decay(level, level.steps) * initial_field(level).values)
 
 
 def mass_norm_sq(level: LevelGeometry, values: np.ndarray):

@@ -10,27 +10,33 @@ Sample counts follow ``N_0 = ceil(a_L**-2)``, ``N_l = ceil(a_L**-2 *
 a_l**(2*eta) * l**(1+eps))``: "general" takes the decay sequence a_l and eta
 as given, a named mode of rate power p = ``RATE_POWERS[mode]`` sets a_l =
 h_l**(p*gamma) and eta = 1/p, and "singlelevel" runs ``ceil(a_L**-2)`` samples
-of the top level alone. ``predict_work`` takes every multilevel exponent from
-the one work bound of the MLMC theorem (Giles, Oper. Res. 56 (2008)).
+of the top level alone. ``SampleSchedule.level_counts`` states a run's plan,
+its (level, samples) from the base level up, and rejects a base level above
+the top. ``predict_work`` takes every multilevel exponent from the one work
+bound of the MLMC theorem (Giles, Oper. Res. 56 (2008)).
 
 Paths are simulated in chunks of ``CHUNK_SIZE`` by ``fem.StepOperator`` in
 the one stepping loop of ``_simulate_chunk``: one block length per chunk,
 groups of a slab's worth of paths. Rows of standard normals, drawn once per
 block, drive the fine paths and their halved sums of four the coarse ones:
-c_j <- rho_j c_j + beta_j z_j; beta_j carries h. A chunk builds its own
-operators and drops them on return, so worker threads share no mutable state.
-The functional and the drift are plain values: the functional is
-``"identity"``, ``"squared-norm"`` or a callable on a ``NodalField``, the
-drift None (F = 0) or a callable on nodal values.
+c_j <- rho_j c_j + beta_j z_j; beta_j carries h. Without noise or drift a
+chunk steps nothing: its paths are ``fem.initial_decay`` times the initial
+data. A chunk builds its own operators and drops them on return, so worker
+threads share no mutable state. The functional and the drift are plain
+values: the functional is ``"identity"``, ``"squared-norm"`` or a callable on a
+``NodalField`` (a value that is not finite is a ``NumericalError``), the drift
+None (F = 0) or a callable on nodal values that keeps their shape.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
-``check_capacity`` is the one admission of estimator work: ``mlmc_estimate``,
-``pair_variances`` and ``sample_pair`` call it, and the CLI calls it on a whole
-study, before any path is simulated. One runner, ``_level_moments``, runs each
-level's chunks of the one chunk task, ``_level_task``, at most two per worker
-in flight, and forms every mean and variance from their sums into the level's
-``LevelStat``, the one per-level record that the estimators return.
+``check_capacity`` is the one admission of estimator work, of one flat plan:
+``mlmc_estimate``, ``pair_variances`` and ``sample_pair`` call it, and the CLI
+calls it on a whole study, before any path is simulated; stream coordinates,
+the base level, a fixed KL truncation and the worker count must be integers.
+One runner, ``_level_moments``, runs each level's chunks of the one chunk
+task, ``_level_task``, at most two per worker in flight, and forms every mean
+and variance from their sums into the level's ``LevelStat``, the one
+per-level record that the estimators return.
 """
 
 import math
@@ -43,8 +49,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError, UsageError
-from .fem import BLOCK, SLAB_STEPS, StepOperator, decay, mass_norm_sq, mode_factors, sine_transform
+from .errors import CapacityError, NumericalError, UsageError, as_index
+from .fem import BLOCK, SLAB_STEPS, StepOperator, initial_decay, mass_norm_sq, sine_transform
 from .grid import MAX_TASK_BYTES, LevelGeometry, NodalField, make_level, prolong_to, prolong_values
 from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_stream, stream_key
 
@@ -106,23 +112,23 @@ class SampleSchedule:
     eps: float
     eta: float
 
-    def count_for(self, level: int, lmin: int) -> int:
-        if self.mode == "singlelevel":
-            if level != self.top_level:
-                raise UsageError("singlelevel schedule only defines the top level")
-            return self.counts[0]
-        if level == lmin:
-            return self.counts[0]
-        return self.counts[level]
-
     def level_counts(self, lmin: int) -> list:
-        """(level, samples) of each level that a run from the base level
-        ``lmin`` simulates, base first; levels that ``check_capacity`` rejects
-        if ``lmin`` lies outside 1..top (the top level alone above it)."""
+        """The plan of a run from the base level ``lmin``: (level, samples) of lmin..top,
+        or of the top level alone for singlelevel. Fails on a base outside 1..top."""
         top = self.top_level
-        levels = ([top] if self.mode == "singlelevel" or lmin > top
-                  else range(max(lmin, 0), top + 1))
-        return [(level, self.count_for(level, lmin)) for level in levels]
+        check_base(lmin)
+        if lmin > top:
+            raise UsageError(f"the base level {lmin} exceeds the top level {top}")
+        if self.mode == "singlelevel":
+            return [(top, self.counts[0])]
+        return [(l, self.counts[l if l > lmin else 0]) for l in range(lmin, top + 1)]
+
+    def count_for(self, level: int, lmin: int) -> int:
+        """The samples of ``level`` in the plan from ``lmin`` (``level_counts``)."""
+        plan = dict(self.level_counts(lmin))
+        if level not in plan:
+            raise UsageError(f"level {level} is not in the plan from base level {lmin}")
+        return plan[level]
 
 
 def build_schedule(
@@ -182,12 +188,16 @@ def build_schedule(
 
 def _functional_values(functional, level: LevelGeometry, states: np.ndarray):
     """The functional of each column of ``states`` (dofs, b) on ``level``:
-    the states themselves for identity, else an array of b values."""
+    the states themselves for identity, else an array of b values. A custom
+    functional's value that is not finite is a ``NumericalError``."""
     if functional == "identity":
         return states
     if functional == "squared-norm":
         return mass_norm_sq(level, states)
-    return np.array([float(functional(NodalField(level, x))) for x in states.T])
+    values = np.array([float(functional(NodalField(level, x))) for x in states.T])
+    if not np.isfinite(values).all():
+        raise NumericalError(f"the functional is not finite on a path at level {level.level}")
+    return values
 
 
 def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
@@ -197,24 +207,23 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     Returns (fine, coarse) nodal state matrices at T = 1 with one column per
     path; coarse is None at the base level. Paths run in sine-mode
     coordinates (see ``StepOperator``) from the initial data sin(pi*x), the
-    first sine vector. Without noise or drift a path is rho**steps times it
-    (``fem.decay``), and no step operator is built. Otherwise one loop steps
-    groups of min(count, SLAB_STEPS // block) paths, a slab's worth, through
-    blocks of min(steps, SLAB_STEPS) steps, min(steps, SLAB_STEPS // CHUNK_SIZE)
-    with a drift (powers of two: they divide the steps). Each path draws a block
-    into its row of one (group, block, J) buffer that the chunk reuses; each
-    operator steps the group once per block. Only the states at T = 1 are
-    checked to be finite, as a non-finite coefficient stays so to the end.
+    first sine vector. Without noise or drift a path is rho_1**steps
+    (``fem.initial_decay``) times it, and no step operator is built. Otherwise
+    one loop steps groups of min(count, SLAB_STEPS // block) paths, a slab's
+    worth, through blocks of min(steps, SLAB_STEPS) steps, min(steps,
+    SLAB_STEPS // CHUNK_SIZE) with a drift (powers of two: they divide the
+    steps). Each path draws a block into its row of one (group, block, J)
+    buffer that the chunk reuses; each operator steps the group once per block.
+    Only the states at T = 1 are checked to be finite, as a non-finite
+    coefficient stays so to the end.
     """
     fine = make_level(pair_level)
     levels = [fine] + ([make_level(pair_level - 1)] if pair_level > lmin else [])
     states = [np.zeros((level.dofs, count)) for level in levels]
-    for state in states:
-        state[0] = 1.0
-    if drift is None and zero_noise:
-        states = [decay(mode_factors(level, level.dofs, 1)[0], state, level.steps)
-                  for level, state in zip(levels, states)]  # no KL factors: O(dofs), not O(J)
-    else:
+    noise_free = drift is None and zero_noise
+    for level, state in zip(levels, states):
+        state[0] = initial_decay(level, level.steps) if noise_free else 1.0
+    if not noise_free:
         ops = [StepOperator(level, kl_modes(level, kl_rule)) for level in levels]
         block = min(fine.steps, SLAB_STEPS if drift is None else SLAB_STEPS // CHUNK_SIZE)
         group = min(count, SLAB_STEPS // block)
@@ -256,34 +265,36 @@ def chunk_bytes(pair_level: int, kl_rule, zero_noise: bool = False, drift=None,
     return 8 * doubles + CHUNK_OVERHEAD_BYTES
 
 
-def check_capacity(runs, lmin, master_seed, replicates, kl_rule, workers: int = 1,
+def check_base(lmin: int) -> None:
+    """Reject a base level that is not an integer of at least 1: level 0 has
+    no interior node."""
+    if as_index(lmin, "the base level") < 1:
+        raise UsageError("the base level must be at least 1 (level 0 is empty)")
+
+
+def check_capacity(plan, lmin, master_seed, replicates, kl_rule, workers: int = 1,
                    zero_noise: bool = False, drift=None):
     """Admit estimator work before any path is simulated: ``replicates``
-    replicates of each run in ``runs``, a list of (level, samples) pairs in
-    increasing level order, from the base level ``lmin``.
-
-    Checks the base level and that no level of a run lies below it, the
-    replicates, that each level has a sample and that the chunks of every level
-    that can be in flight at once, min(``workers``, ceil(n / CHUNK_SIZE)) for the
-    level's largest sample count n in the runs, fit in ``MAX_TASK_BYTES``
-    (``chunk_bytes`` each, of chunks with the given ``zero_noise`` and ``drift``),
-    at most ``MAX_WORKERS`` workers, and the stream key of each level's last
-    sample in the last replicate.
+    replicates of ``plan``, the (level, samples) pairs of a study's runs, from
+    the base level ``lmin``. Checks the base level and that no level lies below
+    it, the replicates, that each level has a sample and that the chunks of
+    every level that can be in flight at once, min(``workers``, ceil(n /
+    CHUNK_SIZE)) for the level's largest sample count n in the plan, fit in
+    ``MAX_TASK_BYTES`` (``chunk_bytes`` each, of chunks with the given
+    ``zero_noise`` and ``drift``), at most ``MAX_WORKERS`` workers, and the
+    stream key of each level's last sample in the last replicate.
     """
-    if lmin < 1:
-        raise UsageError("the base level must be at least 1 (level 0 is empty)")
+    check_base(lmin)
     if replicates < 1:
         raise UsageError(f"a study needs at least one replicate, got {replicates}")
-    for run in runs:
-        (low, _), (top, _) = run[0], run[-1]
-        if low < lmin:
-            above = f", which exceeds the top level {top}" if lmin > top else ""
-            raise UsageError(f"pair level {low} below the base level {lmin}{above}")
-    if workers < 1:
+    for level, _ in plan:
+        if level < lmin:
+            raise UsageError(f"pair level {level} below the base level {lmin}")
+    if as_index(workers, "workers") < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
     if workers > MAX_WORKERS:
         raise UsageError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    largest = dict(sorted(pair for run in runs for pair in run))  # level: its largest n
+    largest = dict(sorted(plan))  # level: its largest n
     for level, n in largest.items():
         if n < 1:
             raise UsageError(f"level {level} has {n} samples; it needs at least one")
@@ -318,7 +329,7 @@ def sample_pair(
     """
     if replicate < 0:
         raise UsageError(f"replicate index must be nonnegative, got {replicate}")
-    check_capacity([[(pair_level, 1)]], lmin, master_seed, replicate + 1, kl_rule,
+    check_capacity([(pair_level, 1)], lmin, master_seed, replicate + 1, kl_rule,
                    zero_noise=zero_noise, drift=drift)
     stream_key(master_seed, KIND_PATH, pair_level, replicate, sample)
     xf, xc = _simulate_chunk(pair_level, lmin, sample, 1, replicate, master_seed,
@@ -443,7 +454,7 @@ def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
     """
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
-    check_capacity([[(pair_level, n)]], lmin, master_seed, 1, kl_rule, workers, zero_noise)
+    check_capacity([(pair_level, n)], lmin, master_seed, 1, kl_rule, workers, zero_noise)
     return _level_moments(_level_task, workers, pair_level, lmin, n, 0, master_seed, kl_rule,
                           None, zero_noise, "identity")
 
@@ -477,20 +488,23 @@ def mlmc_estimate(
         below it is zero, so the base level is estimated on its own.
     functional : what to average: ``"identity"`` (the default) yields a nodal
         field on level L, ``"squared-norm"`` the squared L2(0,1) norm, and a
-        callable taking a ``NodalField`` and returning a float a custom scalar.
-    master_seed, replicate : stream coordinates. Distinct replicates are
-        independent; a fixed pair reproduces the result bitwise.
+        callable taking a ``NodalField`` and returning a float a custom scalar
+        (a value that is not finite is a ``NumericalError`` naming its level).
+    master_seed, replicate : stream coordinates, integers. Distinct replicates
+        are independent; a fixed pair reproduces the result bitwise.
     kl_rule : fixed KL truncation for every level, or None for J = dofs.
     drift : the drift F, None (the default) for F = 0, or a callable mapping
-        nodal values of shape (dofs,) or (dofs, b) to values of that shape. It
-        must be vectorised and globally Lipschitz (documented, not checked).
+        nodal values of shape (dofs,) or (dofs, b) to values of that shape
+        (another shape is a ``UsageError``). It must be vectorised and globally
+        Lipschitz (documented, not checked).
     zero_noise : diagnostic: zero every increment, so each level runs the
         noiseless scheme.
     workers : thread count for chunk simulation. Results do not depend on
         it; chunk boundaries and the reduction order are fixed.
 
-    Fails before any simulation on an unknown functional, a negative
-    ``replicate`` or what ``check_capacity`` rejects.
+    Fails before any simulation on an unknown functional, a base level that
+    ``level_counts`` rejects, a negative ``replicate`` or what
+    ``check_capacity`` rejects.
     """
     if not (callable(functional)
             or isinstance(functional, str) and functional in ("identity", "squared-norm")):
@@ -500,7 +514,7 @@ def mlmc_estimate(
     plan = schedule.level_counts(lmin)
     if replicate < 0:
         raise UsageError(f"replicate index must be nonnegative, got {replicate}")
-    check_capacity([plan], lmin, master_seed, replicate + 1, kl_rule, workers, zero_noise, drift)
+    check_capacity(plan, lmin, master_seed, replicate + 1, kl_rule, workers, zero_noise, drift)
     base = plan[0][0]
     identity = functional == "identity"
     t_total = time.perf_counter()
@@ -558,8 +572,8 @@ def predict_work(
         raise UsageError(f"spatial work dimension d must be finite and nonnegative, got {d}")
     if not 0.0 <= delta < math.inf:
         raise UsageError(f"summation exponent delta must be finite and nonnegative, got {delta}")
-    # (l, N_l) of every schedule index 0..L, or of L alone for singlelevel
-    per_level = tuple(n * (2.0 ** (-l)) ** -(d + 2) for l, n in schedule.level_counts(0))
+    first = schedule.top_level + 1 - len(schedule.counts)  # 0, or L for singlelevel
+    per_level = tuple(n * (2.0 ** (-l)) ** -(d + 2) for l, n in enumerate(schedule.counts, first))
     summation = (2.0 ** (-schedule.top_level)) ** -delta
 
     if kappa is None:

@@ -16,7 +16,7 @@ be regenerated on any worker with identical output, in slabs or in one draw
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, as_index
 from .grid import LevelGeometry
 
 #: Stream kind of the path increments. Other consumers of a seed pass another
@@ -25,7 +25,9 @@ KIND_PATH = 1
 
 
 def stream_key(master_seed: int, kind: int, level: int, replicate: int, sample: int) -> np.ndarray:
-    """Pack stream coordinates into a 128-bit Philox key."""
+    """Pack stream coordinates, integers each, into a 128-bit Philox key."""
+    master_seed, kind, level, replicate, sample = (
+        as_index(v, "a stream coordinate") for v in (master_seed, kind, level, replicate, sample))
     if not 0 <= master_seed < 2**64:
         raise UsageError("master seed must fit in 64 bits")
     if not 0 <= sample < 2**32:
@@ -50,6 +52,7 @@ def kl_modes(level: LevelGeometry, rule: int | None = None) -> int:
     """Truncation level J for a mesh level: dofs by default, or a fixed J."""
     if rule is None:
         return max(level.dofs, 1)
+    rule = as_index(rule, "mode truncation")
     if rule < 1:
         raise UsageError("mode truncation must be at least 1")
     return rule

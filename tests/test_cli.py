@@ -180,6 +180,13 @@ def test_reps_beyond_replicate_field_rejected_up_front(tmp_path, monkeypatch, ca
     (["run", "--L", "1..3", "--m", "67108865"], "m = 67108865 points"),
     (["run", "--mode", "weak", "--eta", "0.3", "--a-seq", "9", "--L", "1..2"],
      "--a-seq and --eta apply only with --mode general"),
+    # a schedule's plan rejects a base level above its top, singlelevel too,
+    # and one below 1 however far below
+    (["compare", "--L", "2..3", "--strong-L", "1..5", "--lmin", "2"],
+     "error: the base level 2 exceeds the top level 1\n"),
+    (["run", "--L", "1..1", "--mode", "singlelevel", "--lmin", "3"],
+     "error: the base level 3 exceeds the top level 1\n"),
+    (["run", "--L", "1..1", "--lmin", "-5"], "the base level must be at least 1"),
 ])
 def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsys,
                                                     argv, named):
@@ -571,6 +578,35 @@ def test_contract_comparison_names_differing_and_missing_files(tmp_path):
     (b / "only_in_a.csv").write_bytes(b"x\n")
     (b / "changed.csv").write_bytes(b"0.1\n")
     assert CONTRACT.differing(a, b) == []
+
+
+def test_contract_tool_runs_its_studies_with_another_package(tmp_path, monkeypatch, capsys):
+    # --src DIR runs this checkout's studies with DIR's package, so a study the
+    # other checkout's tool lacks is compared too; DIR must hold the package
+    calls = []
+
+    def run_study(args, out, src=CONTRACT.SRC):
+        out.mkdir(parents=True, exist_ok=True)
+        calls.append((args[0], out, src))
+
+    monkeypatch.setattr(CONTRACT, "run_study", run_study)
+    other = tmp_path / "other" / "src"
+    (other / "spde_mlmc").mkdir(parents=True)
+    (other / "spde_mlmc" / "__init__.py").write_text("")
+    assert CONTRACT.main([str(tmp_path / "out"), "--src", str(other)]) == 0
+    assert len(calls) == 2 * len(CONTRACT.STUDIES)
+    assert {src for *_, src in calls} == {other}
+    assert calls[0][1] == tmp_path / "out" / next(iter(CONTRACT.STUDIES)) / "w1"
+    calls.clear()
+    assert CONTRACT.main([str(tmp_path / "out")]) == 0
+    assert {src for *_, src in calls} == {CONTRACT.SRC}
+    calls.clear()
+    for argv in ([str(tmp_path / "out"), "--src", str(tmp_path / "other")],
+                 [str(tmp_path / "out"), "--src"], [str(tmp_path / "out"), "--sr", str(other)],
+                 []):
+        assert CONTRACT.main(argv) == 2
+    assert "holds no spde_mlmc/__init__.py" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_variance_pool_is_byte_identical_to_inline(tmp_path):

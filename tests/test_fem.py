@@ -15,7 +15,7 @@ from spde_mlmc import (
     run_deterministic,
 )
 from spde_mlmc import fem
-from spde_mlmc.fem import StepOperator, mass_norm_sq, sine_transform
+from spde_mlmc.fem import BLOCK, StepOperator, mass_norm_sq, sine_transform
 from spde_mlmc.metrics import exact_mean, fit_slope
 
 from reference import (
@@ -208,6 +208,22 @@ def test_deterministic_run_symmetric_and_monotone():
         if previous_gap is not None:
             assert gap < previous_gap
         previous_gap = gap
+
+
+@pytest.mark.parametrize("level_index", range(1, 8))
+def test_initial_decay_is_the_noise_free_step_of_the_first_mode(level_index):
+    # fem forms rho_1**steps once: a noise-free block of the step operator
+    # decays the first sine mode by exactly that factor
+    level = make_level(level_index)
+    op = StepOperator(level)
+    for n in (1, 4, BLOCK, 1024):
+        if n <= level.steps:
+            coeffs = np.zeros(level.dofs)
+            coeffs[0] = 1.0
+            out = op.step(np.zeros((n, op.modes)), coeffs)
+            assert out[0] == fem.initial_decay(level, n)
+    log_rho = fem.mode_factors(level, 1, 1)[0][0]
+    assert fem.initial_decay(level, level.steps) == np.exp(level.steps * log_rho)
 
 
 def test_deterministic_run_memory_is_linear_in_dofs():

@@ -113,6 +113,42 @@ def test_schedule_validation():
         build_schedule("general", 2, a=[1.0, 1e-200, 1e-300], eta=1.0)
 
 
+def _schedules(top):
+    a = [2.0 ** -l for l in range(top + 1)]
+    return [build_schedule(mode, top, a=a, eta=0.5) for mode in spde_mlmc.mlmc.SCHEDULE_MODES]
+
+
+@pytest.mark.parametrize("top", [1, 2, 4])
+def test_level_counts_is_a_runs_plan(top):
+    # the plan of a run: increasing levels from the base up, the top alone for
+    # singlelevel; a base above the top raises, and so does one below 1
+    for schedule in _schedules(top):
+        for lmin in range(1, top + 2):
+            if lmin > top:
+                with pytest.raises(UsageError, match=f"the base level {lmin} exceeds the "
+                                                     f"top level {top}$"):
+                    schedule.level_counts(lmin)
+                continue
+            plan = schedule.level_counts(lmin)
+            assert [level for level, _ in plan] == (
+                [top] if schedule.mode == "singlelevel" else list(range(lmin, top + 1)))
+            assert all(schedule.count_for(level, lmin) == n for level, n in plan)
+        for lmin in (0, -1, -top - 5):
+            with pytest.raises(UsageError, match="base level must be at least 1"):
+                schedule.level_counts(lmin)
+
+
+def test_count_for_reads_the_plan():
+    weak = build_schedule("weak", 3, gamma=0.5, eps=1.0)
+    assert [weak.count_for(l, 1) for l in (1, 2, 3)] == [64, 64, 72]
+    assert [weak.count_for(l, 2) for l in (2, 3)] == [64, 72]
+    single = build_schedule("singlelevel", 3, gamma=0.5)
+    assert single.count_for(3, 1) == 64
+    for schedule, level, lmin in ((weak, 0, 1), (weak, 1, 2), (weak, 4, 1), (single, 2, 1)):
+        with pytest.raises(UsageError, match=f"level {level} is not in the plan"):
+            schedule.count_for(level, lmin)
+
+
 # ------------------------------------------------------------- mc_estimate
 
 def test_mc_constant_sampler():
@@ -533,6 +569,86 @@ def test_stream_capacity_checked_before_simulation(monkeypatch):
         mlmc.pair_variances(3, 1, 2**32 + 1, 0)
 
 
+@pytest.mark.parametrize("call,named", [
+    (lambda: mlmc_estimate(build_schedule("weak", 2), 1, master_seed=1.5),
+     "a stream coordinate must be an integer, got 1.5"),
+    (lambda: mlmc_estimate(build_schedule("weak", 2), 1, replicate=1.0),
+     "a stream coordinate must be an integer, got 1.0"),
+    (lambda: sample_pair(2, 1, 0, 0, replicate=1.0),
+     "a stream coordinate must be an integer, got 1.0"),
+    (lambda: sample_pair(2, 1, 0, 1.5), "a stream coordinate must be an integer, got 1.5"),
+    (lambda: spde_mlmc.mlmc.pair_variances(3, 1, 64.0, 7),
+     "a stream coordinate must be an integer, got 63.0"),
+    (lambda: mlmc_estimate(build_schedule("weak", 2), 1, kl_rule=3.0),
+     "mode truncation must be an integer, got 3.0"),
+    (lambda: spde_mlmc.mlmc.pair_variances(3, 1, 8, 7, kl_rule=3.0),
+     "mode truncation must be an integer, got 3.0"),
+    (lambda: mlmc_estimate(build_schedule("weak", 2), 1, workers=2.0),
+     "workers must be an integer, got 2.0"),
+    (lambda: spde_mlmc.mlmc.pair_variances(3, 1, 8, 7, workers=2.0),
+     "workers must be an integer, got 2.0"),
+    (lambda: mlmc_estimate(build_schedule("weak", 2), 1.0),
+     "the base level must be an integer, got 1.0"),
+    (lambda: spde_mlmc.mlmc.pair_variances(3, 1.0, 8, 7),
+     "the base level must be an integer, got 1.0"),
+    (lambda: spde_mlmc.mlmc.pair_variances(3.0, 1, 8, 7),
+     "a stream coordinate must be an integer, got 3.0"),
+], ids=["seed", "estimate-replicate", "pair-replicate", "pair-sample", "pairs", "kl-rule",
+        "pairs-kl-rule", "workers", "pairs-workers", "base-level", "pairs-base-level",
+        "pair-level"])
+def test_non_integer_coordinates_rejected_before_the_first_chunk(monkeypatch, call, named):
+    # a float seed ran bitwise as its floor; others ended in a TypeError of
+    # the key's shifts, a slice, a range or a thread pool, or ran
+    from spde_mlmc import mlmc
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the coordinates were checked")
+
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    with pytest.raises(UsageError, match=re.escape(named)):
+        call()
+
+
+def test_numpy_integer_coordinates_are_accepted():
+    # the integer check takes every integer type; the result is the int's
+    schedule = build_schedule("weak", 2)
+    plain = mlmc_estimate(schedule, 1, master_seed=3, kl_rule=3)
+    numpy = mlmc_estimate(schedule, 1, master_seed=np.uint64(3), kl_rule=np.int32(3),
+                          workers=np.int64(2), replicate=np.int16(0))
+    assert np.array_equal(plain.estimate.values, numpy.estimate.values)
+    assert kl_modes(make_level(3), np.int8(5)) == 5
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_drift_that_changes_the_shape_is_a_usage_error(workers):
+    # a drift of shape (1, b) used to broadcast over every mode silently
+    shrink = lambda v: -v[:1]
+    with pytest.raises(UsageError, match=re.escape(
+            "the drift maps nodal values of shape (7, 1) to shape (1, 1)")):
+        sample_pair(3, 1, 0, 0, drift=shrink)
+    with pytest.raises(UsageError, match=re.escape("(3, 64) to shape (1, 64)")):
+        mlmc_estimate(build_schedule("weak", 3), 1, drift=shrink, workers=workers)
+    with pytest.raises(UsageError, match=re.escape("(7,) to shape ()")):
+        fem.StepOperator(make_level(3)).step(np.zeros((1, 7)), np.zeros(7), lambda v: 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_custom_functional_is_a_numerical_error(value, workers):
+    # NaN gave a NaN estimate and NaN variances, inf a NaN estimate and a
+    # RuntimeWarning; the level is named
+    import warnings
+
+    schedule = build_schedule("weak", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="functional is not finite .* level 1$"):
+            mlmc_estimate(schedule, 1, functional=lambda u: value, workers=workers)
+        at_level_3 = lambda u: value if u.level.level == 3 else 0.0
+        with pytest.raises(NumericalError, match="at level 3$"):
+            mlmc_estimate(schedule, 1, functional=at_level_3, workers=workers)
+
+
 @pytest.mark.parametrize("functional", ["squared_norm", "custom", None,
                                         pytest.param(np.array([1.0, 2.0]), id="array")])
 def test_unknown_functional_rejected_before_the_first_chunk(monkeypatch, functional):
@@ -572,6 +688,12 @@ def test_schedule_level_mismatch_rejected():
     schedule = build_schedule("weak", 3, gamma=0.5, eps=1.0)
     with pytest.raises(UsageError):
         mlmc_estimate(schedule, 0, master_seed=0)
+    # a base far below level 0 is rejected as such, not by indexing the counts
+    for mode in ("weak", "singlelevel"):
+        with pytest.raises(UsageError, match="base level must be at least 1"):
+            mlmc_estimate(build_schedule(mode, 1), -5, master_seed=0)
+    with pytest.raises(UsageError, match="the base level 4 exceeds the top level 3$"):
+        mlmc_estimate(schedule, 4, master_seed=0)
 
 
 def test_level_difference_variance_decays():
@@ -608,7 +730,7 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
         mlmc.pair_variances(2, 0, 4, 0)
     for workers in (0, -3):
         with pytest.raises(UsageError, match="workers must be at least 1"):
-            mlmc.check_capacity([[(20, 1)]], 1, 0, 1, None, workers=workers)
+            mlmc.check_capacity([(20, 1)], 1, 0, 1, None, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
             mlmc.pair_variances(2, 1, 4, 0, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
@@ -620,7 +742,7 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
     with pytest.raises(UsageError, match=too_many):
         mlmc_estimate(build_schedule("weak", 2), 1, workers=5000)
     with pytest.raises(UsageError, match="at least one replicate, got 0"):
-        mlmc.check_capacity([build_schedule("weak", 2).level_counts(1)], 1, 0, 0, None)
+        mlmc.check_capacity(build_schedule("weak", 2).level_counts(1), 1, 0, 0, None)
     # the estimator and sample_pair admit replicates 0..replicate, so a
     # negative index fails as itself, not as a study of no replicates
     for replicate in (-1, -7):
@@ -646,7 +768,7 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
     # a drift holds one slab of increments, as a run without one does: both
     # pass the check at level 16 on one worker and fail it at 17
     drift = lambda v: -v
-    mlmc.check_capacity([[(l, 1) for l in range(1, 17)]], 1, 0, 1, None)
+    mlmc.check_capacity([(l, 1) for l in range(1, 17)], 1, 0, 1, None)
     with pytest.raises(AssertionError, match="a chunk ran"):
         mlmc_estimate(build_schedule("strong", 16), 1, drift=drift)
     for kwargs in ({}, {"drift": drift}):
@@ -667,7 +789,7 @@ def test_admitted_levels_follow_the_chunk_budget():
         level = 1
         while True:
             try:
-                mlmc.check_capacity([[(level + 1, workers * mlmc.CHUNK_SIZE)]], 1, 0, 1,
+                mlmc.check_capacity([(level + 1, workers * mlmc.CHUNK_SIZE)], 1, 0, 1,
                                     kl_rule, workers, zero_noise=zero_noise)
             except CapacityError:
                 return level

@@ -1,14 +1,17 @@
 """Write the contract outputs of a fixed set of studies, at one and two workers.
 
-    python3 tools/contract_csvs.py OUT
+    python3 tools/contract_csvs.py OUT [--src DIR]
 
 Runs each study below at seed 7 with ``--workers 1`` and ``--workers 2`` into
 ``OUT/<name>/w1/`` and ``OUT/<name>/w2/`` (``det-conv`` takes no ``--workers``
-and simply runs twice), using the package under ``src/`` next to this script.
-Exits 1 if any file but ``timings.csv`` differs between ``w1`` and ``w2``, or
-if a study fails. Two checkouts are compared by running the script in each
+and simply runs twice), using the package under ``src/`` next to this script,
+or under ``DIR`` with ``--src DIR`` (exit 2 if ``DIR/spde_mlmc/__init__.py``
+is missing). Exits 1 if any file but ``timings.csv`` differs between ``w1``
+and ``w2``, or if a study fails. Two checkouts are compared by running this
+script's studies with each one's package, ``--src OTHER/src`` for the other,
 and then ``diff -r -x timings.csv OUT_A OUT_B``: a refactor that keeps the
-numbers leaves no difference.
+numbers leaves no difference, and a study that one checkout's copy of the
+script lacks is compared too.
 """
 
 import filecmp
@@ -40,9 +43,9 @@ STUDIES = {
 }
 
 
-def run_study(args: list, out: Path) -> None:
+def run_study(args: list, out: Path, src: Path = SRC) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-m", "spde_mlmc.cli", *args, "--seed", str(SEED),
                     "--out", str(out)], check=True, env=env)
 
@@ -57,10 +60,13 @@ def differing(a: Path, b: Path) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: contract_csvs.py OUT", file=sys.stderr)
+    if len(argv) not in (1, 3) or argv[1:2] not in ([], ["--src"]):
+        print("usage: contract_csvs.py OUT [--src DIR]", file=sys.stderr)
         return 2
-    root = Path(argv[0])
+    root, src = Path(argv[0]), Path(argv[2]) if len(argv) == 3 else SRC
+    if not (src / "spde_mlmc" / "__init__.py").is_file():
+        print(f"{src} holds no spde_mlmc/__init__.py", file=sys.stderr)
+        return 2
     failed = []
     for name, text in STUDIES.items():
         args = text.split()
@@ -68,7 +74,7 @@ def main(argv=None) -> int:
         try:
             for workers, out in zip((1, 2), outs):
                 run_study(args + ([] if args[0] == "det-conv" else ["--workers", str(workers)]),
-                          out)
+                          out, src)
         except subprocess.CalledProcessError as exc:
             failed.append(f"{name}: exit {exc.returncode}")
             continue
