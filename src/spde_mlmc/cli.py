@@ -5,7 +5,8 @@ Four subcommands cover the studies: ``det-conv`` (deterministic convergence),
 work per level for one or more schedules), and ``compare`` (strong versus
 weak schedules at matched accuracy). ``run`` and ``compare`` share one study
 path: it builds every schedule and admits the whole study before the first
-chunk runs; ``variance`` admits its whole level range the same way.
+chunk runs; ``variance`` passes its whole level range to one
+``mlmc.pair_variances`` call, which admits it the same way.
 
 Each option is declared once, in its ``_OPTIONS`` row, default included:
 ``make_config`` fills a ``RunConfig`` from the rows' defaults and the parsed
@@ -18,8 +19,10 @@ that ``--a-seq`` and ``--eta`` come only with ``general``, that each value is
 nonempty and parses, that ``--out`` is or can be made a directory, and ``--m``
 with its memory. The library's one admission function, ``mlmc.check_capacity``,
 checks base level, pair level, workers (at most ``mlmc.MAX_WORKERS``),
-replicates, sample counts, chunk memory and stream keys,
-``mlmc.pair_variances`` that there are two pairs, ``mlmc.build_schedule`` the
+replicates, sample counts, chunk memory and stream keys;
+``mlmc.pair_variances`` checks a variance study's two pairs and then admits
+all its levels in one such call; ``mlmc.check_gamma`` checks ``--gamma`` (for
+``variance``, which only records it, too), ``mlmc.build_schedule`` the other
 schedule input, ``SampleSchedule.level_counts`` a base level above a
 schedule's top, ``mlmc.mlmc_estimate`` the ``--functional`` name, which it
 takes as given, and ``fem.check_deterministic`` each ``det-conv`` level's
@@ -47,7 +50,7 @@ from .errors import NumericalError, UsageError
 from .fem import check_deterministic, mass_norm_sq, run_deterministic
 from .grid import make_level
 from .metrics import exact_mean, fit_slope, reference_points, rms_aggregate, rms_error
-from .mlmc import build_schedule, check_capacity, mlmc_estimate, pair_variances
+from .mlmc import build_schedule, check_capacity, check_gamma, mlmc_estimate, pair_variances
 
 SCHEMA_VERSION = 1
 
@@ -288,11 +291,10 @@ def cmd_det_conv(cfg: RunConfig) -> int:
 
 
 def cmd_variance(cfg: RunConfig) -> int:
-    levels = range(cfg.levels[0], cfg.levels[1] + 1)
-    check_capacity([(l, cfg.pairs) for l in levels], cfg.lmin, cfg.seed, 1, cfg.kl_modes,
-                   cfg.workers, zero_noise=cfg.zero_noise)
-    stats = [pair_variances(l, cfg.lmin, cfg.pairs, cfg.seed, kl_rule=cfg.kl_modes,
-                            zero_noise=cfg.zero_noise, workers=cfg.workers) for l in levels]
+    check_gamma(cfg.gamma)  # only recorded here, but held to run's range
+    stats = pair_variances(range(cfg.levels[0], cfg.levels[1] + 1), cfg.lmin, cfg.pairs,
+                           cfg.seed, kl_rule=cfg.kl_modes, zero_noise=cfg.zero_noise,
+                           workers=cfg.workers)
     rows = [(stat.level, stat.variance, stat.level_variance) for stat in stats]
     # zero-noise variances are exact zeros
     points = [(stat.level, np.log2(stat.variance)) for stat in stats if stat.variance > 0.0]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, UsageError
+from .errors import CapacityError, UsageError, as_index
 
 #: Largest supported level: steps = 2**(2*l) must stay within int64.
 MAX_LEVEL = 31
@@ -40,8 +40,10 @@ def make_level(level: int) -> LevelGeometry:
     """Build the geometry of refinement level ``level``.
 
     Level 0 is valid but degenerate: its interior-node space is empty
-    (dofs = 0), so simulation hierarchies start at level 1.
+    (dofs = 0), so simulation hierarchies start at level 1. A level that is
+    not an integer (numpy integers are) is a ``UsageError``.
     """
+    level = as_index(level, "a level")
     if level < 0:
         raise UsageError(f"level must be nonnegative, got {level}")
     if level > MAX_LEVEL:
@@ -83,14 +85,15 @@ class NodalField:
 def prolong_to(field: NodalField, target_level: int) -> NodalField:
     """Exact injection of a P1 function into the nested space of
     ``target_level``, one ``prolong_values`` per level."""
-    if target_level < field.level.level:
+    target = make_level(target_level)
+    if target.level < field.level.level:
         raise UsageError(
             f"cannot prolong level {field.level.level} down to {target_level}"
         )
     values = field.values
-    for _ in range(target_level - field.level.level):
+    for _ in range(target.level - field.level.level):
         values = prolong_values(values)
-    return NodalField(make_level(target_level), values)
+    return NodalField(target, values)
 
 
 def prolong_values(values: np.ndarray) -> np.ndarray:

@@ -30,9 +30,11 @@ None (F = 0) or a callable on nodal values that keeps their shape.
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
 ``check_capacity`` is the one admission of estimator work, of one flat plan:
-``mlmc_estimate``, ``pair_variances`` and ``sample_pair`` call it, and the CLI
-calls it on a whole study, before any path is simulated; stream coordinates,
-the base level, a fixed KL truncation and the worker count must be integers.
+``mlmc_estimate`` and ``sample_pair`` call it on what they run,
+``pair_variances`` on a whole variance study after its two-pair rule, and the
+CLI on a whole ``run`` or ``compare`` study, before any path is simulated;
+stream coordinates, levels, the base level, a fixed KL truncation and the
+worker count must be integers. ``check_gamma`` alone bounds gamma.
 One runner, ``_level_moments``, runs each level's chunks of the one chunk
 task, ``_level_task``, at most two per worker in flight, and forms every mean
 and variance from their sums into the level's ``LevelStat``, the one
@@ -131,6 +133,12 @@ class SampleSchedule:
         return plan[level]
 
 
+def check_gamma(gamma: float) -> None:
+    """Reject a rate parameter gamma outside (0, 1), NaN included."""
+    if not 0.0 < gamma < 1.0:
+        raise UsageError(f"gamma must lie in (0, 1), got {gamma}")
+
+
 def build_schedule(
     mode: str,
     top_level: int,
@@ -149,8 +157,7 @@ def build_schedule(
         raise UsageError(f"unknown schedule mode {mode!r}")
     if top_level < 1:
         raise UsageError("top level must be at least 1")
-    if not 0.0 < gamma < 1.0:
-        raise UsageError(f"gamma must lie in (0, 1), got {gamma}")
+    check_gamma(gamma)
     if not 0.0 <= eps < math.inf:
         raise UsageError(f"eps must be finite and nonnegative, got {eps}")
     make_level(top_level)  # capacity check
@@ -276,19 +283,20 @@ def check_capacity(plan, lmin, master_seed, replicates, kl_rule, workers: int = 
                    zero_noise: bool = False, drift=None):
     """Admit estimator work before any path is simulated: ``replicates``
     replicates of ``plan``, the (level, samples) pairs of a study's runs, from
-    the base level ``lmin``. Checks the base level and that no level lies below
-    it, the replicates, that each level has a sample and that the chunks of
-    every level that can be in flight at once, min(``workers``, ceil(n /
-    CHUNK_SIZE)) for the level's largest sample count n in the plan, fit in
-    ``MAX_TASK_BYTES`` (``chunk_bytes`` each, of chunks with the given
-    ``zero_noise`` and ``drift``), at most ``MAX_WORKERS`` workers, and the
-    stream key of each level's last sample in the last replicate.
+    the base level ``lmin``. Checks the base level and that each level is an
+    integer not below it, the replicates, that each level has a sample and
+    that the chunks of every level that can be in flight at once,
+    min(``workers``, ceil(n / CHUNK_SIZE)) for the level's largest sample
+    count n in the plan, fit in ``MAX_TASK_BYTES`` (``chunk_bytes`` each, of
+    chunks with the given ``zero_noise`` and ``drift``), at most
+    ``MAX_WORKERS`` workers, and the stream key of each level's last sample
+    in the last replicate.
     """
     check_base(lmin)
     if replicates < 1:
         raise UsageError(f"a study needs at least one replicate, got {replicates}")
     for level, _ in plan:
-        if level < lmin:
+        if as_index(level, "a level") < lmin:
             raise UsageError(f"pair level {level} below the base level {lmin}")
     if as_index(workers, "workers") < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
@@ -443,20 +451,21 @@ def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args) -> 
                      n * pair_op_work(level, lmin), wall)
 
 
-def pair_variances(pair_level, lmin, n, master_seed, kl_rule=None,
-                   zero_noise=False, workers=1) -> LevelStat:
-    """The ``LevelStat`` of ``n`` coupled pairs at ``pair_level``, replicate 0:
-    ``variance`` and ``level_variance`` are the Hilbert-space variances (mean
-    squared L2 distance from the sample mean) of the level difference, the
-    coarse member prolonged to the fine grid (the path itself at the base
-    level), and of the fine path. Fails before any simulation on fewer than
-    two pairs or on what ``check_capacity`` rejects of those pairs.
+def pair_variances(pair_levels, lmin, n, master_seed, kl_rule=None,
+                   zero_noise=False, workers=1) -> tuple:
+    """A variance study: the ``LevelStat`` of ``n`` coupled pairs in replicate 0 at each
+    level of ``pair_levels``, in order. ``variance`` and ``level_variance`` are the
+    Hilbert-space variances (mean squared L2 distance from the sample mean) of the level
+    difference, the coarse member prolonged to the fine grid (the path itself at the base
+    level), and of the fine path. The study's one admission, before any simulation:
+    fewer than two pairs fail, then what ``check_capacity`` rejects of all its pairs.
     """
     if n < 2:
         raise UsageError("variance estimation needs at least two pairs")
-    check_capacity([(pair_level, n)], lmin, master_seed, 1, kl_rule, workers, zero_noise)
-    return _level_moments(_level_task, workers, pair_level, lmin, n, 0, master_seed, kl_rule,
-                          None, zero_noise, "identity")
+    plan = [(level, n) for level in pair_levels]
+    check_capacity(plan, lmin, master_seed, 1, kl_rule, workers, zero_noise)
+    return tuple(_level_moments(_level_task, workers, level, lmin, n, 0, master_seed, kl_rule,
+                                None, zero_noise, "identity") for level, _ in plan)
 
 
 @dataclass(frozen=True)

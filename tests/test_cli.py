@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -215,8 +216,16 @@ def test_study_plan_rejected_before_the_first_chunk(tmp_path, monkeypatch, capsy
     (["variance", "--levels", "2..17", "--pairs", "8"], "level 17 chunks"),
     (["variance", "--levels", "2..2", "--pairs", "320000", "--workers", "5000"],
      "workers must be at most"),
-    (["variance", "--levels", "2..3", "--pairs", "0"], "level 2 has 0 samples"),
-    (["variance", "--levels", "2..3", "--pairs", "-3"], "level 2 has -3 samples"),
+    # the two-pair rule comes first, before the plan's one-sample rule
+    (["variance", "--levels", "2..3", "--pairs", "0"], "two pairs"),
+    (["variance", "--levels", "2..3", "--pairs", "-3"], "two pairs"),
+    # variance checks --gamma as run does, though it only records it
+    (["variance", "--levels", "2..3", "--pairs", "8", "--gamma", "5"],
+     "gamma must lie in (0, 1), got 5.0"),
+    (["variance", "--levels", "2..3", "--pairs", "8", "--gamma", "nan"],
+     "gamma must lie in (0, 1), got nan"),
+    (["variance", "--levels", "2..3", "--pairs", "8", "--gamma", "-1"],
+     "gamma must lie in (0, 1), got -1.0"),
 ])
 def test_library_checks_exit_2_before_the_first_chunk(tmp_path, monkeypatch, capsys,
                                                       argv, named):
@@ -553,13 +562,13 @@ def test_contract_studies_parse(tmp_path, name):
     # tools/contract_csvs.py runs these studies to show that a refactor keeps
     # every contract byte; an option it renames must fail here, in the tests,
     # not first when the tool runs. Parsing runs no chunk.
-    args = CONTRACT.STUDIES[name].split()
-    argv = [*args, "--seed", str(CONTRACT.SEED), "--out", str(tmp_path / name)]
+    command = CONTRACT.STUDIES[name].split()[0]
     for workers in (1, 2):
-        extra = [] if args[0] == "det-conv" else ["--workers", str(workers)]
-        cfg = make_config(build_parser().parse_args(argv + extra))
-        assert (cfg.command, cfg.seed, cfg.workers) == (args[0], CONTRACT.SEED,
-                                                        workers if extra else 1)
+        argv = CONTRACT.study_argv(name, workers)
+        assert argv[:2] == ["-m", "spde_mlmc.cli"]
+        cfg = make_config(build_parser().parse_args(argv[2:] + [str(tmp_path / name)]))
+        assert (cfg.command, cfg.seed, cfg.workers) == (
+            command, CONTRACT.SEED, 1 if command == "det-conv" else workers)
 
 
 def test_contract_comparison_names_differing_and_missing_files(tmp_path):
@@ -594,9 +603,11 @@ def test_contract_tool_runs_its_studies_with_another_package(tmp_path, monkeypat
     (other / "spde_mlmc").mkdir(parents=True)
     (other / "spde_mlmc" / "__init__.py").write_text("")
     assert CONTRACT.main([str(tmp_path / "out"), "--src", str(other)]) == 0
-    assert len(calls) == 2 * len(CONTRACT.STUDIES)
+    assert len(calls) == 2 * (len(CONTRACT.STUDIES) + 1)
     assert {src for *_, src in calls} == {other}
     assert calls[0][1] == tmp_path / "out" / next(iter(CONTRACT.STUDIES)) / "w1"
+    # the library study of the drift engine runs last, at 1 and 2 workers
+    assert calls[-2:] == [("-c", tmp_path / "out" / "drift" / f"w{w}", other) for w in (1, 2)]
     calls.clear()
     assert CONTRACT.main([str(tmp_path / "out")]) == 0
     assert {src for *_, src in calls} == {CONTRACT.SRC}
@@ -607,6 +618,18 @@ def test_contract_tool_runs_its_studies_with_another_package(tmp_path, monkeypat
         assert CONTRACT.main(argv) == 2
     assert "holds no spde_mlmc/__init__.py" in capsys.readouterr().err
     assert calls == []
+
+
+def test_contract_drift_study_is_identical_at_one_and_two_workers(tmp_path):
+    # no CLI study passes a drift: the tool's library study runs the drift
+    # engine, and its floats must not depend on the worker count
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        CONTRACT.run_study(CONTRACT.study_argv("drift", workers), out)
+    assert CONTRACT.differing(*outs) == []
+    lines = (outs[0] / "drift.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("estimate ") and len(lines) == 1 + 3 + 3 * (4 + 2 * 3 * 4)
+    assert all(math.isfinite(float(word)) for line in lines for word in line.split()[-1:])
 
 
 def test_variance_pool_is_byte_identical_to_inline(tmp_path):

@@ -250,6 +250,14 @@ def test_deterministic_run_rejects_a_level_over_the_memory_cap(monkeypatch):
     fem.check_deterministic(make_level(24))
 
 
+@pytest.mark.parametrize("level", [2.0, "2"])
+def test_deterministic_run_of_a_non_integer_level_is_a_usage_error(level):
+    # make_level(2.0) once built a level of 3.0 dofs, and this run then ended
+    # in an IndexError of numpy's indexing
+    with pytest.raises(UsageError, match="a level must be an integer"):
+        run_deterministic(make_level(level))
+
+
 def test_deterministic_convergence_order():
     points = []
     for level_index in range(3, 8):

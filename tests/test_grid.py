@@ -119,3 +119,27 @@ def test_prolong_values_batched_matches_single():
     for b in range(5):
         single = prolong_to(NodalField(make_level(3), batch[:, b]), 4)
         np.testing.assert_array_equal(lifted[:, b], single.values)
+
+
+@pytest.mark.parametrize("level", [2.0, 2.5, "2", None])
+def test_a_level_must_be_an_integer(level):
+    # a float level once gave dofs 3.0 and steps 16.0, and failed only later,
+    # as an IndexError deep in the deterministic solve
+    with pytest.raises(UsageError, match=f"a level must be an integer, got {level!r}"):
+        make_level(level)
+    with pytest.raises(UsageError, match=f"a level must be an integer, got {level!r}"):
+        prolong_to(NodalField(make_level(1), np.array([1.0])), level)
+
+
+def test_numpy_integer_levels_are_accepted():
+    g = make_level(np.int64(3))
+    assert g == make_level(3)
+    assert type(g.dofs) is int and type(g.steps) is int
+    fine = prolong_to(NodalField(make_level(1), np.array([1.0])), np.int32(2))
+    np.testing.assert_array_equal(fine.values, [0.5, 1.0, 0.5])
+
+
+def test_prolong_to_checks_the_target_before_it_prolongs():
+    # a target beyond MAX_LEVEL fails as such, not after 30 doublings
+    with pytest.raises(CapacityError, match="level 40 exceeds capacity"):
+        prolong_to(NodalField(make_level(1), np.array([1.0])), 40)

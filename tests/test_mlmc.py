@@ -249,6 +249,30 @@ def test_zero_noise_chunk_equals_the_deterministic_solution(level_index):
     assert np.max(np.abs(fine.values - det)) <= 1e-14 * np.max(np.abs(det))
 
 
+@pytest.mark.parametrize("kl_rule", [None, 3, 40])
+@pytest.mark.parametrize("coarse", [False, True], ids=["base-is-pair-level", "base-1"])
+def test_linear_drift_without_noise_scales_the_first_mode_exactly(coarse, kl_rule):
+    # with F(u) = c u every drifted step multiplies the first sine mode by
+    # rho_1 (1 + c dt), rho_1 = lm_1/(lm_1 + dt lk_1) from the P1 eigenvalues
+    # lm_1 = h (2 + cos(pi h))/3 and lk_1 = 2 (1 - cos(pi h))/h
+    c = -3.0
+    for pair_level in range(1, 7):
+        base = 1 if coarse else pair_level
+        paths = sample_pair(pair_level, base, 0, 0, kl_rule=kl_rule,
+                            drift=lambda u: c * u, zero_noise=True)
+        for path in paths:
+            if path is None:
+                continue
+            level = path.level
+            h, dt = level.mesh_width, level.time_step
+            lm = h * (2.0 + math.cos(math.pi * h)) / 3.0
+            lk = 2.0 * (1.0 - math.cos(math.pi * h)) / h
+            factor = (lm / (lm + dt * lk) * (1.0 + c * dt)) ** level.steps
+            exact = factor * np.sin(np.pi * level.nodes)
+            assert np.max(np.abs(path.values - exact)) <= 1e-11 * np.max(np.abs(exact))
+        assert (paths[1] is None) == (base == pair_level)
+
+
 def test_zero_noise_chunk_stays_exact_at_level_16():
     # 4**16 steps: a rounded rho raised to that power would be off by 7e-12
     level = make_level(16)
@@ -536,20 +560,21 @@ def test_thread_workers_on_cold_caches_match_inline():
     # side, interleaved finely by a short switch interval
     from spde_mlmc.mlmc import pair_variances
 
-    serial = pair_variances(4, 1, 300, 5)
+    (serial,) = pair_variances([4], 1, 300, 5)
     out = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         runner = threading.Thread(
-            target=lambda: out.append(pair_variances(4, 1, 300, 5, workers=4)), daemon=True)
+            target=lambda: out.append(pair_variances([4], 1, 300, 5, workers=4)), daemon=True)
         runner.start()
         runner.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
     assert len(out) == 1
-    assert_same_level_stat(out[0], serial)
+    (threaded,) = out[0]
+    assert_same_level_stat(threaded, serial)
 
 
 def test_stream_capacity_checked_before_simulation(monkeypatch):
@@ -566,7 +591,7 @@ def test_stream_capacity_checked_before_simulation(monkeypatch):
     with pytest.raises(UsageError, match="32 bits"):
         mlmc_estimate(too_many, 1, master_seed=0)
     with pytest.raises(UsageError, match="32 bits"):
-        mlmc.pair_variances(3, 1, 2**32 + 1, 0)
+        mlmc.pair_variances([3], 1, 2**32 + 1, 0)
 
 
 @pytest.mark.parametrize("call,named", [
@@ -577,25 +602,28 @@ def test_stream_capacity_checked_before_simulation(monkeypatch):
     (lambda: sample_pair(2, 1, 0, 0, replicate=1.0),
      "a stream coordinate must be an integer, got 1.0"),
     (lambda: sample_pair(2, 1, 0, 1.5), "a stream coordinate must be an integer, got 1.5"),
-    (lambda: spde_mlmc.mlmc.pair_variances(3, 1, 64.0, 7),
+    (lambda: spde_mlmc.mlmc.pair_variances([3], 1, 64.0, 7),
      "a stream coordinate must be an integer, got 63.0"),
     (lambda: mlmc_estimate(build_schedule("weak", 2), 1, kl_rule=3.0),
      "mode truncation must be an integer, got 3.0"),
-    (lambda: spde_mlmc.mlmc.pair_variances(3, 1, 8, 7, kl_rule=3.0),
+    (lambda: spde_mlmc.mlmc.pair_variances([3], 1, 8, 7, kl_rule=3.0),
      "mode truncation must be an integer, got 3.0"),
     (lambda: mlmc_estimate(build_schedule("weak", 2), 1, workers=2.0),
      "workers must be an integer, got 2.0"),
-    (lambda: spde_mlmc.mlmc.pair_variances(3, 1, 8, 7, workers=2.0),
+    (lambda: spde_mlmc.mlmc.pair_variances([3], 1, 8, 7, workers=2.0),
      "workers must be an integer, got 2.0"),
     (lambda: mlmc_estimate(build_schedule("weak", 2), 1.0),
      "the base level must be an integer, got 1.0"),
-    (lambda: spde_mlmc.mlmc.pair_variances(3, 1.0, 8, 7),
+    (lambda: spde_mlmc.mlmc.pair_variances([3], 1.0, 8, 7),
      "the base level must be an integer, got 1.0"),
-    (lambda: spde_mlmc.mlmc.pair_variances(3.0, 1, 8, 7),
-     "a stream coordinate must be an integer, got 3.0"),
+    (lambda: spde_mlmc.mlmc.pair_variances([3.0], 1, 8, 7),
+     "a level must be an integer, got 3.0"),
+    (lambda: spde_mlmc.mlmc.pair_variances([2, "3"], 1, 8, 7),
+     "a level must be an integer, got '3'"),
+    (lambda: sample_pair("3", 1, 0, 0), "a level must be an integer, got '3'"),
 ], ids=["seed", "estimate-replicate", "pair-replicate", "pair-sample", "pairs", "kl-rule",
         "pairs-kl-rule", "workers", "pairs-workers", "base-level", "pairs-base-level",
-        "pair-level"])
+        "pair-level", "pair-level-text", "sample-pair-level-text"])
 def test_non_integer_coordinates_rejected_before_the_first_chunk(monkeypatch, call, named):
     # a float seed ran bitwise as its floor; others ended in a TypeError of
     # the key's shifts, a slice, a range or a thread pool, or ran
@@ -701,18 +729,50 @@ def test_level_difference_variance_decays():
     from spde_mlmc.mlmc import pair_variances
 
     points = []
-    for level_index in range(2, 6):
-        stat = pair_variances(level_index, 1, 400, 2024)
+    for stat in pair_variances(range(2, 6), 1, 400, 2024):
         assert 0.0 < stat.variance < stat.level_variance
-        points.append((level_index, math.log2(stat.variance)))
+        points.append((stat.level, math.log2(stat.variance)))
     assert -1.8 <= fit_slope(points) <= -0.5
 
 
-def test_pair_variances_validation():
-    from spde_mlmc.mlmc import pair_variances
+def test_pair_variances_validation(monkeypatch):
+    # a variance study is admitted once, before its first chunk: the two-pair
+    # rule first, then one check_capacity call on every (level, n), so a
+    # level that the cap rejects fails before the levels below it run
+    from spde_mlmc import mlmc
+    from spde_mlmc.errors import CapacityError
 
-    with pytest.raises(UsageError):
-        pair_variances(2, 1, 1, 0)
+    admitted = []
+    check = mlmc.check_capacity
+
+    def recording_check(plan, *args, **kwargs):
+        admitted.append(list(plan))
+        return check(plan, *args, **kwargs)
+
+    def no_simulation(*_args):
+        raise AssertionError("a chunk ran before the study was admitted")
+
+    monkeypatch.setattr(mlmc, "check_capacity", recording_check)
+    monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
+    for n in (0, -3, 1):
+        with pytest.raises(UsageError, match="^variance estimation needs at least two pairs$"):
+            mlmc.pair_variances([2, 20], 0, n, 0)
+    assert admitted == []
+    with pytest.raises(CapacityError, match="level 17 chunks"):
+        mlmc.pair_variances(range(2, 18), 1, 8, 0)
+    assert admitted == [[(l, 8) for l in range(2, 18)]]
+
+
+def test_pair_variances_returns_one_record_per_level_in_order():
+    # a study's records are those of its levels run one by one
+    from spde_mlmc import mlmc
+
+    study = mlmc.pair_variances((4, 2, 3), 1, 70, 11, kl_rule=3)
+    assert isinstance(study, tuple)
+    assert [stat.level for stat in study] == [4, 2, 3]
+    for stat in study:
+        (alone,) = mlmc.pair_variances([stat.level], 1, 70, 11, kl_rule=3)
+        assert_same_level_stat(stat, alone)
 
 
 def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeypatch):
@@ -725,20 +785,20 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
 
     monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
     with pytest.raises(UsageError, match="pair level 2 below the base level 3"):
-        mlmc.pair_variances(2, 3, 4, 0)
+        mlmc.pair_variances([2], 3, 4, 0)
     with pytest.raises(UsageError, match="base level must be at least 1"):
-        mlmc.pair_variances(2, 0, 4, 0)
+        mlmc.pair_variances([2], 0, 4, 0)
     for workers in (0, -3):
         with pytest.raises(UsageError, match="workers must be at least 1"):
             mlmc.check_capacity([(20, 1)], 1, 0, 1, None, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
-            mlmc.pair_variances(2, 1, 4, 0, workers=workers)
+            mlmc.pair_variances([2], 1, 4, 0, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
             mlmc_estimate(build_schedule("weak", 2), 1, workers=workers)
     # more workers than the bound are rejected before a pool asks for threads
     too_many = f"workers must be at most {mlmc.MAX_WORKERS}, got 5000"
     with pytest.raises(UsageError, match=too_many):
-        mlmc.pair_variances(2, 1, 320000, 0, workers=5000)
+        mlmc.pair_variances([2], 1, 320000, 0, workers=5000)
     with pytest.raises(UsageError, match=too_many):
         mlmc_estimate(build_schedule("weak", 2), 1, workers=5000)
     with pytest.raises(UsageError, match="at least one replicate, got 0"):
@@ -762,7 +822,7 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
 
     monkeypatch.setattr(mlmc, "_simulate_chunk", no_simulation)
     with pytest.raises(CapacityError, match="level 2 chunks"):
-        mlmc.pair_variances(2, 1, 2, 0, kl_rule=10**8)
+        mlmc.pair_variances([2], 1, 2, 0, kl_rule=10**8)
     with pytest.raises(CapacityError, match="level 1 chunks"):
         mlmc_estimate(build_schedule("weak", 2), 1, kl_rule=10**8)
     # a drift holds one slab of increments, as a run without one does: both
@@ -861,8 +921,8 @@ def test_estimator_and_pair_variances_share_level_moments(workers):
     result = mlmc_estimate(build_schedule("weak", 4), 1, master_seed=3, workers=workers)
     assert [stat.level for stat in result.level_stats] == [1, 2, 3, 4]
     for stat in result.level_stats:
-        assert_same_level_stat(stat, mlmc.pair_variances(stat.level, 1, stat.samples, 3,
-                                                         workers=workers))
+        (pair_stat,) = mlmc.pair_variances([stat.level], 1, stat.samples, 3, workers=workers)
+        assert_same_level_stat(stat, pair_stat)
 
 
 def test_level_task_sums_the_fine_values_of_a_scalar_functional():

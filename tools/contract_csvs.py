@@ -6,8 +6,10 @@ Runs each study below at seed 7 with ``--workers 1`` and ``--workers 2`` into
 ``OUT/<name>/w1/`` and ``OUT/<name>/w2/`` (``det-conv`` takes no ``--workers``
 and simply runs twice), using the package under ``src/`` next to this script,
 or under ``DIR`` with ``--src DIR`` (exit 2 if ``DIR/spde_mlmc/__init__.py``
-is missing). Exits 1 if any file but ``timings.csv`` differs between ``w1``
-and ``w2``, or if a study fails. Two checkouts are compared by running this
+is missing). The CLI passes no drift, so one library study, ``drift``, runs
+the drift engine through ``mlmc_estimate`` and ``sample_pair`` and writes the
+``repr`` of its floats to ``drift.txt``. Exits 1 if any file but
+``timings.csv`` differs between ``w1`` and ``w2``, or if a study fails. Two checkouts are compared by running this
 script's studies with each one's package, ``--src OTHER/src`` for the other,
 and then ``diff -r -x timings.csv OUT_A OUT_B``: a refactor that keeps the
 numbers leaves no difference, and a study that one checkout's copy of the
@@ -43,11 +45,49 @@ STUDIES = {
 }
 
 
-def run_study(args: list, out: Path, src: Path = SRC) -> None:
+#: The library study of the drift engine, run as ``python -c`` with the seed,
+#: the worker count and the output directory: the estimate and level variances
+#: of a drifted weak run at that worker count, and the nodal values of drifted
+#: pairs at levels 1..4, samples 0..3 and three KL truncations.
+DRIFT_STUDY = """
+import sys
+from pathlib import Path
+import numpy as np
+from spde_mlmc.mlmc import build_schedule, mlmc_estimate, sample_pair
+
+seed, workers, out = int(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3])
+drift = lambda v: -v + np.sin(v)
+result = mlmc_estimate(build_schedule("weak", 3), 1, "squared-norm", master_seed=seed,
+                       drift=drift, workers=workers)
+lines = [f"estimate {result.estimate!r}"]
+lines += [f"level {s.level} {s.variance!r} {s.level_variance!r}" for s in result.level_stats]
+for kl_rule in (None, 3, 40):
+    for level in range(1, 5):
+        for sample in range(4):
+            pair = sample_pair(level, 1, seed, sample, kl_rule=kl_rule, drift=drift)
+            lines += [" ".join([f"{role} {level} {sample} {kl_rule}",
+                                *map(repr, path.values.tolist())])
+                      for role, path in zip(("fine", "coarse"), pair) if path is not None]
+out.mkdir(parents=True, exist_ok=True)
+(out / "drift.txt").write_text("\\n".join(lines) + "\\n", encoding="utf-8")
+"""
+
+
+def study_argv(name: str, workers: int) -> list:
+    """Python's arguments for study ``name`` at ``workers``, but the output
+    directory, which comes last."""
+    if name == "drift":
+        return ["-c", DRIFT_STUDY, str(SEED), str(workers)]
+    args = STUDIES[name].split()
+    extra = [] if args[0] == "det-conv" else ["--workers", str(workers)]
+    return ["-m", "spde_mlmc.cli", *args, *extra, "--seed", str(SEED), "--out"]
+
+
+def run_study(argv: list, out: Path, src: Path = SRC) -> None:
+    """Run Python with ``argv`` and then ``out`` on the package under ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-m", "spde_mlmc.cli", *args, "--seed", str(SEED),
-                    "--out", str(out)], check=True, env=env)
+    subprocess.run([sys.executable, *argv, str(out)], check=True, env=env)
 
 
 def differing(a: Path, b: Path) -> list:
@@ -68,13 +108,11 @@ def main(argv=None) -> int:
         print(f"{src} holds no spde_mlmc/__init__.py", file=sys.stderr)
         return 2
     failed = []
-    for name, text in STUDIES.items():
-        args = text.split()
+    for name in [*STUDIES, "drift"]:
         outs = [root / name / f"w{workers}" for workers in (1, 2)]
         try:
             for workers, out in zip((1, 2), outs):
-                run_study(args + ([] if args[0] == "det-conv" else ["--workers", str(workers)]),
-                          out, src)
+                run_study(study_argv(name, workers), out, src)
         except subprocess.CalledProcessError as exc:
             failed.append(f"{name}: exit {exc.returncode}")
             continue
