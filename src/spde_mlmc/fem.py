@@ -118,10 +118,13 @@ class StepOperator:
         exponents = np.arange(BLOCK - 1, -1, -1)[:, None] * self.log_rho[target]
         #: inner[i] = rho**(BLOCK-1-i) and outer[k] = rho**(BLOCK*(BLOCK-1-k)) * beta,
         #: shape (BLOCK, modes): the weight rho**(n-1-m) * beta of step m = k*b + i
-        #: of n is inner[-b:][i] * outer[-n//b:][k] (see ``step``).
+        #: of n is inner[-b:][i] * outer[-n//b:][k] (see ``step``). Formed in place:
+        #: ``mlmc.chunk_bytes`` budgets an operator as these two tables.
         self.inner = np.exp(exponents)
-        self.outer = np.exp(BLOCK * exponents) * self.beta
-        self.outer[np.abs(self.outer) < 1e-300] = 0.0  # no denormals in the sums (with h)
+        exponents *= BLOCK
+        self.outer = np.exp(exponents, out=exponents)
+        self.outer *= self.beta
+        self.outer[(self.outer > -1e-300) & (self.outer < 1e-300)] = 0.0  # no denormals (with h)
 
     def _add_modes(self, coeffs: np.ndarray, per_mode: np.ndarray) -> np.ndarray:
         if self.fold is None:

@@ -16,11 +16,15 @@ the top. ``predict_work`` takes every multilevel exponent from the one work
 bound of the MLMC theorem (Giles, Oper. Res. 56 (2008)).
 
 Paths are simulated in chunks of ``CHUNK_SIZE`` by ``fem.StepOperator`` in
-the one stepping loop of ``_simulate_chunk``: one block length per chunk,
-groups of a slab's worth of paths. Rows of standard normals, drawn once per
-block, drive the fine paths and their halved sums of four the coarse ones:
-c_j <- rho_j c_j + beta_j z_j; beta_j carries h. Without noise or drift a
-chunk steps nothing: its paths are ``fem.initial_decay`` times the initial
+the one stepping loop of ``_simulate_chunk``. A chunk's plan,
+``_chunk_plan``, is the one place that decides its levels (the coarse member
+above the base level), its block length and its group width; the loop, a
+pair's cost ``pair_op_work``, a chunk's memory ``chunk_bytes`` (and so
+``check_capacity``) and the readers of a chunk's states, ``_level_task`` and
+``sample_pair``, all take them from it. Rows of standard normals, drawn once
+per block, drive the fine paths and their halved sums of four the coarse
+ones: c_j <- rho_j c_j + beta_j z_j; beta_j carries h. Without noise or drift
+a chunk steps nothing: its paths are ``fem.initial_decay`` times the initial
 data. A chunk builds its own operators and drops them on return, so worker
 threads share no mutable state. The functional and the drift are plain
 values: the functional is ``"identity"``, ``"squared-norm"`` or a callable on a
@@ -61,17 +65,18 @@ from .noise import KIND_PATH, coarsen_rows, draw_increment_rows, kl_modes, path_
 CHUNK_SIZE = 64
 
 #: Doubles per dof and path that a chunk's states and terminal transforms
-#: take: over its slabs and the tables of its two operators, one 64-pair chunk
-#: at levels 5..8 with 1, 3, 19 or dofs KL modes, with and without a drift (to
-#: level 7), peaked at up to 12.03 (tracemalloc; level 5, one mode, a drift;
-#: ``CHUNK_OVERHEAD_BYTES`` covers the 496 bytes beyond 12).
+#: take: over its slabs and the tables of its operators, one 64-pair chunk at
+#: levels 5..8 with 1, 3, 19 or dofs KL modes, with and without a drift (to
+#: level 7), from base level 1 and at its own level, peaked at up to 13.11
+#: (tracemalloc; level 5, one mode, a drift, base level 1;
+#: ``CHUNK_OVERHEAD_BYTES`` covers the 17,600 bytes beyond 12).
 STATE_DOUBLES = 12
 
 #: Bytes a chunk holds whatever its size: its Philox streams and Python
-#: objects. Over its slabs, states and the tables of its two operators, one
+#: objects. Over its slabs, states and the tables of its operators, one
 #: 64-pair chunk at levels 1..8 with 1, 3, 19 or dofs KL modes, with and
-#: without a drift (to level 7), peaked at up to 42,856 bytes (tracemalloc;
-#: level 1, a drift).
+#: without a drift (to level 7), from base level 1 and at its own level,
+#: peaked at up to 44,304 bytes (tracemalloc; level 1, a drift).
 CHUNK_OVERHEAD_BYTES = 2**16
 
 #: Worker threads at most. A level's pool starts one OS thread per worker;
@@ -207,40 +212,45 @@ def _functional_values(functional, level: LevelGeometry, states: np.ndarray):
     return values
 
 
+def _chunk_plan(pair_level, lmin, count=1, drift=None):
+    """What a chunk of ``count`` coupled paths at ``pair_level`` simulates, decided
+    here alone: (levels, block, group). Its levels are the fine one and, above the
+    base level ``lmin``, the coarse member one level down; its block min(steps,
+    SLAB_STEPS) steps, min(steps, SLAB_STEPS // CHUNK_SIZE) with a ``drift`` (powers
+    of two: they divide the steps); its group min(count, SLAB_STEPS // block) paths."""
+    levels = [make_level(pair_level - k) for k in range(1 + (pair_level > lmin))]
+    block = min(levels[0].steps, SLAB_STEPS if drift is None else SLAB_STEPS // CHUNK_SIZE)
+    return levels, block, min(count, SLAB_STEPS // block)
+
+
 def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
                     kl_rule, drift, zero_noise):
-    """Simulate ``count`` coupled paths with sample indices start..start+count-1.
+    """Simulate ``count`` coupled paths with sample indices start..start+count-1
+    on the levels, blocks and groups of their ``_chunk_plan``.
 
     Returns (fine, coarse) nodal state matrices at T = 1 with one column per
-    path; coarse is None at the base level. Paths run in sine-mode
-    coordinates (see ``StepOperator``) from the initial data sin(pi*x), the
-    first sine vector. Without noise or drift a path is rho_1**steps
-    (``fem.initial_decay``) times it, and no step operator is built. Otherwise
-    one loop steps groups of min(count, SLAB_STEPS // block) paths, a slab's
-    worth, through blocks of min(steps, SLAB_STEPS) steps, min(steps,
-    SLAB_STEPS // CHUNK_SIZE) with a drift (powers of two: they divide the
-    steps). Each path draws a block into its row of one (group, block, J)
-    buffer that the chunk reuses; each operator steps the group once per block.
-    Only the states at T = 1 are checked to be finite, as a non-finite
-    coefficient stays so to the end.
+    path; coarse is None at the base level. Paths run in sine-mode coordinates
+    (see ``StepOperator``) from the initial data sin(pi*x), the first sine
+    vector, and are rho_1**steps times it without noise or drift
+    (``fem.initial_decay``): no step operator is built. Otherwise each path of a
+    group draws a block into its row of one (group, block, J) buffer that the
+    chunk reuses, and each operator steps the group once per block. Only the
+    states at T = 1 are checked to be finite: a non-finite coefficient stays so.
     """
-    fine = make_level(pair_level)
-    levels = [fine] + ([make_level(pair_level - 1)] if pair_level > lmin else [])
+    levels, block, group = _chunk_plan(pair_level, lmin, count, drift)
     states = [np.zeros((level.dofs, count)) for level in levels]
     noise_free = drift is None and zero_noise
     for level, state in zip(levels, states):
         state[0] = initial_decay(level, level.steps) if noise_free else 1.0
     if not noise_free:
         ops = [StepOperator(level, kl_modes(level, kl_rule)) for level in levels]
-        block = min(fine.steps, SLAB_STEPS if drift is None else SLAB_STEPS // CHUNK_SIZE)
-        group = min(count, SLAB_STEPS // block)
         buffer = np.zeros((group, block, ops[0].modes))  # stays zero without noise
         for first in range(0, count, group):
             columns = [state[:, first:first + group] for state in states]  # last may be narrower
             streams = [path_stream(master_seed, pair_level, replicate, start + b)
                        for b in range(first, min(first + group, count)) if not zero_noise]
             rows = buffer[:columns[0].shape[1]].transpose(1, 2, 0)
-            for _ in range(fine.steps // block):
+            for _ in range(levels[0].steps // block):
                 for stream, path_rows in zip(streams, buffer):
                     draw_increment_rows(stream, block, ops[0].modes, out=path_rows)
                 for k, (op, column) in enumerate(zip(ops, columns)):
@@ -253,22 +263,22 @@ def _simulate_chunk(pair_level, lmin, start, count, replicate, master_seed,
     return nodal[0], nodal[1] if len(nodal) > 1 else None
 
 
-def chunk_bytes(pair_level: int, kl_rule, zero_noise: bool = False, drift=None,
+def chunk_bytes(pair_level: int, lmin: int, kl_rule, zero_noise: bool = False, drift=None,
                 paths=CHUNK_SIZE) -> int:
     """Bytes that one chunk of ``_simulate_chunk`` of ``paths`` paths at
-    ``pair_level`` holds on its thread, all dropped when it returns:
-    ``STATE_DOUBLES * dofs * paths`` doubles of states and terminal
-    transforms and ``CHUNK_OVERHEAD_BYTES``; and, as it steps unless it has
-    ``zero_noise`` and no ``drift``, 2 slabs of s*J doubles, J the KL modes
-    and s = min(SLAB_STEPS, paths*steps) (a group's buffer, which holds s rows
-    without a drift and at most s with one), and the 2*BLOCK*J doubles of
-    tables of each of its two step operators, fine and coarse.
+    ``pair_level`` from the base level ``lmin`` holds on its thread, all
+    dropped when it returns, counted from its ``_chunk_plan``:
+    ``STATE_DOUBLES * dofs * paths`` doubles of states and terminal transforms
+    and ``CHUNK_OVERHEAD_BYTES``; and, as it steps unless it has ``zero_noise``
+    and no ``drift``, 2 slabs of group*block*J doubles, J the fine level's KL
+    modes (its buffer and the coarsened rows), and 2*BLOCK*J doubles of tables
+    for each step operator the plan builds.
     """
-    fine = make_level(pair_level)
-    jf, jc = kl_modes(fine, kl_rule), kl_modes(make_level(pair_level - 1), kl_rule)
-    doubles = STATE_DOUBLES * fine.dofs * paths
+    levels, block, group = _chunk_plan(pair_level, lmin, paths, drift)
+    modes = [kl_modes(level, kl_rule) for level in levels]
+    doubles = STATE_DOUBLES * levels[0].dofs * paths
     if drift is not None or not zero_noise:
-        doubles += 2 * min(SLAB_STEPS, paths * fine.steps) * jf + 2 * BLOCK * (jf + jc)
+        doubles += 2 * group * block * modes[0] + 2 * BLOCK * sum(modes)
     return 8 * doubles + CHUNK_OVERHEAD_BYTES
 
 
@@ -307,7 +317,7 @@ def check_capacity(plan, lmin, master_seed, replicates, kl_rule, workers: int = 
         if n < 1:
             raise UsageError(f"level {level} has {n} samples; it needs at least one")
         chunks = min(workers, -(-n // CHUNK_SIZE))
-        need = chunks * chunk_bytes(level, kl_rule, zero_noise, drift, min(n, CHUNK_SIZE))
+        need = chunks * chunk_bytes(level, lmin, kl_rule, zero_noise, drift, min(n, CHUNK_SIZE))
         if need > MAX_TASK_BYTES:
             raise CapacityError(f"level {level} chunks need about {need} bytes, {chunks} on "
                                 f"{workers} worker(s), above the {MAX_TASK_BYTES}-byte cap")
@@ -330,20 +340,19 @@ def sample_pair(
     zero_noise: bool = False,
 ):
     """One coupled sample: the fine path at ``pair_level`` and, above the base
-    level, the coarse path driven by the aggregated fine increments.
-
-    Identical stream coordinates reproduce the pair bitwise. Admitted as the
-    one path it simulates, whatever its sample index.
-    """
+    level, the coarse path driven by the aggregated fine increments, on the levels
+    of its ``_chunk_plan``. Identical stream coordinates reproduce the pair
+    bitwise. Admitted as the one path it simulates, whatever its sample index."""
     if replicate < 0:
         raise UsageError(f"replicate index must be nonnegative, got {replicate}")
     check_capacity([(pair_level, 1)], lmin, master_seed, replicate + 1, kl_rule,
                    zero_noise=zero_noise, drift=drift)
     stream_key(master_seed, KIND_PATH, pair_level, replicate, sample)
-    xf, xc = _simulate_chunk(pair_level, lmin, sample, 1, replicate, master_seed,
+    levels = _chunk_plan(pair_level, lmin)[0]
+    states = _simulate_chunk(pair_level, lmin, sample, 1, replicate, master_seed,
                              kl_rule, drift, zero_noise)
-    coarse = None if xc is None else NodalField(make_level(pair_level - 1), xc[:, 0])
-    return NodalField(make_level(pair_level), xf[:, 0]), coarse
+    fine, *coarse = [NodalField(level, x[:, 0]) for level, x in zip(levels, states)]
+    return fine, coarse[0] if coarse else None
 
 
 def _moments(values: np.ndarray, level: LevelGeometry):
@@ -355,21 +364,18 @@ def _moments(values: np.ndarray, level: LevelGeometry):
 
 
 def _level_task(args):
-    """The one chunk task: ``_moments`` of a functional's level differences,
-    fine values less coarse ones (states prolonged to the fine grid first; the
-    fine values alone at the base level), then ``_moments`` of the fine values.
-
-    ``args`` holds the arguments of ``_simulate_chunk`` followed by the
-    functional.
-    """
+    """The one chunk task on ``args``, the arguments of ``_simulate_chunk`` and a
+    functional: ``_moments`` of its level differences, fine values less coarse ones
+    on the levels of the ``_chunk_plan`` (states prolonged to the fine grid first;
+    the fine values alone at the base level), then ``_moments`` of the fine values."""
     *chunk, functional = args
-    xf, xc = _simulate_chunk(*chunk)
-    level = make_level(chunk[0])
-    difference = fine = _functional_values(functional, level, xf)
-    if xc is not None:
-        coarse = _functional_values(functional, make_level(chunk[0] - 1), xc)
-        difference = fine - (prolong_values(coarse) if coarse.ndim == 2 else coarse)
-    return _moments(difference, level) + _moments(fine, level)
+    levels = _chunk_plan(*chunk[:2])[0]
+    fine, *coarse = [_functional_values(functional, level, x)
+                     for level, x in zip(levels, _simulate_chunk(*chunk))]
+    difference = fine
+    if coarse:  # above the base level
+        difference = fine - (prolong_values(coarse[0]) if coarse[0].ndim == 2 else coarse[0])
+    return _moments(difference, levels[0]) + _moments(fine, levels[0])
 
 
 # the benchmark's tracer (perfbench/tracing.py) rebinds this name too
@@ -393,9 +399,8 @@ def _window_map(pool, window: int, task, tasks):
 
 
 def pair_op_work(pair_level: int, lmin: int) -> int:
-    """Abstract per-sample cost: dofs*steps for every path simulated."""
-    levels = [pair_level] + ([pair_level - 1] if pair_level > lmin else [])
-    return sum(level.dofs * level.steps for level in map(make_level, levels))
+    """Abstract per-sample cost: dofs*steps for every path of its ``_chunk_plan``."""
+    return sum(level.dofs * level.steps for level in _chunk_plan(pair_level, lmin)[0])
 
 
 @dataclass(frozen=True)
@@ -458,9 +463,10 @@ def pair_variances(pair_levels, lmin, n, master_seed, kl_rule=None,
     Hilbert-space variances (mean squared L2 distance from the sample mean) of the level
     difference, the coarse member prolonged to the fine grid (the path itself at the base
     level), and of the fine path. The study's one admission, before any simulation:
-    fewer than two pairs fail, then what ``check_capacity`` rejects of all its pairs.
+    a pair count that is not an integer or below two fails, then what ``check_capacity``
+    rejects of all its pairs.
     """
-    if n < 2:
+    if as_index(n, "the pair count") < 2:
         raise UsageError("variance estimation needs at least two pairs")
     plan = [(level, n) for level in pair_levels]
     check_capacity(plan, lmin, master_seed, 1, kl_rule, workers, zero_noise)

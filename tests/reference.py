@@ -9,7 +9,9 @@ from the closed-form projections, and one tridiagonal (Thomas) solve per step.
 It is slow and exists only to check the engine against. ``direct_block_step``
 forms a block's weighted sum from one direct table of step weights, the
 oracle of the engine's two-stage sum. ``mc_estimate``, a plain Monte Carlo
-mean over any sampler, checks the N^-1/2 rate.
+mean over any sampler, checks the N^-1/2 rate. ``pair_covariances`` gives the
+exact law of a coupled pair for F = 0, in dense nodal form, for the
+variances that ``pair_variances`` estimates.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from spde_mlmc.errors import NumericalError, UsageError
-from spde_mlmc.grid import LevelGeometry, NodalField, make_level
+from spde_mlmc.fem import mode_factors
+from spde_mlmc.grid import LevelGeometry, NodalField, make_level, prolong_values
 from spde_mlmc.noise import coarsen_rows, draw_increment_rows
 
 
@@ -267,3 +270,35 @@ def mc_estimate(sampler: Callable[[int], object], n: int,
     if estimate.ndim == 0:
         return float(estimate), variance
     return estimate, variance
+
+
+def pair_covariances(pair_level: int):
+    """The exact law at T = 1 of a coupled pair at ``pair_level`` >= 2 above the
+    base level, for F = 0 and J = dofs on both levels: (M, cov_difference,
+    cov_fine), the dense fine-level mass matrix and the covariances of the
+    nodal level difference x_f - P x_c and of the fine path x_f.
+
+    Mode j of a path after N steps has variance beta_j^2 (1 - rho_j^(2N)) /
+    (1 - rho_j^2) (``fem.mode_factors``); a coarse row is half the sum of four
+    fine rows, so fine and coarse mode j have covariance (beta_f beta_c / 2)
+    (1 + rho_f + rho_f^2 + rho_f^3) (1 - q^N_c) / (1 - q), q = rho_c rho_f^4.
+    The nodal values are S c, S_ij = sin(i j pi h), and P x_c is the coarse
+    path prolonged (``prolong_values``). So var_difference = tr(M cov_difference)
+    and var_level = tr(M cov_fine); dense, fine up to level 8 or so.
+    """
+    fine, coarse = make_level(pair_level), make_level(pair_level - 1)
+    factors = [mode_factors(level, level.dofs, level.dofs) for level in (fine, coarse)]
+    (log_f, _, beta_f), (log_c, _, beta_c) = factors
+    var_f, var_c = (beta**2 * np.expm1(2 * level.steps * log_rho) / np.expm1(2 * log_rho)
+                    for level, (log_rho, _, beta) in zip((fine, coarse), factors))
+    j = coarse.dofs
+    log_q = log_c + 4 * log_f[:j]
+    cov = (0.5 * beta_f[:j] * beta_c * np.exp(np.arange(4)[:, None] * log_f[:j]).sum(axis=0)
+           * np.expm1(coarse.steps * log_q) / np.expm1(log_q))
+    s_f, s_c = (np.sin(np.outer(level.nodes, np.arange(1, level.dofs + 1) * np.pi))
+                for level in (fine, coarse))
+    b = prolong_values(s_c)  # P S_c
+    cov_fine = (s_f * var_f) @ s_f.T
+    cross = (s_f[:, :j] * cov) @ b.T
+    cov_difference = cov_fine + (b * var_c) @ b.T - cross - cross.T
+    return dense(assemble(fine)[0]), cov_difference, cov_fine

@@ -603,11 +603,12 @@ def test_contract_tool_runs_its_studies_with_another_package(tmp_path, monkeypat
     (other / "spde_mlmc").mkdir(parents=True)
     (other / "spde_mlmc" / "__init__.py").write_text("")
     assert CONTRACT.main([str(tmp_path / "out"), "--src", str(other)]) == 0
-    assert len(calls) == 2 * (len(CONTRACT.STUDIES) + 1)
+    assert len(calls) == 2 * (len(CONTRACT.STUDIES) + 2)
     assert {src for *_, src in calls} == {other}
     assert calls[0][1] == tmp_path / "out" / next(iter(CONTRACT.STUDIES)) / "w1"
-    # the library study of the drift engine runs last, at 1 and 2 workers
-    assert calls[-2:] == [("-c", tmp_path / "out" / "drift" / f"w{w}", other) for w in (1, 2)]
+    # the library studies of the drift and chunk engines run last, at 1 and 2 workers
+    assert calls[-4:] == [("-c", tmp_path / "out" / name / f"w{w}", other)
+                          for name in ("drift", "chunks") for w in (1, 2)]
     calls.clear()
     assert CONTRACT.main([str(tmp_path / "out")]) == 0
     assert {src for *_, src in calls} == {CONTRACT.SRC}
@@ -630,6 +631,21 @@ def test_contract_drift_study_is_identical_at_one_and_two_workers(tmp_path):
     lines = (outs[0] / "drift.txt").read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("estimate ") and len(lines) == 1 + 3 + 3 * (4 + 2 * 3 * 4)
     assert all(math.isfinite(float(word)) for line in lines for word in line.split()[-1:])
+
+
+def test_contract_chunk_study_hashes_every_case_the_same_on_a_rerun(tmp_path):
+    # the chunk study pins the engine's bits through sha256 digests of the
+    # fine and coarse states; a base-level chunk has no coarse member
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        CONTRACT.run_study(CONTRACT.study_argv("chunks", workers), out)
+    assert CONTRACT.differing(*outs) == []
+    lines = [line.split() for line in
+             (outs[0] / "chunks.txt").read_text(encoding="utf-8").splitlines()]
+    cases = 3 * 3 * (2 * 6 - 1 + 2 * 4 - 1)  # KL rules x widths x (level, base level)
+    assert len(lines) == cases and len({tuple(line[:5]) for line in lines}) == cases
+    for name, level, _kl, _width, lmin, fine, coarse in lines:
+        assert len(fine) == 64 and (coarse == "-") == (level == lmin), (name, level, lmin)
 
 
 def test_variance_pool_is_byte_identical_to_inline(tmp_path):

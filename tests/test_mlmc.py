@@ -41,6 +41,7 @@ from reference import (
     euler_step,
     mc_estimate,
     noise_load,
+    pair_covariances,
     projection_matrix,
     sample_kl_block,
 )
@@ -427,11 +428,11 @@ def test_step_calls_per_group(monkeypatch, drift):
 @pytest.mark.parametrize("drift", [None, lambda v: -v], ids=["drift0", "drift1"])
 def test_chunk_memory_peak_within_budget(drift, kl_rule):
     # one 64-pair chunk at levels 1..4 and 6 against what chunk_bytes budgets:
-    # two slabs, STATE_DOUBLES doubles per dof and path for the states and
-    # their terminal transforms, the tables of its two step operators and the
-    # fixed CHUNK_OVERHEAD_BYTES; with few KL modes the states outweigh the
-    # slabs, and below level 5 the overhead and a drift chunk's slab of 16
-    # steps of every path do
+    # two slabs of its plan's group x block rows, STATE_DOUBLES doubles per dof
+    # and path for the states and their terminal transforms, the tables of the
+    # step operators its plan builds and the fixed CHUNK_OVERHEAD_BYTES; with
+    # few KL modes the states outweigh the slabs, and below level 5 the
+    # overhead and a drift chunk's slab of 16 steps of every path do
     _assert_chunk_peaks_within_budget(kl_rule, drift, False)
 
 
@@ -444,23 +445,44 @@ def test_zero_noise_chunk_memory_peak_within_budget(kl_rule):
     _assert_chunk_peaks_within_budget(kl_rule, None, True, levels=(12, 16, 19), widths=(1,))
 
 
+def test_chunk_budget_counts_what_the_plan_builds():
+    # a chunk at its base level is budgeted no coarse step tables, and a drift
+    # chunk of one path the slab of its one 16-step block, not 1024 rows
+    from spde_mlmc import mlmc
+
+    coarse_tables = 8 * 2 * fem.BLOCK * 3  # level 2 has 3 KL modes
+    assert mlmc.chunk_bytes(3, 3, None) == mlmc.chunk_bytes(3, 1, None) - coarse_tables
+    assert mlmc.chunk_bytes(3, 3, None, drift=lambda v: -v) == 8 * (
+        mlmc.STATE_DOUBLES * 7 * 64 + 2 * 64 * 16 * 7 + 2 * fem.BLOCK * 7) + mlmc.CHUNK_OVERHEAD_BYTES
+    one_path = 8 * (mlmc.STATE_DOUBLES * 15 + 2 * 16 * 15 + 2 * fem.BLOCK * (15 + 7))
+    assert mlmc.chunk_bytes(4, 1, None, drift=lambda v: -v, paths=1) == (
+        one_path + mlmc.CHUNK_OVERHEAD_BYTES)
+    # without a drift a one-path chunk at level 4 is one block of 256 steps
+    assert mlmc.chunk_bytes(4, 1, None, paths=1) == mlmc.chunk_bytes(
+        4, 1, None, drift=lambda v: -v, paths=1) + 8 * 2 * (256 - 16) * 15
+
+
 def _assert_chunk_peaks_within_budget(kl_rule, drift, zero_noise, levels=(1, 2, 3, 4, 6),
                                       widths=(1, 17, 64)):
-    # a chunk of one path is budgeted one path's states and slab rows; one of
-    # 17 has a narrower last group at levels 3 and 4
+    # a chunk of one path is budgeted one path's states and slab rows, 16
+    # steps of them with a drift; one of 17 has a narrower last group at
+    # levels 3 and 4; a chunk at its base level builds no coarse operator and
+    # is budgeted no table for one
     from spde_mlmc import mlmc
 
     fem.sine_transform(np.ones(3))  # numpy imports numpy.fft on first use, not per chunk
     for l in levels:
         for paths in widths:
-            tracemalloc.start()
-            try:
-                mlmc._simulate_chunk(l, 1, 0, paths, 0, 3, kl_rule, drift, zero_noise)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            budget = mlmc.chunk_bytes(l, kl_rule, zero_noise=zero_noise, drift=drift, paths=paths)
-            assert peak <= budget, f"level {l}, {paths} path(s)"
+            for lmin in sorted({1, l}):
+                tracemalloc.start()
+                try:
+                    mlmc._simulate_chunk(l, lmin, 0, paths, 0, 3, kl_rule, drift, zero_noise)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                budget = mlmc.chunk_bytes(l, lmin, kl_rule, zero_noise=zero_noise, drift=drift,
+                                          paths=paths)
+                assert peak <= budget, f"level {l} from base level {lmin}, {paths} path(s)"
 
 
 def test_chunks_leave_nothing_behind():
@@ -603,7 +625,11 @@ def test_stream_capacity_checked_before_simulation(monkeypatch):
      "a stream coordinate must be an integer, got 1.0"),
     (lambda: sample_pair(2, 1, 0, 1.5), "a stream coordinate must be an integer, got 1.5"),
     (lambda: spde_mlmc.mlmc.pair_variances([3], 1, 64.0, 7),
-     "a stream coordinate must be an integer, got 63.0"),
+     "the pair count must be an integer, got 64.0"),
+    (lambda: spde_mlmc.mlmc.pair_variances([2], 1, 2.5, 7),
+     "the pair count must be an integer, got 2.5"),
+    (lambda: spde_mlmc.mlmc.pair_variances([2], 1, "8", 0),
+     "the pair count must be an integer, got '8'"),
     (lambda: mlmc_estimate(build_schedule("weak", 2), 1, kl_rule=3.0),
      "mode truncation must be an integer, got 3.0"),
     (lambda: spde_mlmc.mlmc.pair_variances([3], 1, 8, 7, kl_rule=3.0),
@@ -621,7 +647,8 @@ def test_stream_capacity_checked_before_simulation(monkeypatch):
     (lambda: spde_mlmc.mlmc.pair_variances([2, "3"], 1, 8, 7),
      "a level must be an integer, got '3'"),
     (lambda: sample_pair("3", 1, 0, 0), "a level must be an integer, got '3'"),
-], ids=["seed", "estimate-replicate", "pair-replicate", "pair-sample", "pairs", "kl-rule",
+], ids=["seed", "estimate-replicate", "pair-replicate", "pair-sample", "pairs",
+        "pairs-fraction", "pairs-text", "kl-rule",
         "pairs-kl-rule", "workers", "pairs-workers", "base-level", "pairs-base-level",
         "pair-level", "pair-level-text", "sample-pair-level-text"])
 def test_non_integer_coordinates_rejected_before_the_first_chunk(monkeypatch, call, named):
@@ -733,6 +760,34 @@ def test_level_difference_variance_decays():
         assert 0.0 < stat.variance < stat.level_variance
         points.append((stat.level, math.log2(stat.variance)))
     assert -1.8 <= fit_slope(points) <= -0.5
+
+
+#: The exact var_difference of the identity functional for F = 0 and J = dofs,
+#: to 5 significant digits, levels 2..8: it halves per level from level 5.
+EXACT_VAR_DIFFERENCE = {2: 1.5086e-2, 3: 7.7353e-3, 4: 3.8348e-3, 5: 1.9107e-3,
+                        6: 9.5385e-4, 7: 4.7658e-4, 8: 2.3821e-4}
+
+
+def test_closed_form_pair_law_gives_the_exact_variance_table():
+    for level, expected in EXACT_VAR_DIFFERENCE.items():
+        mass, difference, fine = pair_covariances(level)
+        assert f"{np.trace(mass @ difference):.4e}" == f"{expected:.4e}", level
+        assert 0.0 < np.trace(mass @ difference) < np.trace(mass @ fine)
+
+
+def test_pair_variances_agree_with_the_exact_law():
+    # the sample variance of n Gaussian pairs has sd sqrt(2 tr((M S)^2) / (n - 1))
+    # for covariance S; at seeds 1..20 the 160 z-scores of both variances at
+    # levels 2..5 had mean 0.03, sd 1.00 and |z| <= 2.64 (1.71 at seed 1)
+    from spde_mlmc.mlmc import pair_variances
+
+    n = 1000
+    for stat in pair_variances(range(2, 6), 1, n, 1):
+        mass, difference, fine = pair_covariances(stat.level)
+        for measured, covariance in ((stat.variance, difference), (stat.level_variance, fine)):
+            product = mass @ covariance
+            sd = math.sqrt(2.0 * np.trace(product @ product) / (n - 1))
+            assert abs(measured - np.trace(product)) <= 4.0 * sd, (stat.level, measured)
 
 
 def test_pair_variances_validation(monkeypatch):

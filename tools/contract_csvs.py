@@ -8,12 +8,16 @@ and simply runs twice), using the package under ``src/`` next to this script,
 or under ``DIR`` with ``--src DIR`` (exit 2 if ``DIR/spde_mlmc/__init__.py``
 is missing). The CLI passes no drift, so one library study, ``drift``, runs
 the drift engine through ``mlmc_estimate`` and ``sample_pair`` and writes the
-``repr`` of its floats to ``drift.txt``. Exits 1 if any file but
-``timings.csv`` differs between ``w1`` and ``w2``, or if a study fails. Two checkouts are compared by running this
-script's studies with each one's package, ``--src OTHER/src`` for the other,
-and then ``diff -r -x timings.csv OUT_A OUT_B``: a refactor that keeps the
-numbers leaves no difference, and a study that one checkout's copy of the
-script lacks is compared too.
+``repr`` of its floats to ``drift.txt``; another, ``chunks``, writes to
+``chunks.txt`` a sha256 of each state array of ``mlmc._simulate_chunk`` over
+levels, KL truncations, chunk widths and base levels, with and without a
+drift, so that the engine's bits are compared, not only its CSVs. Exits 1 if
+any file but ``timings.csv`` differs between ``w1`` and ``w2``, or if a study
+fails. Two checkouts are compared by running this script's studies with
+each one's package, ``--src OTHER/src`` for the other, and then ``diff -r -x
+timings.csv OUT_A OUT_B``: a refactor that keeps the numbers leaves no
+difference, and a study that one checkout's copy of the script lacks is
+compared too.
 """
 
 import filecmp
@@ -72,12 +76,43 @@ out.mkdir(parents=True, exist_ok=True)
 (out / "drift.txt").write_text("\\n".join(lines) + "\\n", encoding="utf-8")
 """
 
+#: The library study of the chunk engine, run like ``DRIFT_STUDY`` (a chunk
+#: takes no worker count, so its two runs are reruns): the sha256 of the fine
+#: and coarse states of chunks at levels 1..6 (1..4 with a drift), KL
+#: truncations None, 3 and 40, widths 1, 17 and 64, from base level 1 and from
+#: the level itself.
+CHUNK_STUDY = """
+import hashlib
+import sys
+from pathlib import Path
+import numpy as np
+from spde_mlmc.mlmc import _simulate_chunk
+
+seed, out = int(sys.argv[1]), Path(sys.argv[3])
+lines = []
+for name, drift, top in (("F0", None, 6), ("F1", lambda v: -v + np.sin(v), 4)):
+    for level in range(1, top + 1):
+        for kl_rule in (None, 3, 40):
+            for width in (1, 17, 64):
+                for lmin in sorted({1, level}):
+                    states = _simulate_chunk(level, lmin, 0, width, 0, seed, kl_rule, drift,
+                                             False)
+                    lines.append(" ".join([name, str(level), str(kl_rule), str(width), str(lmin),
+                                           *("-" if x is None else hashlib.sha256(x.tobytes())
+                                             .hexdigest() for x in states)]))
+out.mkdir(parents=True, exist_ok=True)
+(out / "chunks.txt").write_text("\\n".join(lines) + "\\n", encoding="utf-8")
+"""
+
+#: name -> the code of a library study, run as ``python -c``.
+LIBRARY_STUDIES = {"drift": DRIFT_STUDY, "chunks": CHUNK_STUDY}
+
 
 def study_argv(name: str, workers: int) -> list:
     """Python's arguments for study ``name`` at ``workers``, but the output
     directory, which comes last."""
-    if name == "drift":
-        return ["-c", DRIFT_STUDY, str(SEED), str(workers)]
+    if name in LIBRARY_STUDIES:
+        return ["-c", LIBRARY_STUDIES[name], str(SEED), str(workers)]
     args = STUDIES[name].split()
     extra = [] if args[0] == "det-conv" else ["--workers", str(workers)]
     return ["-m", "spde_mlmc.cli", *args, *extra, "--seed", str(SEED), "--out"]
@@ -108,7 +143,7 @@ def main(argv=None) -> int:
         print(f"{src} holds no spde_mlmc/__init__.py", file=sys.stderr)
         return 2
     failed = []
-    for name in [*STUDIES, "drift"]:
+    for name in [*STUDIES, *LIBRARY_STUDIES]:
         outs = [root / name / f"w{workers}" for workers in (1, 2)]
         try:
             for workers, out in zip((1, 2), outs):
