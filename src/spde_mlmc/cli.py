@@ -4,9 +4,10 @@ Four subcommands cover the studies: ``det-conv`` (deterministic convergence),
 ``variance`` (level-difference variance decay), ``run`` (estimator error and
 work per level for one or more schedules), and ``compare`` (strong versus
 weak schedules at matched accuracy). ``run`` and ``compare`` share one study
-path: it builds every schedule and admits the whole study before the first
-chunk runs; ``variance`` passes its whole level range to one
-``mlmc.pair_variances`` call, which admits it the same way.
+path: it builds every schedule and admits the whole study, the (level, base,
+samples) entries of every schedule's ``level_counts``, before the first chunk
+runs; ``variance`` passes its whole level range to one ``mlmc.pair_variances``
+call, which admits it the same way.
 
 Each option is declared once, in its ``_OPTIONS`` row, default included:
 ``make_config`` fills a ``RunConfig`` from the rows' defaults and the parsed
@@ -18,8 +19,8 @@ given, the seed range, that ``--mode`` names at least one mode and none twice,
 that ``--a-seq`` and ``--eta`` come only with ``general``, that each value is
 nonempty and parses, that ``--out`` is or can be made a directory, and ``--m``
 with its memory. The library's one admission function, ``mlmc.check_capacity``,
-checks base level, pair level, workers (at most ``mlmc.MAX_WORKERS``),
-replicates, sample counts, chunk memory and stream keys;
+checks each entry's base level and pair level, workers (at most
+``mlmc.MAX_WORKERS``), replicates, sample counts, chunk memory and stream keys;
 ``mlmc.pair_variances`` checks a variance study's two pairs and then admits
 all its levels in one such call; ``mlmc.check_gamma`` checks ``--gamma`` (for
 ``variance``, which only records it, too), ``mlmc.build_schedule`` the other
@@ -325,8 +326,8 @@ def _study(cfg: RunConfig, ranges):
     schedules = [build_schedule(mode, top, gamma=cfg.gamma, eps=cfg.eps, eta=cfg.eta,
                                 a=cfg.a_seq[: top + 1] if cfg.a_seq is not None else None)
                  for mode, lo, hi in ranges for top in range(lo, hi + 1)]
-    plan = [pair for schedule in schedules for pair in schedule.level_counts(cfg.lmin)]
-    check_capacity(plan, cfg.lmin, cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers, cfg.zero_noise)
+    plan = [entry for schedule in schedules for entry in schedule.level_counts(cfg.lmin)]
+    check_capacity(plan, cfg.seed, cfg.reps, cfg.kl_modes, cfg.workers, cfg.zero_noise)
     rep_rows, level_rows, summary_rows, timing_rows = [], [], [], []
     for schedule in schedules:
         mode, top = schedule.mode, schedule.top_level

@@ -11,9 +11,12 @@ a_l**(2*eta) * l**(1+eps))``: "general" takes the decay sequence a_l and eta
 as given, a named mode of rate power p = ``RATE_POWERS[mode]`` sets a_l =
 h_l**(p*gamma) and eta = 1/p, and "singlelevel" runs ``ceil(a_L**-2)`` samples
 of the top level alone. ``SampleSchedule.level_counts`` states a run's plan,
-its (level, samples) from the base level up, and rejects a base level above
-the top. ``predict_work`` takes every multilevel exponent from the one work
-bound of the MLMC theorem (Giles, Oper. Res. 56 (2008)).
+its (level, base, samples) from the base up, and rejects a base level above
+the top. A level's base is the level its pairs couple down to: the run's base
+level, or the top level for singlelevel, which is the same telescoping sum
+with the top as its own base. ``predict_work`` takes every multilevel
+exponent from the one work bound of the MLMC theorem (Giles, Oper. Res. 56
+(2008)).
 
 Paths are simulated in chunks of ``CHUNK_SIZE`` by ``fem.StepOperator`` in
 the one stepping loop of ``_simulate_chunk``. A chunk's plan,
@@ -33,16 +36,17 @@ None (F = 0) or a callable on nodal values that keeps their shape.
 
 All sampling is counter-based and reduced in a fixed order (level-major,
 chunk-major), so results are bitwise independent of the worker count.
-``check_capacity`` is the one admission of estimator work, of one flat plan:
-``mlmc_estimate`` and ``sample_pair`` call it on what they run,
-``pair_variances`` on a whole variance study after its two-pair rule, and the
-CLI on a whole ``run`` or ``compare`` study, before any path is simulated;
-stream coordinates, levels, the base level, a fixed KL truncation and the
-worker count must be integers. ``check_gamma`` alone bounds gamma.
-One runner, ``_level_moments``, runs each level's chunks of the one chunk
-task, ``_level_task``, at most two per worker in flight, and forms every mean
-and variance from their sums into the level's ``LevelStat``, the one
-per-level record that the estimators return.
+``check_capacity`` is the one admission of estimator work, of one flat plan
+whose entries carry their own base: ``_run_plan`` calls it on what it runs,
+``sample_pair`` on its one pair and the CLI on a whole ``run`` or ``compare``
+study, before any path is simulated; stream coordinates, levels, base levels,
+a fixed KL truncation and the worker count must be integers. ``check_gamma``
+alone bounds gamma. One runner of a plan, ``_run_plan``, admits it and runs
+it for ``mlmc_estimate`` and for ``pair_variances`` (after its two-pair
+rule); its level runner, ``_level_moments``, runs each entry's chunks of the
+one chunk task, ``_level_task``, at most two per worker in flight, and forms
+every mean and variance from their sums into the level's ``LevelStat``, the
+one per-level record that the estimators return.
 """
 
 import math
@@ -120,19 +124,21 @@ class SampleSchedule:
     eta: float
 
     def level_counts(self, lmin: int) -> list:
-        """The plan of a run from the base level ``lmin``: (level, samples) of lmin..top,
-        or of the top level alone for singlelevel. Fails on a base outside 1..top."""
+        """The plan of a run from the base level ``lmin``: (level, base, samples) of
+        base..top, where the base, the level that every pair couples down to and at
+        which a path has no coarse partner, is ``lmin``, or the top level for
+        singlelevel (plain Monte Carlo of the top level alone). Fails on a base
+        level ``lmin`` outside 1..top."""
         top = self.top_level
         check_base(lmin)
         if lmin > top:
             raise UsageError(f"the base level {lmin} exceeds the top level {top}")
-        if self.mode == "singlelevel":
-            return [(top, self.counts[0])]
-        return [(l, self.counts[l if l > lmin else 0]) for l in range(lmin, top + 1)]
+        base = top if self.mode == "singlelevel" else lmin
+        return [(l, base, self.counts[l if l > base else 0]) for l in range(base, top + 1)]
 
     def count_for(self, level: int, lmin: int) -> int:
         """The samples of ``level`` in the plan from ``lmin`` (``level_counts``)."""
-        plan = dict(self.level_counts(lmin))
+        plan = {level: n for level, _, n in self.level_counts(lmin)}
         if level not in plan:
             raise UsageError(f"level {level} is not in the plan from base level {lmin}")
         return plan[level]
@@ -289,39 +295,39 @@ def check_base(lmin: int) -> None:
         raise UsageError("the base level must be at least 1 (level 0 is empty)")
 
 
-def check_capacity(plan, lmin, master_seed, replicates, kl_rule, workers: int = 1,
+def check_capacity(plan, master_seed, replicates, kl_rule, workers: int = 1,
                    zero_noise: bool = False, drift=None):
     """Admit estimator work before any path is simulated: ``replicates``
-    replicates of ``plan``, the (level, samples) pairs of a study's runs, from
-    the base level ``lmin``. Checks the base level and that each level is an
-    integer not below it, the replicates, that each level has a sample and
-    that the chunks of every level that can be in flight at once,
-    min(``workers``, ceil(n / CHUNK_SIZE)) for the level's largest sample
-    count n in the plan, fit in ``MAX_TASK_BYTES`` (``chunk_bytes`` each, of
-    chunks with the given ``zero_noise`` and ``drift``), at most
-    ``MAX_WORKERS`` workers, and the stream key of each level's last sample
-    in the last replicate.
+    replicates of ``plan``, the (level, base, samples) entries of a study's runs
+    (``SampleSchedule.level_counts``). Checks each entry's base level and that its
+    level is an integer not below that base, the replicates, that each level has
+    a sample and that the chunks of every (level, base) pair that can be in
+    flight at once, min(``workers``, ceil(n / CHUNK_SIZE)) for the pair's largest
+    sample count n in the plan, fit in ``MAX_TASK_BYTES`` (``chunk_bytes`` each,
+    of chunks with the given ``zero_noise`` and ``drift``), at most
+    ``MAX_WORKERS`` workers, and the stream key of each level's last sample in
+    the last replicate.
     """
-    check_base(lmin)
+    for level, base, _ in plan:
+        check_base(base)
+        if as_index(level, "a level") < base:
+            raise UsageError(f"pair level {level} below the base level {base}")
     if replicates < 1:
         raise UsageError(f"a study needs at least one replicate, got {replicates}")
-    for level, _ in plan:
-        if as_index(level, "a level") < lmin:
-            raise UsageError(f"pair level {level} below the base level {lmin}")
     if as_index(workers, "workers") < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
     if workers > MAX_WORKERS:
         raise UsageError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    largest = dict(sorted(plan))  # level: its largest n
-    for level, n in largest.items():
+    largest = {(level, base): n for level, base, n in sorted(plan)}  # pair: its largest n
+    for (level, base), n in largest.items():
         if n < 1:
             raise UsageError(f"level {level} has {n} samples; it needs at least one")
         chunks = min(workers, -(-n // CHUNK_SIZE))
-        need = chunks * chunk_bytes(level, lmin, kl_rule, zero_noise, drift, min(n, CHUNK_SIZE))
+        need = chunks * chunk_bytes(level, base, kl_rule, zero_noise, drift, min(n, CHUNK_SIZE))
         if need > MAX_TASK_BYTES:
             raise CapacityError(f"level {level} chunks need about {need} bytes, {chunks} on "
                                 f"{workers} worker(s), above the {MAX_TASK_BYTES}-byte cap")
-    for level, n in largest.items():
+    for (level, _), n in largest.items():
         try:
             stream_key(master_seed, KIND_PATH, level, replicates - 1, n - 1)
         except UsageError as exc:
@@ -345,7 +351,7 @@ def sample_pair(
     bitwise. Admitted as the one path it simulates, whatever its sample index."""
     if replicate < 0:
         raise UsageError(f"replicate index must be nonnegative, got {replicate}")
-    check_capacity([(pair_level, 1)], lmin, master_seed, replicate + 1, kl_rule,
+    check_capacity([(pair_level, lmin, 1)], master_seed, replicate + 1, kl_rule,
                    zero_noise=zero_noise, drift=drift)
     stream_key(master_seed, KIND_PATH, pair_level, replicate, sample)
     levels = _chunk_plan(pair_level, lmin)[0]
@@ -456,22 +462,32 @@ def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args) -> 
                      n * pair_op_work(level, lmin), wall)
 
 
+def _run_plan(plan, replicate, master_seed, kl_rule, drift, zero_noise, functional, workers):
+    """The one runner of a plan, (level, base, samples) entries: a negative
+    ``replicate`` fails, then what ``check_capacity`` rejects of the whole plan in
+    that replicate, before any simulation; then the ``LevelStat`` of each entry, in
+    order, from ``_level_moments`` of the one chunk task."""
+    if replicate < 0:
+        raise UsageError(f"replicate index must be nonnegative, got {replicate}")
+    check_capacity(plan, master_seed, replicate + 1, kl_rule, workers, zero_noise, drift)
+    return tuple(_level_moments(_level_task, workers, level, base, n, replicate, master_seed,
+                                kl_rule, drift, zero_noise, functional) for level, base, n in plan)
+
+
 def pair_variances(pair_levels, lmin, n, master_seed, kl_rule=None,
                    zero_noise=False, workers=1) -> tuple:
     """A variance study: the ``LevelStat`` of ``n`` coupled pairs in replicate 0 at each
-    level of ``pair_levels``, in order. ``variance`` and ``level_variance`` are the
-    Hilbert-space variances (mean squared L2 distance from the sample mean) of the level
-    difference, the coarse member prolonged to the fine grid (the path itself at the base
-    level), and of the fine path. The study's one admission, before any simulation:
-    a pair count that is not an integer or below two fails, then what ``check_capacity``
-    rejects of all its pairs.
+    level of ``pair_levels``, in order, each from the base level ``lmin``. ``variance``
+    and ``level_variance`` are the Hilbert-space variances (mean squared L2 distance
+    from the sample mean) of the level difference, the coarse member prolonged to the
+    fine grid (the path itself at the base level), and of the fine path. The study's one
+    admission, before any simulation: a pair count that is not an integer or below two
+    fails, then what ``_run_plan`` rejects of all its pairs.
     """
     if as_index(n, "the pair count") < 2:
         raise UsageError("variance estimation needs at least two pairs")
-    plan = [(level, n) for level in pair_levels]
-    check_capacity(plan, lmin, master_seed, 1, kl_rule, workers, zero_noise)
-    return tuple(_level_moments(_level_task, workers, level, lmin, n, 0, master_seed, kl_rule,
-                                None, zero_noise, "identity") for level, _ in plan)
+    return _run_plan([(level, lmin, n) for level in pair_levels], 0, master_seed, kl_rule,
+                     None, zero_noise, "identity", workers)
 
 
 @dataclass(frozen=True)
@@ -526,29 +542,23 @@ def mlmc_estimate(
         raise UsageError(f"unknown functional {functional!r}: expected 'identity', "
                          "'squared-norm' or a callable")
     top_level = schedule.top_level
-    plan = schedule.level_counts(lmin)
-    if replicate < 0:
-        raise UsageError(f"replicate index must be nonnegative, got {replicate}")
-    check_capacity(plan, lmin, master_seed, replicate + 1, kl_rule, workers, zero_noise, drift)
-    base = plan[0][0]
     identity = functional == "identity"
     t_total = time.perf_counter()
-    stats = []
+    stats = _run_plan(schedule.level_counts(lmin), replicate, master_seed, kl_rule, drift,
+                      zero_noise, functional, workers)
     estimate = 0.0
-    for level, n in plan:
-        stats.append(_level_moments(_level_task, workers, level, base, n, replicate,
-                                    master_seed, kl_rule, drift, zero_noise, functional))
-        mean = stats[-1].mean_contribution
+    for stat in stats:
+        mean = stat.mean_contribution
         if identity:
-            mean = prolong_to(NodalField(make_level(level), mean), top_level).values
+            mean = prolong_to(NodalField(make_level(stat.level), mean), top_level).values
         estimate = estimate + mean
 
     top = make_level(top_level)
     # Summing the per-level means on the top grid touches dofs(L) entries per level.
     return MlmcResult(
         estimate=NodalField(top, estimate) if identity else float(estimate),
-        level_stats=tuple(stats),
-        total_op_work=sum(s.op_work for s in stats) + len(plan) * top.dofs,
+        level_stats=stats,
+        total_op_work=sum(s.op_work for s in stats) + len(stats) * top.dofs,
         wall_seconds=time.perf_counter() - t_total,
     )
 

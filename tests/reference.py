@@ -272,12 +272,15 @@ def mc_estimate(sampler: Callable[[int], object], n: int,
     return estimate, variance
 
 
-def pair_covariances(pair_level: int):
+def pair_covariances(pair_level: int, c: float = 0.0):
     """The exact law at T = 1 of a coupled pair at ``pair_level`` >= 2 above the
-    base level, for F = 0 and J = dofs on both levels: (M, cov_difference,
-    cov_fine), the dense fine-level mass matrix and the covariances of the
-    nodal level difference x_f - P x_c and of the fine path x_f.
+    base level, for the linear drift F(u) = c u (F = 0 by default) and J = dofs
+    on both levels: (M, cov_difference, cov_fine), the dense fine-level mass
+    matrix and the covariances of the nodal level difference x_f - P x_c and of
+    the fine path x_f.
 
+    A drift step adds dt f to the coefficients, f = (2/(dofs+1)) S F(S c) = c c
+    as S S = (dofs+1)/2 I, so mode j steps with rho_j (1 + c dt) on each level.
     Mode j of a path after N steps has variance beta_j^2 (1 - rho_j^(2N)) /
     (1 - rho_j^2) (``fem.mode_factors``); a coarse row is half the sum of four
     fine rows, so fine and coarse mode j have covariance (beta_f beta_c / 2)
@@ -287,10 +290,12 @@ def pair_covariances(pair_level: int):
     and var_level = tr(M cov_fine); dense, fine up to level 8 or so.
     """
     fine, coarse = make_level(pair_level), make_level(pair_level - 1)
-    factors = [mode_factors(level, level.dofs, level.dofs) for level in (fine, coarse)]
-    (log_f, _, beta_f), (log_c, _, beta_c) = factors
+    factors = [(log_rho + np.log1p(c * level.time_step), beta)
+               for level in (fine, coarse)
+               for log_rho, _, beta in [mode_factors(level, level.dofs, level.dofs)]]
+    (log_f, beta_f), (log_c, beta_c) = factors
     var_f, var_c = (beta**2 * np.expm1(2 * level.steps * log_rho) / np.expm1(2 * log_rho)
-                    for level, (log_rho, _, beta) in zip((fine, coarse), factors))
+                    for level, (log_rho, beta) in zip((fine, coarse), factors))
     j = coarse.dofs
     log_q = log_c + 4 * log_f[:j]
     cov = (0.5 * beta_f[:j] * beta_c * np.exp(np.arange(4)[:, None] * log_f[:j]).sum(axis=0)

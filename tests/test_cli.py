@@ -139,6 +139,24 @@ def test_level_with_fewer_chunks_than_workers_admitted(tmp_path, monkeypatch):
               "--seed", "1", "--out", str(tmp_path / "o")])
 
 
+def test_singlelevel_run_admitted_at_its_own_base(tmp_path, monkeypatch):
+    # a singlelevel top is its own base: its 90 chunks at level 10 build no
+    # coarse operator and fit the cap, which they would not from base level 1;
+    # the level runner raises before a pool of 90 threads starts
+    from spde_mlmc import mlmc
+
+    class Admitted(Exception):
+        pass
+
+    def sentinel(*_args):
+        raise Admitted
+
+    monkeypatch.setattr(mlmc, "_level_moments", sentinel)
+    with pytest.raises(Admitted):
+        main(["run", "--mode", "singlelevel", "--L", "10", "--workers", "90",
+              "--seed", "1", "--out", str(tmp_path / "o")])
+
+
 @pytest.mark.parametrize("argv", [["run", "--L", "1..1"],
                                   ["compare", "--L", "1..1", "--strong-L", "1..2"]])
 def test_reps_beyond_replicate_field_rejected_up_front(tmp_path, monkeypatch, capsys, argv):

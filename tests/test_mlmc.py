@@ -131,9 +131,9 @@ def test_level_counts_is_a_runs_plan(top):
                     schedule.level_counts(lmin)
                 continue
             plan = schedule.level_counts(lmin)
-            assert [level for level, _ in plan] == (
+            assert [level for level, _, _ in plan] == (
                 [top] if schedule.mode == "singlelevel" else list(range(lmin, top + 1)))
-            assert all(schedule.count_for(level, lmin) == n for level, n in plan)
+            assert all(schedule.count_for(level, lmin) == n for level, _, n in plan)
         for lmin in (0, -1, -top - 5):
             with pytest.raises(UsageError, match="base level must be at least 1"):
                 schedule.level_counts(lmin)
@@ -726,6 +726,15 @@ def test_singlelevel_estimate():
     assert len(result.level_stats) == 1
     assert result.level_stats[0].level == 2
     assert result.level_stats[0].samples == schedule.counts[0]
+    # the top level is its own base, whatever the run's base level
+    schedule = build_schedule("singlelevel", 3, gamma=0.5)
+    results = [mlmc_estimate(schedule, lmin, master_seed=5) for lmin in (1, 2, 3)]
+    assert {(level, base) for lmin in (1, 2, 3)
+            for level, base, _ in schedule.level_counts(lmin)} == {(3, 3)}
+    for result in results[1:]:
+        assert np.array_equal(result.estimate.values, results[0].estimate.values)
+        assert result.total_op_work == results[0].total_op_work
+        assert_same_level_stat(result.level_stats[0], results[0].level_stats[0])
 
 
 def test_scalar_functional_estimate():
@@ -790,9 +799,29 @@ def test_pair_variances_agree_with_the_exact_law():
             assert abs(measured - np.trace(product)) <= 4.0 * sd, (stat.level, measured)
 
 
+@pytest.mark.parametrize("c", [-1.0, 1.0])
+def test_pair_variances_with_a_linear_drift_agree_with_the_exact_law(c):
+    # F(u) = c u steps mode j with rho_j (1 + c dt), so the exact law is that of
+    # F = 0 with that factor; z as in the F = 0 test. At seeds 1..20 the 120
+    # z-scores of each c had sd 1.01 (c = -1) and 1.01 (c = +1) and |z| <= 2.68
+    # (seed 8, c = -1); seed 1 gives |z| <= 1.62 (c = -1) and 1.80 (c = +1)
+    from spde_mlmc import mlmc
+
+    n = 1000
+    stats = mlmc._run_plan([(l, 1, n) for l in (2, 3, 4)], 0, 1, None, lambda v: c * v,
+                           False, "identity", 1)
+    assert [stat.level for stat in stats] == [2, 3, 4]
+    for stat in stats:
+        mass, difference, fine = pair_covariances(stat.level, c)
+        for measured, covariance in ((stat.variance, difference), (stat.level_variance, fine)):
+            product = mass @ covariance
+            sd = math.sqrt(2.0 * np.trace(product @ product) / (n - 1))
+            assert abs(measured - np.trace(product)) <= 4.0 * sd, (stat.level, measured)
+
+
 def test_pair_variances_validation(monkeypatch):
     # a variance study is admitted once, before its first chunk: the two-pair
-    # rule first, then one check_capacity call on every (level, n), so a
+    # rule first, then one check_capacity call on every (level, lmin, n), so a
     # level that the cap rejects fails before the levels below it run
     from spde_mlmc import mlmc
     from spde_mlmc.errors import CapacityError
@@ -815,7 +844,7 @@ def test_pair_variances_validation(monkeypatch):
     assert admitted == []
     with pytest.raises(CapacityError, match="level 17 chunks"):
         mlmc.pair_variances(range(2, 18), 1, 8, 0)
-    assert admitted == [[(l, 8) for l in range(2, 18)]]
+    assert admitted == [[(l, 1, 8) for l in range(2, 18)]]
 
 
 def test_pair_variances_returns_one_record_per_level_in_order():
@@ -845,7 +874,7 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
         mlmc.pair_variances([2], 0, 4, 0)
     for workers in (0, -3):
         with pytest.raises(UsageError, match="workers must be at least 1"):
-            mlmc.check_capacity([(20, 1)], 1, 0, 1, None, workers=workers)
+            mlmc.check_capacity([(20, 1, 1)], 0, 1, None, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
             mlmc.pair_variances([2], 1, 4, 0, workers=workers)
         with pytest.raises(UsageError, match="workers must be at least 1"):
@@ -857,7 +886,7 @@ def test_library_admission_rejects_bad_base_level_workers_and_replicates(monkeyp
     with pytest.raises(UsageError, match=too_many):
         mlmc_estimate(build_schedule("weak", 2), 1, workers=5000)
     with pytest.raises(UsageError, match="at least one replicate, got 0"):
-        mlmc.check_capacity(build_schedule("weak", 2).level_counts(1), 1, 0, 0, None)
+        mlmc.check_capacity(build_schedule("weak", 2).level_counts(1), 0, 0, None)
     # the estimator and sample_pair admit replicates 0..replicate, so a
     # negative index fails as itself, not as a study of no replicates
     for replicate in (-1, -7):
@@ -883,7 +912,7 @@ def test_chunk_memory_checked_before_simulation(monkeypatch):
     # a drift holds one slab of increments, as a run without one does: both
     # pass the check at level 16 on one worker and fail it at 17
     drift = lambda v: -v
-    mlmc.check_capacity([(l, 1) for l in range(1, 17)], 1, 0, 1, None)
+    mlmc.check_capacity([(l, 1, 1) for l in range(1, 17)], 0, 1, None)
     with pytest.raises(AssertionError, match="a chunk ran"):
         mlmc_estimate(build_schedule("strong", 16), 1, drift=drift)
     for kwargs in ({}, {"drift": drift}):
@@ -896,15 +925,17 @@ def test_admitted_levels_follow_the_chunk_budget():
     # samples that every worker runs a chunk: noisy chunks hold two slabs and
     # their operators' tables, zero-noise chunks without a drift neither; a
     # fixed J of 1,000 admits 18 levels on one worker, where the states reach
-    # the cap
+    # the cap; a level at its own base (singlelevel) lacks only the coarse
+    # operator's tables, which tip the cap at 45, 90, 180 and 181 workers alone
     from spde_mlmc import mlmc
     from spde_mlmc.errors import CapacityError
 
-    def deepest(workers, zero_noise, kl_rule=None):
+    def deepest(workers, zero_noise, kl_rule=None, own_base=False):
         level = 1
         while True:
+            base = level + 1 if own_base else 1
             try:
-                mlmc.check_capacity([(level + 1, workers * mlmc.CHUNK_SIZE)], 1, 0, 1,
+                mlmc.check_capacity([(level + 1, base, workers * mlmc.CHUNK_SIZE)], 0, 1,
                                     kl_rule, workers, zero_noise=zero_noise)
             except CapacityError:
                 return level
@@ -916,6 +947,26 @@ def test_admitted_levels_follow_the_chunk_budget():
     assert [deepest(w, False) for w in workers] == noisy
     assert [deepest(w, True) for w in workers] == zero_noise
     assert deepest(1, False, 1000) == 18
+    deeper = {w: deepest(w, False, own_base=True) - deepest(w, False)
+              for w in range(1, mlmc.MAX_WORKERS + 1)}
+    assert {w for w, gain in deeper.items() if gain} == {45, 90, 180, 181}
+    assert set(deeper.values()) == {0, 1}
+
+
+@pytest.mark.parametrize("top,workers", [(10, 90), (11, 45)])
+def test_singlelevel_top_admitted_at_its_own_base(top, workers):
+    # a singlelevel chunk builds no coarse operator, and its admission counts
+    # none: these fit the cap, which the same chunks from base level 1 exceed
+    # (2,150,737,920 and 2,148,848,640 bytes); the weak top level is coupled
+    from spde_mlmc import mlmc
+    from spde_mlmc.errors import CapacityError
+
+    single = build_schedule("singlelevel", top).level_counts(1)
+    assert [(level, base) for level, base, _ in single] == [(top, top)]
+    mlmc.check_capacity(single, 0, 1, None, workers=workers)
+    with pytest.raises(CapacityError, match=f"level {top} chunks need about"):
+        mlmc.check_capacity(build_schedule("weak", top).level_counts(1), 0, 1, None,
+                            workers=workers)
 
 
 def test_sample_pair_admitted_before_simulation(monkeypatch):

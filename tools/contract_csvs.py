@@ -37,6 +37,7 @@ STUDIES = {
     "run-modes": "run --mode weak,strong,singlelevel --L 1..4 --reps 2",
     "run-modes-squared-norm": "run --mode weak,strong,singlelevel --L 1..4 --reps 2 "
                               "--functional squared-norm",
+    "run-singlelevel-lmin2": "run --mode singlelevel,weak --lmin 2 --L 2..4 --reps 2",
     "run-general": "run --mode general --L 1..3 --a-seq 1,0.6,0.3,0.2 --eta 0.6 --reps 2",
     "run-zero-noise": "run --L 1..4 --zero-noise --kl-modes 5 --reps 2",
     "run-kl40": "run --L 1..4 --kl-modes 40 --reps 2",
