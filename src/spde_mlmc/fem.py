@@ -10,20 +10,21 @@ The package assembles neither matrix. The path engine, ``StepOperator``,
 takes that step in sine-mode coordinates: the sine vectors diagonalise M and
 K and are the nodal rows of the Karhunen-Loeve loads, so every mode evolves
 on its own, driven by one standard normal per step. ``mode_factors`` alone
-forms the per-mode eigenvalues, load amplitudes and step factors, the
-increments' deviation h included, exact to rounding at every level; each
-power rho^N is exp(N log rho); ``initial_decay`` alone forms the noise-free
-rho_1^N. Without drift a block of steps is one weighted sum, formed in two
-stages from two BLOCK x modes tables of those powers, which the operator
-holds; whoever builds one owns it. A drift F is a plain callable on nodal
-values (None means F = 0), applied step by step; its values must keep their
-shape. ``sine_transform``, an FFT, maps modes to nodal values;
-``mass_norm_sq`` forms the L2(0,1) norms x^T M x from the two diagonals. The
-nodal scheme, with assembled bands and a Thomas solve per step, lives in
-``tests/reference.py`` as the oracle.
+forms the per-mode eigenvalues, load amplitudes, step factors and mass
+weights w_j (||S c||_M^2 = sum_j w_j c_j^2), the increments' deviation h
+included, exact to rounding at every level, and returns them as named fields
+(``ModeFactors``); each power rho^N is exp(N log rho); ``initial_decay``
+alone forms the noise-free rho_1^N. Without drift a block of steps is one
+weighted sum, formed in two stages from two BLOCK x modes tables of those
+powers, which the operator holds; whoever builds one owns it. A drift F is a
+plain callable on nodal values (None means F = 0), applied step by step; its
+values must keep their shape. ``sine_transform``, an FFT, maps modes to nodal
+values; ``mass_norm_sq`` forms the L2(0,1) norms x^T M x from the two
+diagonals. The nodal scheme, with assembled bands and a Thomas solve per
+step, lives in ``tests/reference.py`` as the oracle.
 """
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,10 +61,22 @@ def sine_transform(coeffs: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(odd, axis=0).imag[1:n + 1]
 
 
-def mode_factors(level: LevelGeometry, count: int, modes: int):
+class ModeFactors(NamedTuple):
+    """The per-mode factors of a level (``mode_factors``): ``log_rho`` and
+    ``weight`` of the sine modes j = 1..count, ``target`` (0-based sine index)
+    and ``beta`` of the KL modes j = 1..modes."""
+
+    log_rho: np.ndarray
+    weight: np.ndarray
+    target: np.ndarray
+    beta: np.ndarray
+
+
+def mode_factors(level: LevelGeometry, count: int, modes: int) -> ModeFactors:
     """The per-mode quantities of the scheme on ``level``, formed here alone:
-    log rho_j of the sine modes j = 1..count, and the sine index and beta_j of
-    the KL modes j = 1..modes (see ``StepOperator``; count = dofs if modes > count).
+    log rho_j and the mass weight w_j of the sine modes j = 1..count, and the
+    sine index and beta_j of the KL modes j = 1..modes (see ``StepOperator``;
+    count = dofs if modes > count).
 
     v_j = 1 - cos(j*pi*h) is taken as 2 sin^2(j*pi*h/2); the subtraction's
     relative error grows as 1/h^2 (8e-6 for mode 1 at level 19). With lm_j =
@@ -72,26 +85,29 @@ def mode_factors(level: LevelGeometry, count: int, modes: int):
     lm_j/d_j, log rho_j = log1p(-dt lk_j/d_j) and beta_j = a_j h/d_j: h = sqrt(dt),
     the deviation of the increments, enters here alone. Every rho^N, N = 1 to
     4**level, is exp(N log rho): rho^N multiplies rho's rounding error by N.
+    w_j = (1 - v_j/3)/2 = lm_j (dofs+1)/2, so lm_j = 2h w_j, is the squared mass
+    norm of sine vector j, and ||S c||_M^2 = sum_j w_j c_j^2 (S S = (dofs+1)/2 I).
     """
     h, dt, n = level.mesh_width, level.time_step, level.dofs
     j = np.arange(1, max(count, modes) + 1)
     v = 2.0 * np.sin(j * np.pi * h / 2.0) ** 2
     damping = dt * (2.0 / h) * v[:count]
-    denom = h * (1.0 - v[:count] / 3.0) + damping
+    mass = 1.0 - v[:count] / 3.0
+    denom = h * mass + damping
     r = j[:modes] % (2 * (n + 1))
     sign = np.where(r <= n, 1.0, -1.0)
     sign[(r == 0) | (r == n + 1)] = 0.0
     target = np.where(r <= n, r, 2 * (n + 1) - r) - 1
     target[sign == 0.0] = 0
     amplitude_h = np.sqrt(2.0) * 2.0 * v[:modes] / (j[:modes] ** 2 * np.pi**2)  # a_j h
-    return np.log1p(-damping / denom), target, sign * amplitude_h / denom[target]
+    return ModeFactors(np.log1p(-damping / denom), mass / 2.0, target,
+                       sign * amplitude_h / denom[target])
 
 
 def initial_decay(level: LevelGeometry, steps: int) -> float:
     """rho_1**steps, as exp(steps log rho_1): the factor of the first sine vector,
     the initial data sin(pi*x), after ``steps`` steps without noise or drift."""
-    log_rho, _, _ = mode_factors(level, 1, 1)
-    return float(np.exp(steps * log_rho[0]))
+    return float(np.exp(steps * mode_factors(level, 1, 1).log_rho[0]))
 
 
 class StepOperator:
@@ -112,10 +128,11 @@ class StepOperator:
         modes = n if modes is None else modes
         self.level = level
         self.modes = modes
-        self.log_rho, target, self.beta = mode_factors(level, n, modes)
+        factors = mode_factors(level, n, modes)
+        self.log_rho, self.beta = factors.log_rho, factors.beta
         #: Sine-vector index of each KL mode; None when it is the identity.
-        self.fold = target if modes > n else None
-        exponents = np.arange(BLOCK - 1, -1, -1)[:, None] * self.log_rho[target]
+        self.fold = factors.target if modes > n else None
+        exponents = np.arange(BLOCK - 1, -1, -1)[:, None] * self.log_rho[factors.target]
         #: inner[i] = rho**(BLOCK-1-i) and outer[k] = rho**(BLOCK*(BLOCK-1-k)) * beta,
         #: shape (BLOCK, modes): the weight rho**(n-1-m) * beta of step m = k*b + i
         #: of n is inner[-b:][i] * outer[-n//b:][k] (see ``step``). Formed in place:

@@ -9,13 +9,16 @@ from the closed-form projections, and one tridiagonal (Thomas) solve per step.
 It is slow and exists only to check the engine against. ``direct_block_step``
 forms a block's weighted sum from one direct table of step weights, the
 oracle of the engine's two-stage sum. ``mc_estimate``, a plain Monte Carlo
-mean over any sampler, checks the N^-1/2 rate. ``pair_covariances`` gives the
-exact law of a coupled pair for F = 0, in dense nodal form, for the
-variances that ``pair_variances`` estimates.
+mean over any sampler, checks the N^-1/2 rate. ``mode_moments`` alone forms
+the exact per-mode law at T = 1 for F(u) = c u (F = 0 by default): each
+sine mode's mean and variance on a level and the fine/coarse covariance of a
+coupled pair. ``pair_covariances`` gives that law in dense nodal form, for
+the variances that ``pair_variances`` estimates, and ``squared_norm_mean``
+the exact mean of the squared-norm functional.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -272,38 +275,79 @@ def mc_estimate(sampler: Callable[[int], object], n: int,
     return estimate, variance
 
 
+class ModeLaw(NamedTuple):
+    """The law at T = 1 of the sine coefficients of a path on one level: the
+    mass weights (``fem.ModeFactors.weight``), the means and the variances of
+    modes j = 1..dofs; the modes are independent."""
+
+    weight: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+
+
+def mode_moments(level_index: int, c: float = 0.0):
+    """The exact per-mode law at T = 1 of a path at ``level_index`` and of its
+    coupled coarse partner one level below, for the linear drift F(u) = c u and
+    J = dofs on both levels: (fine, coarse, covariance), two ``ModeLaw`` and the
+    covariance of fine and coarse mode j = 1..coarse dofs; coarse and covariance
+    are None at level 1.
+
+    A drift step adds dt f to the coefficients, f = (2/(dofs+1)) S F(S c) = c c
+    as S S = (dofs+1)/2 I, so mode j steps with rho_j (1 + c dt) on each level
+    (rho_j and beta_j from ``fem.mode_factors``). The initial data sin(pi x) is
+    sine vector 1, so the mean is (rho_1 (1 + c dt))^N e_1 after N steps, and
+    mode j has variance beta_j^2 (1 - rho_j^(2N)) / (1 - rho_j^2). A coarse row
+    is half the sum of four fine rows, so fine and coarse mode j have covariance
+    (beta_f beta_c / 2) (1 + rho_f + rho_f^2 + rho_f^3) (1 - q^N_c) / (1 - q),
+    q = rho_c rho_f^4. Every power is exp(N log rho) and every 1 - x^N an expm1.
+    """
+    levels = [make_level(index) for index in (level_index, level_index - 1) if index >= 1]
+    laws, rates = [], []
+    for level in levels:  # fine, then coarse
+        factors = mode_factors(level, level.dofs, level.dofs)
+        log_rho = factors.log_rho + np.log1p(c * level.time_step)
+        mean = np.zeros(level.dofs)
+        mean[0] = np.exp(level.steps * log_rho[0])
+        laws.append(ModeLaw(factors.weight, mean, factors.beta**2
+                            * np.expm1(2 * level.steps * log_rho) / np.expm1(2 * log_rho)))
+        rates.append((log_rho, factors.beta))
+    if len(levels) == 1:
+        return laws[0], None, None
+    (log_f, beta_f), (log_c, beta_c) = rates
+    coarse = levels[1]
+    j = coarse.dofs
+    log_q = log_c + 4 * log_f[:j]
+    covariance = (0.5 * beta_f[:j] * beta_c
+                  * np.exp(np.arange(4)[:, None] * log_f[:j]).sum(axis=0)
+                  * np.expm1(coarse.steps * log_q) / np.expm1(log_q))
+    return laws[0], laws[1], covariance
+
+
+def squared_norm_mean(level_index: int) -> float:
+    """E||u_L||^2 at T = 1 for F = 0 and J = dofs, the exact mean of the
+    squared-norm functional on a level: sum_j w_j (Var c_j + mean_j^2), as
+    ||S c||_M^2 = sum_j w_j c_j^2 (``mode_moments``)."""
+    law = mode_moments(level_index)[0]
+    return float(np.sum(law.weight * (law.variance + law.mean**2)))
+
+
 def pair_covariances(pair_level: int, c: float = 0.0):
     """The exact law at T = 1 of a coupled pair at ``pair_level`` >= 2 above the
     base level, for the linear drift F(u) = c u (F = 0 by default) and J = dofs
     on both levels: (M, cov_difference, cov_fine), the dense fine-level mass
     matrix and the covariances of the nodal level difference x_f - P x_c and of
-    the fine path x_f.
+    the fine path x_f, from the per-mode law of ``mode_moments``.
 
-    A drift step adds dt f to the coefficients, f = (2/(dofs+1)) S F(S c) = c c
-    as S S = (dofs+1)/2 I, so mode j steps with rho_j (1 + c dt) on each level.
-    Mode j of a path after N steps has variance beta_j^2 (1 - rho_j^(2N)) /
-    (1 - rho_j^2) (``fem.mode_factors``); a coarse row is half the sum of four
-    fine rows, so fine and coarse mode j have covariance (beta_f beta_c / 2)
-    (1 + rho_f + rho_f^2 + rho_f^3) (1 - q^N_c) / (1 - q), q = rho_c rho_f^4.
     The nodal values are S c, S_ij = sin(i j pi h), and P x_c is the coarse
     path prolonged (``prolong_values``). So var_difference = tr(M cov_difference)
     and var_level = tr(M cov_fine); dense, fine up to level 8 or so.
     """
-    fine, coarse = make_level(pair_level), make_level(pair_level - 1)
-    factors = [(log_rho + np.log1p(c * level.time_step), beta)
-               for level in (fine, coarse)
-               for log_rho, _, beta in [mode_factors(level, level.dofs, level.dofs)]]
-    (log_f, beta_f), (log_c, beta_c) = factors
-    var_f, var_c = (beta**2 * np.expm1(2 * level.steps * log_rho) / np.expm1(2 * log_rho)
-                    for level, (log_rho, beta) in zip((fine, coarse), factors))
-    j = coarse.dofs
-    log_q = log_c + 4 * log_f[:j]
-    cov = (0.5 * beta_f[:j] * beta_c * np.exp(np.arange(4)[:, None] * log_f[:j]).sum(axis=0)
-           * np.expm1(coarse.steps * log_q) / np.expm1(log_q))
+    fine, coarse, cov = mode_moments(pair_level, c)
+    levels = make_level(pair_level), make_level(pair_level - 1)
     s_f, s_c = (np.sin(np.outer(level.nodes, np.arange(1, level.dofs + 1) * np.pi))
-                for level in (fine, coarse))
+                for level in levels)
     b = prolong_values(s_c)  # P S_c
-    cov_fine = (s_f * var_f) @ s_f.T
-    cross = (s_f[:, :j] * cov) @ b.T
-    cov_difference = cov_fine + (b * var_c) @ b.T - cross - cross.T
-    return dense(assemble(fine)[0]), cov_difference, cov_fine
+    cov_fine = (s_f * fine.variance) @ s_f.T
+    cross = (s_f[:, :len(cov)] * cov) @ b.T
+    cov_difference = cov_fine + (b * coarse.variance) @ b.T - cross - cross.T
+    return dense(assemble(levels[0])[0]), cov_difference, cov_fine

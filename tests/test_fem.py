@@ -222,7 +222,7 @@ def test_initial_decay_is_the_noise_free_step_of_the_first_mode(level_index):
             coeffs[0] = 1.0
             out = op.step(np.zeros((n, op.modes)), coeffs)
             assert out[0] == fem.initial_decay(level, n)
-    log_rho = fem.mode_factors(level, 1, 1)[0][0]
+    log_rho = fem.mode_factors(level, 1, 1).log_rho[0]
     assert fem.initial_decay(level, level.steps) == np.exp(level.steps * log_rho)
 
 
@@ -285,6 +285,21 @@ def test_sine_transform_matches_sine_matrix(level_index):
         close(sine_transform(coeffs), sines @ coeffs)
         # S is symmetric and S S = (dofs + 1)/2 I
         close(sine_transform(sine_transform(coeffs)), (n + 1) / 2 * coeffs)
+
+
+@pytest.mark.parametrize("level_index", range(1, 13))
+def test_mode_weights_give_the_mass_norm_of_sine_coefficients(level_index):
+    # ||S c||_M^2 = sum_j w_j c_j^2 with w_j = (1 - v_j/3)/2, diagonal in the
+    # modes, for one coefficient vector and for a batch of columns
+    level = make_level(level_index)
+    n = level.dofs
+    factors = fem.mode_factors(level, n, n)
+    assert factors.weight.shape == (n,)
+    rng = np.random.default_rng(level_index)
+    for coeffs in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+        expected = mass_norm_sq(level, sine_transform(coeffs))
+        weighted = np.einsum("j,j...->...", factors.weight, coeffs**2)
+        np.testing.assert_allclose(weighted, expected, rtol=1e-12, atol=0.0)
 
 
 def test_norm_non_increasing_over_steps():
@@ -371,10 +386,10 @@ def test_beta_is_the_unscaled_beta_times_h_bitwise(level_index):
         r = j % (2 * (n + 1))
         sign = np.where(r <= n, 1.0, -1.0)
         sign[(r == 0) | (r == n + 1)] = 0.0
-        _, target, beta = fem.mode_factors(level, n, modes)
+        factors = fem.mode_factors(level, n, modes)
         amplitude = np.sqrt(2.0) * 2.0 * v / (j**2 * np.pi**2 * h)
-        unscaled = sign * amplitude / denom[target]
-        assert beta.tobytes() == (unscaled * h).tobytes()
+        unscaled = sign * amplitude / denom[factors.target]
+        assert factors.beta.tobytes() == (unscaled * h).tobytes()
 
 
 def test_step_operators_hold_two_block_tables():

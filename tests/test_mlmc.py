@@ -30,6 +30,7 @@ from spde_mlmc import (
 )
 from spde_mlmc import fem
 from spde_mlmc.fem import mass_norm_sq
+from spde_mlmc.grid import prolong_values
 from spde_mlmc.mlmc import _functional_values
 from spde_mlmc.metrics import exact_mean, fit_slope
 from spde_mlmc.noise import path_stream
@@ -40,10 +41,12 @@ from reference import (
     dense,
     euler_step,
     mc_estimate,
+    mode_moments,
     noise_load,
     pair_covariances,
     projection_matrix,
     sample_kl_block,
+    squared_norm_mean,
 )
 
 
@@ -782,6 +785,26 @@ def test_closed_form_pair_law_gives_the_exact_variance_table():
         mass, difference, fine = pair_covariances(level)
         assert f"{np.trace(mass @ difference):.4e}" == f"{expected:.4e}", level
         assert 0.0 < np.trace(mass @ difference) < np.trace(mass @ fine)
+        # var_level in O(dofs): the mass weights diagonalise tr(M cov_fine)
+        law = mode_moments(level)[0]
+        assert math.isclose(np.sum(law.weight * law.variance), np.trace(mass @ fine),
+                            rel_tol=1e-12), level
+
+
+def test_squared_norm_mean_agrees_with_the_exact_law():
+    # E||u_L||^2 = sum_j w_j (Var c_j + mean_j^2); 2000 paths per level from
+    # base = level, z from the sample variance. At seeds 1..20 the 40 z-scores
+    # at levels 3 and 4 had mean 0.02, sd 1.11 and |z| <= 2.46 (seed 8); seed 1
+    # gives +0.98 and +0.19
+    from spde_mlmc import mlmc
+
+    assert f"{squared_norm_mean(4):.6g}" == "0.0710928"
+    n = 2000
+    for level in (3, 4):
+        (stat,) = mlmc._run_plan([(level, level, n)], 0, 1, None, None, False,
+                                 "squared-norm", 1)
+        z = (stat.mean_contribution - squared_norm_mean(level)) / math.sqrt(stat.variance / n)
+        assert abs(z) <= 4.0, (level, z)
 
 
 def test_pair_variances_agree_with_the_exact_law():
@@ -804,7 +827,13 @@ def test_pair_variances_with_a_linear_drift_agree_with_the_exact_law(c):
     # F(u) = c u steps mode j with rho_j (1 + c dt), so the exact law is that of
     # F = 0 with that factor; z as in the F = 0 test. At seeds 1..20 the 120
     # z-scores of each c had sd 1.01 (c = -1) and 1.01 (c = +1) and |z| <= 2.68
-    # (seed 8, c = -1); seed 1 gives |z| <= 1.62 (c = -1) and 1.80 (c = +1)
+    # (seed 8, c = -1); seed 1 gives |z| <= 1.62 (c = -1) and 1.80 (c = +1).
+    # The level mean is (rho_1 (1 + c dt))^N sin(pi x) on the fine level less
+    # the coarse mean prolonged; z per node, sd from diag(cov_difference) / n.
+    # At seeds 1..20 the 500 such z of each c had sd 1.04 and |z| <= 3.02
+    # (c = -1) and 3.07 (c = +1, both seed 10); seed 1 gives |z| <= 2.00 and
+    # 1.97. That mean is near 1e-4, so the band checks that the noise adds no
+    # bias, not the drift's size, which the noise-free drift test checks
     from spde_mlmc import mlmc
 
     n = 1000
@@ -817,6 +846,12 @@ def test_pair_variances_with_a_linear_drift_agree_with_the_exact_law(c):
             product = mass @ covariance
             sd = math.sqrt(2.0 * np.trace(product @ product) / (n - 1))
             assert abs(measured - np.trace(product)) <= 4.0 * sd, (stat.level, measured)
+        fine_law, coarse_law, _ = mode_moments(stat.level, c)
+        fine_level, coarse_level = make_level(stat.level), make_level(stat.level - 1)
+        exact = (fine_law.mean[0] * np.sin(np.pi * fine_level.nodes)
+                 - prolong_values(coarse_law.mean[0] * np.sin(np.pi * coarse_level.nodes)))
+        z = (stat.mean_contribution - exact) / np.sqrt(np.diag(difference) / n)
+        assert np.max(np.abs(z)) <= 4.5, (stat.level, z)
 
 
 def test_pair_variances_validation(monkeypatch):

@@ -47,6 +47,7 @@ STUDIES = {
     "variance-lmin2": "variance --levels 2..6 --pairs 512 --lmin 2",
     "variance-partial": "variance --levels 1..4 --pairs 100",  # partial chunks and groups
     "det-conv": "det-conv --levels 1..14",
+    "det-conv-deep": "det-conv --levels 15..20",  # mode_factors and initial_decay above 14
 }
 
 
