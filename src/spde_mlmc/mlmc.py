@@ -43,10 +43,11 @@ study, before any path is simulated; stream coordinates, levels, base levels,
 a fixed KL truncation and the worker count must be integers. ``check_gamma``
 alone bounds gamma. One runner of a plan, ``_run_plan``, admits it and runs
 it for ``mlmc_estimate`` and for ``pair_variances`` (after its two-pair
-rule); its level runner, ``_level_moments``, runs each entry's chunks of the
-one chunk task, ``_level_task``, at most two per worker in flight, and forms
-every mean and variance from their sums into the level's ``LevelStat``, the
-one per-level record that the estimators return.
+rule): each entry's chunks of the one chunk task, ``_level_task``, inline at
+one worker, else on one thread pool per plan with at most two chunks per
+worker in flight, their sums added in chunk order. ``_level_stat`` alone
+forms every mean and variance from those sums into the level's
+``LevelStat``, the one per-level record that the estimators return.
 """
 
 import math
@@ -83,7 +84,7 @@ STATE_DOUBLES = 12
 #: peaked at up to 44,304 bytes (tracemalloc; level 1, a drift).
 CHUNK_OVERHEAD_BYTES = 2**16
 
-#: Worker threads at most. A level's pool starts one OS thread per worker;
+#: Worker threads at most. A plan's pool starts one OS thread per worker;
 #: the memory admission counts no thread stack, and threads beyond the cores
 #: add no speed. 256 exceeds the cores of common machines, and a count such as
 #: 5,000 is rejected before it asks the OS for thousands of threads.
@@ -411,7 +412,7 @@ def pair_op_work(pair_level: int, lmin: int) -> int:
 
 @dataclass(frozen=True)
 class LevelStat:
-    """One level's record, built by ``_level_moments`` alone, which says what
+    """One level's record, formed by ``_level_stat`` alone, which says what
     each field holds."""
 
     level: int
@@ -423,33 +424,14 @@ class LevelStat:
     wall_seconds: float
 
 
-def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args) -> LevelStat:
-    """Run ``task`` over the chunks of ``n`` samples at ``level``, each from
-    the task tuple (level, lmin, start, count, *args), and form the level's
-    ``LevelStat``.
-
-    One worker runs the chunks inline; more run them on a thread pool opened
-    for this level, at most two chunks per worker in flight. Threads draw and
-    step in parallel because Philox fills and numpy arithmetic release the
-    GIL; Python callables (a custom functional, a drift) run one at a time.
-    Partial sums are added in chunk order as they arrive.
-
-    The record holds the mean and variance of the level differences and the
-    variance of the fine values (``level_variance``), from the two (sum, sum
-    of squared norms) pairs of ``_level_task``, L2 on ``level`` for states;
-    ``n * pair_op_work(level, lmin)``; and the wall time of the chunks. A
-    variance is (sq - n |mean|**2) / (n - 1), or 0.0 for one sample or a
-    difference within the sums' rounding, n * eps * sq (identical samples).
-    """
-    tasks = ((level, lmin, s, min(CHUNK_SIZE, n - s), *args) for s in range(0, n, CHUNK_SIZE))
-    started = time.perf_counter()
-    sums = None
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for partial_sums in (_window_map(pool, 2 * workers, task, tasks) if pool
-                             else map(task, tasks)):
-            sums = [total + value for total, value in zip(sums or [0.0] * len(partial_sums),
-                                                          partial_sums)]
-    wall = time.perf_counter() - started
+def _level_stat(level: int, base: int, n: int, sums, wall: float) -> LevelStat:
+    """The ``LevelStat`` of ``n`` samples at ``level`` from ``base``: the mean and
+    variance of the level differences and the variance of the fine values
+    (``level_variance``) from ``sums``, the two (sum, sum of squared norms) pairs of
+    ``_level_task`` added over the level's chunks in chunk order (L2 on ``level``
+    for states); ``n * pair_op_work(level, base)``; and ``wall``, the chunks' wall
+    time. A variance is (sq - n |mean|**2) / (n - 1), or 0.0 for one sample or a
+    difference within the sums' rounding, n * eps * sq (identical samples)."""
     geometry = make_level(level)
     moments = []
     for total, sq in zip(sums[::2], sums[1::2]):
@@ -458,20 +440,32 @@ def _level_moments(task, workers: int, level: int, lmin: int, n: int, *args) -> 
         rounding = n * np.finfo(float).eps * sq  # all that identical samples leave
         moments.append((mean, 0.0 if n < 2 or spread <= rounding else spread / (n - 1)))
     (mean, variance), (_fine_mean, level_variance) = moments
-    return LevelStat(level, n, mean, variance, level_variance,
-                     n * pair_op_work(level, lmin), wall)
+    return LevelStat(level, n, mean, variance, level_variance, n * pair_op_work(level, base), wall)
 
 
 def _run_plan(plan, replicate, master_seed, kl_rule, drift, zero_noise, functional, workers):
     """The one runner of a plan, (level, base, samples) entries: a negative
     ``replicate`` fails, then what ``check_capacity`` rejects of the whole plan in
     that replicate, before any simulation; then the ``LevelStat`` of each entry, in
-    order, from ``_level_moments`` of the one chunk task."""
+    order, from ``_level_stat`` of the sums of ``_level_task`` over the entry's
+    chunks, added in chunk order. One worker runs the chunks inline (a pool thread
+    only adds memory); more run them on one thread pool for the plan, at most two
+    chunks per worker in flight: Philox fills and numpy arithmetic release the GIL,
+    and Python callables (a custom functional, a drift) run one at a time."""
     if replicate < 0:
         raise UsageError(f"replicate index must be nonnegative, got {replicate}")
     check_capacity(plan, master_seed, replicate + 1, kl_rule, workers, zero_noise, drift)
-    return tuple(_level_moments(_level_task, workers, level, base, n, replicate, master_seed,
-                                kl_rule, drift, zero_noise, functional) for level, base, n in plan)
+    stats = []
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for level, base, n in plan:
+            tasks = ((level, base, s, min(CHUNK_SIZE, n - s), replicate, master_seed, kl_rule,
+                      drift, zero_noise, functional) for s in range(0, n, CHUNK_SIZE))
+            started, sums = time.perf_counter(), None
+            for chunk in (_window_map(pool, 2 * workers, _level_task, tasks) if pool
+                          else map(_level_task, tasks)):
+                sums = [total + value for total, value in zip(sums or [0.0] * len(chunk), chunk)]
+            stats.append(_level_stat(level, base, n, sums, time.perf_counter() - started))
+    return tuple(stats)
 
 
 def pair_variances(pair_levels, lmin, n, master_seed, kl_rule=None,

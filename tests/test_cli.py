@@ -23,6 +23,7 @@ def _load_tool(name):
 
 
 CONTRACT = _load_tool("contract_csvs")
+SRC_LINES = _load_tool("src_lines")
 
 
 def read_rows(path):
@@ -142,7 +143,7 @@ def test_level_with_fewer_chunks_than_workers_admitted(tmp_path, monkeypatch):
 def test_singlelevel_run_admitted_at_its_own_base(tmp_path, monkeypatch):
     # a singlelevel top is its own base: its 90 chunks at level 10 build no
     # coarse operator and fit the cap, which they would not from base level 1;
-    # the level runner raises before a pool of 90 threads starts
+    # the admitted plan's pool raises before any of its 90 threads starts
     from spde_mlmc import mlmc
 
     class Admitted(Exception):
@@ -151,7 +152,7 @@ def test_singlelevel_run_admitted_at_its_own_base(tmp_path, monkeypatch):
     def sentinel(*_args):
         raise Admitted
 
-    monkeypatch.setattr(mlmc, "_level_moments", sentinel)
+    monkeypatch.setattr(mlmc, "ThreadPoolExecutor", sentinel)
     with pytest.raises(Admitted):
         main(["run", "--mode", "singlelevel", "--L", "10", "--workers", "90",
               "--seed", "1", "--out", str(tmp_path / "o")])
@@ -605,6 +606,39 @@ def test_contract_comparison_names_differing_and_missing_files(tmp_path):
     (b / "only_in_a.csv").write_bytes(b"x\n")
     (b / "changed.csv").write_bytes(b"0.1\n")
     assert CONTRACT.differing(a, b) == []
+
+
+def test_src_lines_counts_code_without_docstrings_comments_or_blanks(tmp_path, capsys):
+    # 14 lines: a module docstring (2), a function docstring (1), a comment
+    # line and 2 blanks leave 8 code lines: the def, the 3 lines of one
+    # expression, a return whose string spans 3 lines but is no docstring,
+    # and the last assignment
+    source = (
+        '"""A module.\n'
+        '"""\n'
+        '\n'
+        '# a comment line\n'
+        'def f(x):  # a trailing comment keeps the line\n'
+        '    """Its docstring."""\n'
+        '    y = (x\n'
+        '         + 1\n'
+        '         + 2)\n'
+        '\n'
+        '    return """not\n'
+        'a docstring\n'
+        '""" * y\n'
+        'TAIL = 1\n'
+    )
+    assert SRC_LINES.count_lines(source) == (14, 8)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(source, encoding="utf-8")
+    (tmp_path / "pkg" / "b.py").write_text("X = 1\n", encoding="utf-8")
+    assert SRC_LINES.main(["--src", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{os.path.join('pkg', 'a.py')} 14 8", f"{os.path.join('pkg', 'b.py')} 1 1",
+        "total 15 9"]
+    for argv in (["--src"], ["--sr", str(tmp_path)], ["--src", str(tmp_path / "none")]):
+        assert SRC_LINES.main(argv) == 2
 
 
 def test_contract_tool_runs_its_studies_with_another_package(tmp_path, monkeypatch, capsys):

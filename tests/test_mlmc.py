@@ -822,18 +822,23 @@ def test_pair_variances_agree_with_the_exact_law():
             assert abs(measured - np.trace(product)) <= 4.0 * sd, (stat.level, measured)
 
 
-@pytest.mark.parametrize("c", [-1.0, 1.0])
+@pytest.mark.parametrize("c", [-1.0, 1.0, 9.0])
 def test_pair_variances_with_a_linear_drift_agree_with_the_exact_law(c):
     # F(u) = c u steps mode j with rho_j (1 + c dt), so the exact law is that of
     # F = 0 with that factor; z as in the F = 0 test. At seeds 1..20 the 120
-    # z-scores of each c had sd 1.01 (c = -1) and 1.01 (c = +1) and |z| <= 2.68
-    # (seed 8, c = -1); seed 1 gives |z| <= 1.62 (c = -1) and 1.80 (c = +1).
+    # z-scores of each c had sd 1.01 (c = -1), 1.01 (c = +1) and 1.19 (c = +9,
+    # mean 0.19) and |z| <= 2.68 (seed 8, c = -1) and 3.12 (seed 18, c = +9);
+    # seed 1 gives |z| <= 1.62, 1.80 and 2.30.
     # The level mean is (rho_1 (1 + c dt))^N sin(pi x) on the fine level less
     # the coarse mean prolonged; z per node, sd from diag(cov_difference) / n.
     # At seeds 1..20 the 500 such z of each c had sd 1.04 and |z| <= 3.02
-    # (c = -1) and 3.07 (c = +1, both seed 10); seed 1 gives |z| <= 2.00 and
-    # 1.97. That mean is near 1e-4, so the band checks that the noise adds no
-    # bias, not the drift's size, which the noise-free drift test checks
+    # (c = -1) and 3.07 (c = +1, both seed 10), and sd 0.99 and |z| <= 2.96
+    # (c = +9, seed 19); seed 1 gives |z| <= 2.00, 1.97 and 1.51. At c = +-1
+    # that mean is near 1e-4, so the band checks that the noise adds no bias,
+    # not the drift's size, which the noise-free drift test checks. At c = +9
+    # the bands see the drift's size: a drift scale of 2 dt / (dofs + 2) for
+    # 2 dt / (dofs + 1) leaves c = +-1 inside both bands at seeds 1..3 but
+    # reaches variance |z| 43-44 and mean |z| 23-25 at c = +9
     from spde_mlmc import mlmc
 
     n = 1000
@@ -1027,7 +1032,7 @@ def test_sample_pair_admitted_before_simulation(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_level_runner_bookkeeping_does_not_grow_with_samples(workers):
+def test_level_runner_bookkeeping_does_not_grow_with_samples(workers, monkeypatch):
     # 2**22 samples are 65,536 chunks: the runner makes their task tuples as
     # it goes and folds each partial sum as it arrives, with at most two
     # chunks per worker in flight; the record shows that each chunk ran once:
@@ -1039,10 +1044,11 @@ def test_level_runner_bookkeeping_does_not_grow_with_samples(workers):
     def stub(args):
         return np.full(3, float(args[2])), 1.0, 0.0, float(args[3])
 
+    monkeypatch.setattr(mlmc, "_level_task", stub)
     n = 2**22
     tracemalloc.start()
     try:
-        stat = mlmc._level_moments(stub, workers, 2, 1, n)
+        (stat,) = mlmc._run_plan([(2, 1, n)], 0, 1, None, None, False, "identity", workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1077,13 +1083,56 @@ def test_level_task_sums_the_fine_values_of_a_scalar_functional():
     norms = np.array([mass_norm_sq(make_level(3), sample_pair(3, 1, 5, s)[0].values)
                       for s in range(n)])
     chunk = (0, 5, None, None, False, "squared-norm")
-    runs = [mlmc._level_moments(mlmc._level_task, workers, 3, 1, n, *chunk)
+    runs = [mlmc._run_plan([(3, 1, n)], 0, 5, None, None, False, "squared-norm", workers)[0]
             for workers in (1, 2)]
     assert_same_level_stat(runs[0], runs[1])
     fine_sum = sum(mlmc._level_task((3, 1, start, min(64, n - start), *chunk))[2]
                    for start in range(0, n, 64))
     assert fine_sum / n == pytest.approx(norms.mean(), rel=1e-12)
     assert runs[0].level_variance == pytest.approx(norms.var(ddof=1), rel=1e-12)
+
+
+@pytest.mark.parametrize("functional", ["identity", "squared-norm"])
+def test_level_record_is_a_function_of_the_chunk_ordered_sums(functional):
+    # a level's record is _level_stat of its chunks' sums added in chunk order,
+    # so sums folded in two passes (chunks 0-1, then chunk 2 continuing the
+    # running sums) give the runner's record bitwise: 130 pairs are three
+    # chunks, the last of two
+    from spde_mlmc import mlmc
+
+    def fold(sums, chunks):
+        for chunk in chunks:
+            sums = [total + value for total, value in zip(sums, chunk)]
+        return sums
+
+    n = 130
+    for level in (1, 3):
+        (stat,) = mlmc._run_plan([(level, 1, n)], 0, 5, None, None, False, functional, 1)
+        chunks = [mlmc._level_task((level, 1, start, min(64, n - start), 0, 5, None, None,
+                                    False, functional)) for start in range(0, n, 64)]
+        sums = fold(fold([0.0] * 4, chunks[:2]), chunks[2:])
+        assert_same_level_stat(mlmc._level_stat(level, 1, n, sums, 0.0), stat)
+
+
+def test_run_plan_opens_one_pool_per_plan(monkeypatch):
+    # two or more workers share one thread pool over the plan's levels; one
+    # worker runs the chunks inline and opens none
+    from spde_mlmc import mlmc
+
+    opened = []
+
+    class CountingPool(mlmc.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mlmc, "ThreadPoolExecutor", CountingPool)
+    pooled = mlmc.pair_variances(range(2, 6), 1, 130, 1, workers=2)
+    assert opened == [(2,)]
+    inline = mlmc.pair_variances(range(2, 6), 1, 130, 1, workers=1)
+    assert opened == [(2,)]
+    for a, b in zip(pooled, inline, strict=True):
+        assert_same_level_stat(a, b)
 
 
 def test_level_law_invariant_across_roles():
